@@ -34,6 +34,7 @@ from .diagram import (
     label_cells_incremental,
     label_cells_recompute,
     label_faces_lex,
+    reduced_arrangement,
 )
 from .geom import (
     ConvexPolygon,
@@ -116,6 +117,7 @@ __all__ = [
     "oracle_optimal_translation",
     "point",
     "prune_candidates",
+    "reduced_arrangement",
     "squared_edge_length",
     "used_bisectors",
 ]

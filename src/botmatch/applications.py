@@ -86,7 +86,6 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
     """
     diag = build_diagram(inst)
     arr = diag.arrangement
-    assert diag.cells is not None
     sites = [inst.anchor(label.longest) for label in diag.cells]
 
     bounds = arr.cell_bounds_float()
@@ -124,25 +123,6 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
 # -- bottleneck path --------------------------------------------------------------
 
 
-def _face_cells(arr, ref) -> list[int]:
-    """Cells whose closure contains the located face."""
-    if ref.dim == 2:
-        return [ref.index]
-    cf = arr._cell_of_face
-    if ref.dim == 1:
-        faces = (int(arr._face[2 * ref.index]), int(arr._face[2 * ref.index + 1]))
-        return sorted({int(cf[f]) for f in faces if cf[f] >= 0})
-    hits = set()
-    v = ref.index
-    eu, ev = arr._eu, arr._ev
-    for e in _np.nonzero((eu == v) | (ev == v))[0]:
-        for h in (2 * int(e), 2 * int(e) + 1):
-            c = int(cf[arr._face[h]])
-            if c >= 0:
-                hits.add(c)
-    return sorted(hits)
-
-
 def bottleneck_path(
     inst: Instance, t0: Point, t1: Point, *, keep_all_bisectors: bool = False
 ) -> PathResult:
@@ -169,10 +149,9 @@ def bottleneck_path(
         inst, must_contain=musts, keep_all_bisectors=keep_all_bisectors
     )
     arr = diag.arrangement
-    assert diag.cells is not None
 
-    seeds = _face_cells(arr, arr.locate(t0))
-    targets = set(_face_cells(arr, arr.locate(t1)))
+    seeds = arr.face_cells(arr.locate(t0))
+    targets = set(arr.face_cells(arr.locate(t1)))
 
     zero = Fraction(0)
     dist: list[Scalar | None] = [None] * arr.n_cells
@@ -241,8 +220,8 @@ def cover_radius(inst: Instance, Q: ConvexPolygon) -> CoverResult | _Empty:
     region = erode_polygon(Q, inst.B)
     if region is None:
         return Empty
-    diag = build_diagram(inst, must_contain=region.vertices, labels=None)
-    arr = diag.arrangement
+    # The cell labels are never read, so they are never computed.
+    arr = build_diagram(inst, must_contain=region.vertices).arrangement
 
     qxs = [float(v.x) for v in region.vertices]
     qys = [float(v.y) for v in region.vertices]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -25,6 +25,7 @@ from .geom import (
     Line,
     Point,
     bisector_line,
+    homogeneous,
     orientation,
 )
 from .matching import DIFF_B, SAME_B
@@ -399,7 +400,6 @@ def _geometry_fast(
     keep[1:][dup] = False
     row_line = row_line[keep]
     row_vid = row_vid[keep]
-    lam = lam[keep]
     line_ptr = _np.searchsorted(row_line, _np.arange(L + 5))
     return {
         "mode": "np",
@@ -409,7 +409,6 @@ def _geometry_fast(
         "V": len(uniq),
         "row_line": row_line,
         "row_vid": row_vid,
-        "row_lam": lam,
         "line_ptr": line_ptr,
         "box": box,
     }
@@ -462,18 +461,16 @@ def _geometry_slow(
         per_line[line_id].append((_exact_lam_key(c, dirs_all[line_id]), vid))
     row_line: list[int] = []
     row_vid: list[int] = []
-    row_lam: list[float] = []
     line_ptr = [0]
     for line_id, entries in enumerate(per_line):
         entries.sort()
         prev = None
-        for lam, vid in entries:
+        for _lam, vid in entries:
             if vid == prev:
                 continue
             prev = vid
             row_line.append(line_id)
             row_vid.append(vid)
-            row_lam.append(float(lam))
         line_ptr.append(len(row_line))
     return {
         "mode": "py",
@@ -483,23 +480,46 @@ def _geometry_slow(
         "V": len(coords),
         "row_line": _np.array(row_line, dtype=_np.int64),
         "row_vid": _np.array(row_vid, dtype=_np.int64),
-        "row_lam": _np.array(row_lam, dtype=float),
         "line_ptr": _np.array(line_ptr, dtype=_np.int64),
         "box": box,
     }
 
 
+def _point(triple: tuple[int, int, int]) -> Point:
+    x, y, w = triple
+    return Point(Fraction(x, w), Fraction(y, w))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Arrangement:
     """Immutable clipped line arrangement with dual cell graph.
 
     Vertices are exact homogeneous integer triples (x, y, w), w > 0. Edge ids
     are grouped line-major in parameter order; box sides come after the input
     lines. Cells are the bounded faces in deterministic discovery order.
+    Half-edge 2e runs along edge e's line direction, 2e + 1 against it.
     """
 
-    def __init__(self, **kw) -> None:
-        self.__dict__.update(kw)
-        self._poly_cache: dict[int, ConvexPolygon] = {}
+    lines: tuple[Line, ...]
+    box: tuple[int, int, int, int]
+    dirs_all: list[tuple[int, int]]  # per line, box sides last
+    _trips_all: list[tuple[int, int, int]]
+    # vertices: a sorted (V, 3) int64 array, or a list plus its index
+    _uniq: _np.ndarray | None
+    _coords: list[tuple[int, int, int]] | None
+    _vindex: dict[tuple[int, int, int], int] | None
+    _V: int
+    _eu: _np.ndarray  # edge -> start vertex
+    _ev: _np.ndarray  # edge -> end vertex
+    _eline: _np.ndarray  # edge -> line
+    _nxt: _np.ndarray  # half-edge -> next half-edge around its face
+    _face: _np.ndarray  # half-edge -> face
+    _cell_start_he: list[int]
+    _cell_of_face: _np.ndarray  # face -> cell, -1 for the outer face
+    _adj_ptr: _np.ndarray  # dual graph in CSR form
+    _adj_nbr: _np.ndarray
+    _adj_eid: _np.ndarray
+    _poly_cache: dict[int, ConvexPolygon] = field(default_factory=dict, init=False)
 
     # --- counts ---------------------------------------------------------
 
@@ -535,8 +555,7 @@ class Arrangement:
         return self._coords[vid]
 
     def vertex_point(self, vid: int) -> Point:
-        x, y, w = self.vertex_triple(vid)
-        return Point(Fraction(x, w), Fraction(y, w))
+        return _point(self.vertex_triple(vid))
 
     def _find_vertex(self, x: int, y: int, w: int) -> int | None:
         if self._uniq is None:
@@ -563,16 +582,14 @@ class Arrangement:
         return int(self._eu[eid]), int(self._ev[eid])
 
     def edge_line(self, eid: int) -> int:
+        """Index of the edge's line; box sides come after the input lines."""
         return int(self._eline[eid])
 
     def is_boundary_edge(self, eid: int) -> bool:
         return int(self._eline[eid]) >= self.n_lines
 
     def edge_midpoint(self, eid: int) -> Point:
-        u, v = self.edge_endpoints(eid)
-        pu = self.vertex_point(u)
-        pv = self.vertex_point(v)
-        return (pu + pv).scale(Fraction(1, 2))
+        return _point(self.edge_midpoint_triple(eid))
 
     def edge_midpoint_triple(self, eid: int) -> tuple[int, int, int]:
         u, v = self.edge_endpoints(eid)
@@ -619,21 +636,15 @@ class Arrangement:
                 if orientation(ring[i - 1], ring[i], ring[(i + 1) % m]) > 0
             ]
             assert len(corners) >= 3, "cells are full-dimensional"
-            pts = [Point(Fraction(x, w), Fraction(y, w)) for x, y, w in corners]
+            pts = [_point(c) for c in corners]
             start = pts.index(min(pts))
             poly = ConvexPolygon(tuple(pts[start:] + pts[:start]))
             self._poly_cache[cid] = poly
         return poly
 
     def cell_centroid(self, cid: int) -> Point:
-        cyc = self.cell_cycle(cid)
-        sx = Fraction(0)
-        sy = Fraction(0)
-        for v in cyc:
-            x, y, w = self.vertex_triple(v)
-            sx += Fraction(x, w)
-            sy += Fraction(y, w)
-        return Point(sx / len(cyc), sy / len(cyc))
+        """``cell_sample_triple`` as a Point: interior, though not the centroid."""
+        return _point(self.cell_sample_triple(cid))
 
     def cell_sample_triple(self, cid: int) -> tuple[int, int, int]:
         """Interior rational point with a small denominator, homogeneous.
@@ -671,7 +682,7 @@ class Arrangement:
             return self.edge_midpoint_triple(ref.index)
         return self.vertex_triple(ref.index)
 
-    def cell_bounds_float(self) -> "_np.ndarray":
+    def cell_bounds_float(self) -> _np.ndarray:
         """(n_cells, 4) float array [min x, min y, max x, max y] per cell."""
         bounds = _np.empty((self.n_cells, 4), dtype=_np.float64)
         if self._uniq is not None:
@@ -684,9 +695,7 @@ class Arrangement:
         vids = _np.empty(2 * E, dtype=_np.int64)
         vids[0::2] = self._eu
         vids[1::2] = self._ev
-        cells = _np.asarray(self._cell_of_face, dtype=_np.int64)[
-            _np.asarray(self._face, dtype=_np.int64)
-        ]
+        cells = self._cell_of_face[self._face]
         keep = cells >= 0
         cells = cells[keep]
         hx = vx[vids[keep]]
@@ -703,10 +712,8 @@ class Arrangement:
 
     def cell_neighbors(self, cid: int) -> list[tuple[int, int]]:
         """(neighbor cell, shared edge id) pairs, sorted."""
-        a, b = int(self._adj_ptr[cid]), int(self._adj_ptr[cid + 1])
-        return [
-            (int(self._adj_nbr[i]), int(self._adj_eid[i])) for i in range(a, b)
-        ]
+        a, b = self._adj_ptr[cid : cid + 2].tolist()
+        return list(zip(self._adj_nbr[a:b].tolist(), self._adj_eid[a:b].tolist()))
 
     def dual_edges(self) -> Iterator[tuple[int, int, int]]:
         """Each interior edge as (cell, cell, edge id), cells ordered."""
@@ -728,12 +735,20 @@ class Arrangement:
             yield FaceRef(0, v)
 
     def face_sample(self, ref: FaceRef) -> Point:
-        """A rational point in the face's relative interior."""
+        """``face_sample_triple`` as a Point."""
+        return _point(self.face_sample_triple(ref))
+
+    def face_cells(self, ref: FaceRef) -> list[int]:
+        """Cells whose closure contains the face, sorted."""
         if ref.dim == 2:
-            return self.cell_centroid(ref.index)
+            return [ref.index]
         if ref.dim == 1:
-            return self.edge_midpoint(ref.index)
-        return self.vertex_point(ref.index)
+            eids = _np.array([ref.index])
+        else:
+            eids = _np.flatnonzero((self._eu == ref.index) | (self._ev == ref.index))
+        hes = _np.concatenate([2 * eids, 2 * eids + 1])
+        cells = self._cell_of_face[self._face[hes]]
+        return sorted({int(c) for c in cells if c >= 0})
 
     # --- point location --------------------------------------------------
 
@@ -741,12 +756,7 @@ class Arrangement:
         x0, y0, x1, y1 = self.box
         if not (x0 <= t.x <= x1 and y0 <= t.y <= y1):
             raise OutsideBox(f"{t} outside box {self.box}")
-        den = math.lcm(t.x.denominator, t.y.denominator)
-        X = int(t.x * den)
-        Y = int(t.y * den)
-        W = den
-        g = math.gcd(math.gcd(abs(X), abs(Y)), W)
-        X, Y, W = X // g, Y // g, W // g
+        X, Y, W = homogeneous(t)
         vid = self._find_vertex(X, Y, W)
         if vid is not None:
             return FaceRef(0, vid)
@@ -803,35 +813,32 @@ def build_arrangement(
     if len(set(lines)) != len(lines):
         raise ValueError("lines must be deduplicated")
     trips = [ln.primitive_triple() for ln in lines]
-    L = len(trips)
     coef = max((max(abs(a), abs(b), abs(c)) for a, b, c in trips), default=1)
     extras = list(must_contain) + [ln.some_point() for ln in lines]
-    geo = None
-    if coef <= _COEF_LIMIT:
-        geo = _geometry_fast_entry(trips, extras)
-    if geo is None:
-        dirs_all = [_reduced_direction(a, b) for a, b, _ in trips]
-        dirs_all += [(0, -1), (0, -1), (1, 0), (1, 0)]
-        geo = _geometry_slow(trips, dirs_all, extras)
-    return _assemble(lines, trips, geo)
-
-
-def _geometry_fast_entry(trips, extras):
+    # box sides, in line order after the input lines: x = x0, x = x1, y = y0, y = y1
     dirs_all = [_reduced_direction(a, b) for a, b, _ in trips]
     dirs_all += [(0, -1), (0, -1), (1, 0), (1, 0)]
-    return _geometry_fast(trips, dirs_all, extras)
+    geo = None
+    if coef <= _COEF_LIMIT:
+        geo = _geometry_fast(trips, dirs_all, extras)
+    if geo is None:
+        geo = _geometry_slow(trips, dirs_all, extras)
+    return _assemble(lines, trips, dirs_all, geo)
 
 
-def _assemble(lines: list[Line], trips: list[tuple[int, int, int]], geo) -> Arrangement:
+def _assemble(
+    lines: list[Line],
+    trips: list[tuple[int, int, int]],
+    dirs_all: list[tuple[int, int]],
+    geo,
+) -> Arrangement:
     L = len(trips)
     box = geo["box"]
     x0, y0, x1, y1 = box
     trips_all = trips + [(1, 0, x0), (1, 0, x1), (0, 1, y0), (0, 1, y1)]
-    dirs_all = [_reduced_direction(a, b) for a, b, _ in trips_all]
     V = geo["V"]
     row_line = geo["row_line"]
     row_vid = geo["row_vid"]
-    row_lam = geo["row_lam"]
     line_ptr = geo["line_ptr"]
     assert bool(
         ((line_ptr[1:] - line_ptr[:-1]) >= 2).all()
@@ -843,7 +850,6 @@ def _assemble(lines: list[Line], trips: list[tuple[int, int, int]], geo) -> Arra
     ev = row_vid[1:][same]
     eline = row_line[:-1][same]
     E = int(eu.size)
-    line_edge_start = _np.searchsorted(eline, _np.arange(L + 5))
 
     # half-edges: 2e along +direction, 2e+1 reversed; twin(h) = h ^ 1
     ranks = _angular_ranks(dirs_all + [(-dx, -dy) for dx, dy in dirs_all])
@@ -895,7 +901,7 @@ def _assemble(lines: list[Line], trips: list[tuple[int, int, int]], geo) -> Arra
     n_faces = fid
 
     # the outer face is left of the reversed half-edge of any bottom edge
-    bottom_first = int(line_edge_start[L + _BOTTOM])
+    bottom_first = int(_np.searchsorted(eline, L + _BOTTOM))
     outer = int(face[2 * bottom_first + 1])
     assert bool((eline[_np.flatnonzero(face[0::2] == outer)] >= L).all()) and bool(
         (eline[_np.flatnonzero(face[1::2] == outer)] >= L).all()
@@ -961,17 +967,11 @@ def _assemble(lines: list[Line], trips: list[tuple[int, int, int]], geo) -> Arra
         _coords=geo["coords"],
         _vindex=geo["vindex"],
         _V=V,
-        _row_line=row_line,
-        _row_vid=row_vid,
-        _row_lam=row_lam,
-        _line_ptr=line_ptr,
         _eu=eu,
         _ev=ev,
         _eline=eline,
-        _line_edge_start=line_edge_start,
         _nxt=nxt,
         _face=face,
-        _outer=outer,
         _cell_start_he=cell_start_he,
         _cell_of_face=cell_of_face,
         _adj_ptr=adj_ptr,

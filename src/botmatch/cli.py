@@ -29,7 +29,7 @@ from .applications import (
     optimal_translation,
 )
 from .diagram import LabeledDiagram, build_diagram, eval_E
-from .geom import ConvexPolygon, Instance, Point, Scalar, point
+from .geom import ConvexPolygon, Instance, Point, Scalar, format_scalar, point
 from .matching import Matching, NoCompleteMatching
 from .oracle import (
     TooLarge,
@@ -63,10 +63,6 @@ def parse_scalar(raw: Any) -> Scalar:
     if isinstance(raw, str) and _RATIONAL.match(raw):
         return Fraction(raw)
     raise InputError(f"not an integer or p/q string: {raw!r}")
-
-
-def format_scalar(x: Scalar) -> str:
-    return str(Fraction(x))
 
 
 def _parse_points(raw: Any, name: str) -> tuple[Point, ...]:
@@ -186,10 +182,7 @@ def render_svg(
         coords = " ".join(
             f"{_fmt(float(v.x))},{_fmt(float(v.y))}" for v in poly.vertices
         )
-        if diagram.cells is not None:
-            key = repr(tuple(sorted((e.a, e.b) for e in diagram.cells[cid].matching)))
-        else:
-            key = "unlabeled"
+        key = repr(tuple(sorted((e.a, e.b) for e in diagram.cells[cid].matching)))
         parts.append(f'<polygon points="{coords}" fill="{_label_color(key)}"/>')
     for eid in range(arr.n_edges):
         u, v = arr.edge_endpoints(eid)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as _np
@@ -72,21 +73,42 @@ class LexLabel:
 
 @dataclass
 class LabeledDiagram:
-    """Arrangement plus labels: bottleneck per cell, optionally lex per face."""
+    """Arrangement plus labels: bottleneck per cell and, with lex, per face."""
 
     inst: Instance
     bisectors: tuple[Bisector, ...]
     arrangement: Arrangement
-    cells: list[CellLabel] | None = None
     faces: dict[FaceRef, LexLabel] | None = None
 
+    @cached_property
+    def cells(self) -> list[CellLabel]:
+        """Bottleneck label per cell.
+
+        A labeller sets these when it builds the diagram. ``build_diagram``
+        without ``lex`` leaves them to ``label_cells_incremental`` on first
+        read, so a query that needs only the arrangement never pays for them.
+        """
+        diag = label_cells_incremental(self.inst, self.arrangement, self.bisectors)
+        return diag.cells
+
     def cell_label(self, cid: int) -> CellLabel:
-        assert self.cells is not None, "cell labels were not computed"
         return self.cells[cid]
 
     def face_lex(self, ref: FaceRef) -> LexLabel:
         assert self.faces is not None, "lex labels were not computed"
         return self.faces[ref]
+
+
+def _labeled(
+    inst: Instance,
+    arr: Arrangement,
+    bisectors: Sequence[Bisector],
+    cells: list[CellLabel],
+    faces: dict[FaceRef, LexLabel] | None = None,
+) -> LabeledDiagram:
+    diag = LabeledDiagram(inst, tuple(bisectors), arr, faces)
+    diag.cells = cells
+    return diag
 
 
 def eval_E(inst: Instance, t: Point) -> tuple[Scalar, Matching]:
@@ -116,13 +138,14 @@ def _check_alignment(arr: Arrangement, bisectors: Sequence[Bisector]) -> None:
 def label_cells_recompute(
     inst: Instance, arr: Arrangement, bisectors: Sequence[Bisector] = ()
 ) -> LabeledDiagram:
-    """Independent per-cell labeling: prune + bottleneck at each centroid."""
+    """Independent per-cell labeling: prune + bottleneck at each cell sample."""
     if bisectors:
         _check_alignment(arr, bisectors)
     cells = [
-        _label_at(inst, arr.cell_centroid(cid)) for cid in range(arr.n_cells)
+        _label_at(inst, arr.face_sample(FaceRef(2, cid)))
+        for cid in range(arr.n_cells)
     ]
-    return LabeledDiagram(inst, tuple(bisectors), arr, cells=cells)
+    return _labeled(inst, arr, bisectors, cells)
 
 
 class _TraversalState:
@@ -149,12 +172,12 @@ def label_cells_incremental(
     """Label every cell by walking the dual graph and updating on crossings.
 
     Breadth-first from cell 0 (deterministic); the first label comes from a
-    recompute at the start centroid, every other label is derived by applying
-    the crossed bisector's edge-pair swaps. Crossings whose pairs cannot touch
+    recompute at the start cell's sample, every other label is derived by
+    applying the crossed bisector's edge-pair swaps. Crossings whose pairs cannot touch
     the current candidate set share the predecessor's state object.
     """
     _check_alignment(arr, bisectors)
-    t0 = arr.cell_centroid(0)
+    t0 = arr.face_sample(FaceRef(2, 0))
     G0 = prune_candidates(inst, t0)
     _mu, rank0 = bottleneck_matching(G0)
     mu0 = canonical_complete_matching(G0, rank0)
@@ -185,19 +208,14 @@ def label_cells_incremental(
     states: list[object] = [None] * n_cells
     states[0] = _TraversalState(G0, mu0)
     queue = deque([0])
-    ptr = arr._adj_ptr
-    nbrs = arr._adj_nbr
-    eids = arr._adj_eid
-    eline = arr._eline
     done = 0
     while queue:
         c = queue.popleft()
         st = states[c]
-        for i in range(int(ptr[c]), int(ptr[c + 1])):
-            nbr = int(nbrs[i])
+        for nbr, eid in arr.cell_neighbors(c):
             if states[nbr] is not None:
                 continue
-            line = int(eline[eids[i]])
+            line = arr.edge_line(eid)
             zset = st.zset
             needs_update = not zset.isdisjoint(same_edges[line])
             if not needs_update:
@@ -216,7 +234,7 @@ def label_cells_incremental(
         done += 1
     if done != n_cells:
         raise ContractViolation("dual cell graph is not connected")
-    return LabeledDiagram(inst, tuple(bisectors), arr, cells=states)
+    return _labeled(inst, arr, bisectors, states)
 
 
 # -- lex labeling --------------------------------------------------------------
@@ -349,21 +367,19 @@ def label_faces_lex(
             cells[ref.index] = CellLabel(
                 mu, top, rank_of[num_of[(top.b, top.a)]]
             )
-    return LabeledDiagram(inst, tuple(bisectors), arr, cells=cells, faces=faces)
+    return _labeled(inst, arr, bisectors, cells, faces)
 
 
 # -- orchestration --------------------------------------------------------------
 
 
-def build_diagram(
+def reduced_arrangement(
     inst: Instance,
     *,
     must_contain: Sequence[Point] = (),
     keep_all_bisectors: bool = False,
-    labels: str | None = "incremental",
-    lex: bool = False,
-) -> LabeledDiagram:
-    """Full pipeline: bisectors, reduction, arrangement, labels.
+) -> tuple[list[Bisector], Arrangement]:
+    """Bisectors (reduced unless ``keep_all_bisectors``) and their arrangement.
 
     The bounding box always contains every anchor a - b (so the global
     bottleneck optimum is inside) plus any extra query points supplied.
@@ -373,20 +389,28 @@ def build_diagram(
         bis = used_bisectors(inst, bis)
     anchors = [inst.anchor(e) for e in inst.edges()]
     arr = build_arrangement(
-        [b.line for b in bis], must_contain=list(anchors) + list(must_contain)
+        [b.line for b in bis], must_contain=anchors + list(must_contain)
     )
-    diagram: LabeledDiagram
+    return bis, arr
+
+
+def build_diagram(
+    inst: Instance,
+    *,
+    must_contain: Sequence[Point] = (),
+    keep_all_bisectors: bool = False,
+    lex: bool = False,
+) -> LabeledDiagram:
+    """Full pipeline: bisectors, reduction, arrangement, labels.
+
+    With ``lex`` every face gets its lex label from ``label_faces_lex``, and
+    the cells keep the lex labels, which are bottleneck-optimal too.
+    Otherwise ``label_cells_incremental`` labels the cells when they are
+    first read.
+    """
+    bis, arr = reduced_arrangement(
+        inst, must_contain=must_contain, keep_all_bisectors=keep_all_bisectors
+    )
     if lex:
-        diagram = label_faces_lex(inst, arr, bis)
-        if labels == "incremental":
-            diagram.cells = label_cells_incremental(inst, arr, bis).cells
-        elif labels == "recompute":
-            diagram.cells = label_cells_recompute(inst, arr, bis).cells
-        return diagram
-    if labels == "incremental":
-        return label_cells_incremental(inst, arr, bis)
-    if labels == "recompute":
-        return label_cells_recompute(inst, arr, bis)
-    if labels is None:
-        return LabeledDiagram(inst, tuple(bis), arr)
-    raise ValueError(f"unknown labels mode {labels!r}")
+        return label_faces_lex(inst, arr, bis)
+    return LabeledDiagram(inst, tuple(bis), arr)

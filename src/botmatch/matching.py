@@ -572,7 +572,8 @@ def update_on_swap(
 ) -> tuple[CandidateGraph, Matching]:
     """Carry a bottleneck matching across one bisector crossing.
 
-    ``pair`` are the two edges whose lengths tie on the crossed bisector.
+    The one-pair case of ``cross_bisector``. ``pair`` are the two edges
+    whose lengths tie on the crossed bisector.
     For ``same_b`` pairs with exactly one edge in the candidate set, the
     contained edge leaves and the other enters (the per-b candidate boundary
     moves); a removed matching edge is repaired by one augmentation capped
@@ -583,29 +584,12 @@ def update_on_swap(
 
     Returns fresh values; inputs are not mutated.
     """
-    if len(mu) != G.k:
-        raise ContractViolation("matching must be complete before a crossing")
     if kind not in (SAME_B, DIFF_B):
         raise ValueError(f"unknown crossing kind {kind!r}")
     e1, e2 = pair
     if kind == SAME_B and e1.b != e2.b:
         raise ValueError("same_b crossing with distinct b indices")
-    in1, in2 = e1 in G.class_of, e2 in G.class_of
-    g = G.clone()
-    mu_map = matching_map(mu)
-    if not in1 and not in2:
-        return g, mu  # nothing the candidate set can see
-    if in1 != in2:
-        if kind == DIFF_B:
-            return g, mu  # only same-b pairs move the candidate boundary
-        x, y = (e1, e2) if in1 else (e2, e1)
-        mu_map = _cross_class_pair(g, mu_map, [(x, y)], None)
-    else:
-        k1, k2 = g.class_of[e1], g.class_of[e2]
-        if k1 == k2:
-            raise ContractViolation("crossing pair within one equivalence class")
-        mu_map = _cross_class_pair(g, mu_map, [], (k1, k2))
-    return g, matching_from_map(mu_map)
+    return cross_bisector(G, mu, [(e1, e2, kind)])
 
 
 def cross_bisector(

@@ -394,7 +394,7 @@ def test_criterion_09_matching_engine(capsys):
                 if not nbrs:
                     break
                 nbr, eid = nbrs[rng.randrange(len(nbrs))]
-                pairs = bis[int(arr._eline[eid])].edge_pairs
+                pairs = bis[arr.edge_line(eid)].edge_pairs
                 if len(pairs) == 1:
                     e1, e2, kind = pairs[0]
                     G, mu = update_on_swap(G, mu, (e1, e2), kind)

@@ -9,7 +9,7 @@ from botmatch.applications import (
     cover_radius,
     optimal_translation,
 )
-from botmatch.diagram import build_diagram, eval_E
+from botmatch.diagram import eval_E, reduced_arrangement
 from botmatch.geom import Instance, Point, convex_polygon, point
 from botmatch.oracle import grid_cover_radius, oracle_optimal_translation
 
@@ -97,8 +97,7 @@ def test_optimal_translation_beats_every_cell_sample():
     for _ in range(4):
         inst = _random_instance(rng, n_max=5, span=4)
         _t, _mu, value = optimal_translation(inst)
-        diag = build_diagram(inst, labels=None)
-        arr = diag.arrangement
+        _bis, arr = reduced_arrangement(inst)
         for cid in range(arr.n_cells):
             v, _ = eval_E(inst, arr.cell_centroid(cid))
             assert value <= v
@@ -165,8 +164,8 @@ def test_path_interior_vertices_on_bisectors():
     inst = _random_instance(rng, span=4)
     t0, t1 = _random_t(rng), _random_t(rng)
     res = bottleneck_path(inst, t0, t1)
-    diag = build_diagram(inst, must_contain=[t0, t1], labels=None)
-    lines = [b.line for b in diag.bisectors]
+    bis, _arr = reduced_arrangement(inst, must_contain=[t0, t1])
+    lines = [b.line for b in bis]
     for p in res.polyline[1:-1]:
         assert any(ln.side(p) == 0 for ln in lines)
 

@@ -1,9 +1,12 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import botmatch
 from botmatch.geom import (
     EdgeRef,
     Instance,
@@ -19,7 +22,7 @@ from botmatch.arrangement import (
     Bisector,
     FaceRef,
     OutsideBox,
-    _geometry_fast_entry,
+    _geometry_fast,
     _geometry_slow,
     _assemble,
     _reduced_direction,
@@ -470,8 +473,8 @@ def test_fast_and_slow_geometry_agree():
     extras = [ln.some_point() for ln in lines]
     dirs_all = [_reduced_direction(a, b) for a, b, _ in trips]
     dirs_all += [(0, -1), (0, -1), (1, 0), (1, 0)]
-    fast = _assemble(lines, trips, _geometry_fast_entry(trips, extras))
-    slow = _assemble(lines, trips, _geometry_slow(trips, dirs_all, extras))
+    fast = _assemble(lines, trips, dirs_all, _geometry_fast(trips, dirs_all, extras))
+    slow = _assemble(lines, trips, dirs_all, _geometry_slow(trips, dirs_all, extras))
     assert fast.n_cells == slow.n_cells
     assert fast.n_vertices == slow.n_vertices
     assert fast.n_edges == slow.n_edges
@@ -501,9 +504,27 @@ def test_cell_polygon_equals_canonical_convex_of_cycle():
         extras = [ln.some_point() for ln in lines]
         dirs_all = [_reduced_direction(a, b) for a, b, _ in trips]
         dirs_all += [(0, -1), (0, -1), (1, 0), (1, 0)]
-        fast = _assemble(lines, trips, _geometry_fast_entry(trips, extras))
-        slow = _assemble(lines, trips, _geometry_slow(trips, dirs_all, extras))
+        fast_geo = _geometry_fast(trips, dirs_all, extras)
+        fast = _assemble(lines, trips, dirs_all, fast_geo)
+        slow_geo = _geometry_slow(trips, dirs_all, extras)
+        slow = _assemble(lines, trips, dirs_all, slow_geo)
         assert fast._uniq is not None and slow._uniq is None
         for arr in (fast, slow):
             for c in range(arr.n_cells):
                 assert arr.cell_polygon(c).vertices == _canonical_cell_vertices(arr, c)
+
+
+def test_library_reads_no_private_arrangement_field():
+    # Every module but arrangement.py reaches the DCEL through public methods.
+    # The names come from a built arrangement, so new private fields count too.
+    arr = build_arrangement([make_line(1, 0, 0), make_line(0, 1, 0)])
+    private = {name for name in vars(arr) if name.startswith("_")}
+    assert {"_eline", "_face", "_adj_ptr", "_cell_of_face"} <= private
+    hits = []
+    for path in sorted(pathlib.Path(botmatch.__file__).parent.glob("*.py")):
+        if path.name == "arrangement.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                hits.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    assert not hits, hits

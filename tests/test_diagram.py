@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from botmatch.arrangement import all_bisectors, build_arrangement, used_bisectors
+from botmatch.arrangement import (
+    FaceRef,
+    all_bisectors,
+    build_arrangement,
+    used_bisectors,
+)
 from botmatch.diagram import (
     LabeledDiagram,
     build_diagram,
@@ -11,6 +16,7 @@ from botmatch.diagram import (
     label_cells_incremental,
     label_cells_recompute,
     label_faces_lex,
+    reduced_arrangement,
 )
 from botmatch.geom import EdgeRef, Instance, Point, point
 from botmatch.oracle import brute_force_E, brute_force_lex, brute_force_lex_matchings
@@ -273,8 +279,11 @@ def test_lex_labels_match_brute_force():
             assert label.cost_vector == brute_force_lex(inst, t)
             assert _sorted_lengths(inst, label.matching, t) == label.cost_vector
             # The matching stays lex-optimal at a second relative-interior
-            # point of the same face.
-            t2 = arr.face_sample(ref)
+            # point of the same face (edges and vertices have only one).
+            if ref.dim == 2:
+                t2 = arr.cell_polygon(ref.index).centroid()
+            else:
+                t2 = arr.face_sample(ref)
             assert _sorted_lengths(inst, label.matching, t2) == brute_force_lex(
                 inst, t2
             )
@@ -327,9 +336,9 @@ def test_lex_cell_labels_agree_with_bottleneck_rank():
     rng = random.Random(71)
     for _ in range(5):
         inst = _random_instance(rng, n_max=5, k_max=3, span=4)
-        bis, arr = _reduced(inst)
-        lex = label_faces_lex(inst, arr, bis)
-        rec = label_cells_recompute(inst, arr, bis)
+        lex = build_diagram(inst, lex=True)
+        arr = lex.arrangement
+        rec = label_cells_recompute(inst, arr, lex.bisectors)
         for cid in range(arr.n_cells):
             assert lex.cell_label(cid).rank == rec.cell_label(cid).rank
             t = arr.cell_centroid(cid)
@@ -343,23 +352,26 @@ def test_lex_cell_labels_agree_with_bottleneck_rank():
 
 def test_build_diagram_modes():
     inst = _mk([(0, 0), (4, 1), (1, 5)], [(0, 0), (3, 3)])
-    bare = build_diagram(inst, labels=None)
-    assert bare.cells is None and bare.faces is None
+    bis, arr = reduced_arrangement(inst)
     inc = build_diagram(inst)
-    rec = build_diagram(inst, labels="recompute")
-    assert inc.arrangement.n_cells == rec.arrangement.n_cells
+    assert inc.faces is None and list(inc.bisectors) == bis
+    assert inc.arrangement.n_cells == arr.n_cells
+    assert "cells" not in vars(inc)  # labelled on first read
+    assert inc.cells == label_cells_incremental(inst, inc.arrangement, bis).cells
     assert len(inc.cells) == inc.arrangement.n_cells
-    both = build_diagram(inst, labels="recompute", lex=True)
-    assert both.faces is not None and both.cells is not None
-    assert len(both.faces) == sum(1 for _ in both.arrangement.iter_faces())
-    with pytest.raises(ValueError):
-        build_diagram(inst, labels="nope")
+    lex = build_diagram(inst, lex=True)
+    assert len(lex.faces) == sum(1 for _ in lex.arrangement.iter_faces())
+    assert len(lex.cells) == lex.arrangement.n_cells
+    for cid in range(lex.arrangement.n_cells):
+        assert lex.cells[cid].matching == lex.face_lex(FaceRef(2, cid)).matching
+    with pytest.raises(TypeError):
+        build_diagram(inst, labels="incremental")
 
 
 def test_build_diagram_box_covers_anchors():
     inst = _mk([(0, 0), (9, -7)], [(2, 2)])
-    diag = build_diagram(inst, labels=None)
-    xlo, ylo, xhi, yhi = diag.arrangement.box
+    _bis, arr = reduced_arrangement(inst)
+    xlo, ylo, xhi, yhi = arr.box
     for e in inst.edges():
         anchor = inst.anchor(e)
         assert xlo < anchor.x < xhi and ylo < anchor.y < yhi
@@ -367,6 +379,6 @@ def test_build_diagram_box_covers_anchors():
 
 def test_build_diagram_keep_all_bisectors():
     inst = _mk([(0, 0), (2, 0), (4, 0)], [(0, 0)])
-    reduced = build_diagram(inst, labels=None)
-    full = build_diagram(inst, labels=None, keep_all_bisectors=True)
-    assert reduced.arrangement.n_lines < full.arrangement.n_lines
+    _bis, reduced = reduced_arrangement(inst)
+    _bis, full = reduced_arrangement(inst, keep_all_bisectors=True)
+    assert reduced.n_lines < full.n_lines

@@ -15,9 +15,10 @@ from itertools import count
 
 import numpy as _np
 
-from .diagram import build_diagram, eval_E
+from .diagram import _walk_labels, build_diagram, eval_E, reduced_arrangement
 from .geom import (
     ConvexPolygon,
+    EdgeRef,
     Instance,
     Point,
     Scalar,
@@ -26,7 +27,7 @@ from .geom import (
     erode_polygon,
     min_envelope_on_segment,
 )
-from .matching import Matching
+from .matching import ContractViolation, Matching
 
 
 class _Empty:
@@ -74,36 +75,69 @@ def _certified_upper(x: Scalar) -> float:
     return float(x) * (1 + 1e-9) + 1e-12
 
 
+def _certified_lower(x: _np.ndarray) -> _np.ndarray:
+    return x * (1 - 1e-9) - 1e-12
+
+
+def _box_dist2(boxes: tuple[_np.ndarray, ...], x, y) -> _np.ndarray:
+    """Squared float distance from (x, y) to each box (x0, y0, x1, y1)."""
+    x0, y0, x1, y1 = boxes
+    dx = _np.maximum(x0 - x, x - x1)
+    dy = _np.maximum(y0 - y, y - y1)
+    _np.maximum(dx, 0.0, out=dx)
+    _np.maximum(dy, 0.0, out=dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
 def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
     """Translation minimizing the bottleneck cost, with matching and value.
 
     Within one closed cell the bottleneck value is the squared distance to
     the label's longest-edge site a - b, so the cell's best candidate is that
-    site or its projection onto the cell. Cells are scanned in order of a
-    certified lower bound (site distance to the cell's bounding box) and the
-    scan stops as soon as the bound exceeds the incumbent; exact ties are
-    never pruned, and the smallest (x, y) optimizer wins.
+    site or its projection onto the cell. Only cells that can hold an optimum
+    are labelled: the max-min bound max_b min_a |t - (a - b)|^2 never exceeds
+    the bottleneck value, so a cell whose bounding box keeps that bound above
+    the best value at any anchor holds no optimizer. The labelled cells are
+    scanned in order of a certified lower bound (site distance to the cell's
+    bounding box) and the scan stops as soon as the bound exceeds the
+    incumbent; exact ties are never pruned, and the smallest (x, y) optimizer
+    wins.
     """
-    diag = build_diagram(inst)
-    arr = diag.arrangement
-    sites = [inst.anchor(label.longest) for label in diag.cells]
+    bis, arr = reduced_arrangement(inst)
+    upper = _certified_upper(min(eval_E(inst, inst.anchor(e))[0] for e in inst.edges()))
 
     bounds = arr.cell_bounds_float()
+    pad = 1e-7 * (float(_np.abs(bounds).max()) + 1.0)
+    boxes = (bounds[:, 0] - pad, bounds[:, 1] - pad, bounds[:, 2] + pad, bounds[:, 3] + pad)
+    # A cell survives when every b keeps min_a of its box bound within the
+    # incumbent; each b only looks at the cells the earlier ones kept.
+    alive = _np.arange(arr.n_cells)
+    for b in range(inst.k):
+        kept = tuple(side[alive] for side in boxes)
+        nearest = _np.full(len(alive), _np.inf)
+        for a in range(inst.n):
+            site = inst.anchor(EdgeRef(a, b))
+            _np.minimum(nearest, _box_dist2(kept, float(site.x), float(site.y)), out=nearest)
+        alive = alive[_certified_lower(nearest) <= upper]
+    cells = alive.tolist()
+    labels, _parts = _walk_labels(inst, arr, bis, cells)
+
+    sites = [inst.anchor(labels[cid].longest) for cid in cells]
     ax = _np.array([float(s.x) for s in sites])
     ay = _np.array([float(s.y) for s in sites])
-    pad = 1e-7 * (float(_np.abs(bounds).max()) + 1.0)
-    dx = _np.maximum(0.0, _np.maximum(bounds[:, 0] - pad - ax, ax - bounds[:, 2] - pad))
-    dy = _np.maximum(0.0, _np.maximum(bounds[:, 1] - pad - ay, ay - bounds[:, 3] - pad))
-    lower = (dx * dx + dy * dy) * (1 - 1e-9) - 1e-12
+    lower = _certified_lower(_box_dist2(tuple(side[alive] for side in boxes), ax, ay))
 
     best_val: Scalar | None = None
     best_t: Point | None = None
     best_cid = -1
     best_hi = math.inf
-    for cid in map(int, _np.argsort(lower, kind="stable")):
-        if lower[cid] > best_hi:
+    for i in map(int, _np.argsort(lower, kind="stable")):
+        if lower[i] > best_hi:
             break
-        site = sites[cid]
+        site, cid = sites[i], cells[i]
         t = closest_point_in_polygon(site, arr.cell_polygon(cid))
         val = t.dist2(site)
         if (
@@ -113,10 +147,11 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
         ):
             best_val, best_t, best_cid = val, t, cid
             best_hi = _certified_upper(val)
-    assert best_val is not None and best_t is not None
-    mu = diag.cells[best_cid].matching
-    worst = max(best_t.dist2(inst.anchor(e)) for e in mu)
-    assert worst == best_val
+    if best_val is None or best_t is None:
+        raise ContractViolation("no cell can hold the optimum")
+    mu = labels[best_cid].matching
+    if max(best_t.dist2(inst.anchor(e)) for e in mu) != best_val:
+        raise ContractViolation("the cell's matching does not attain its value")
     return best_t, mu, best_val
 
 
@@ -189,7 +224,8 @@ def bottleneck_path(
                 parent_cell[nbr] = c
                 parent_eid[nbr] = eid
                 heapq.heappush(heap, (nd, next(tick), nbr))
-    assert end_cell >= 0, "dual cell graph is not connected"
+    if end_cell < 0:
+        raise ContractViolation("dual cell graph is not connected")
 
     crossings: list[Point] = []
     c = end_cell
@@ -201,7 +237,8 @@ def bottleneck_path(
     e1, _ = eval_E(inst, t1)
     value = max(e0, e1, dist[end_cell])
     vertex_values = (e0, *(eval_E(inst, p)[0] for p in crossings), e1)
-    assert max(vertex_values) == value
+    if max(vertex_values) != value:
+        raise ContractViolation("path value is not its largest vertex value")
     return PathResult(polyline, value, vertex_values)
 
 
@@ -245,7 +282,8 @@ def cover_radius(inst: Instance, Q: ConvexPolygon) -> CoverResult | _Empty:
                 break
         for p in piece:
             candidates.setdefault((p.x, p.y), p)
-    assert candidates, "region does not meet the arrangement"
+    if not candidates:
+        raise ContractViolation("region does not meet the arrangement")
 
     best_val: Scalar | None = None
     best_p: Point | None = None
@@ -257,5 +295,6 @@ def cover_radius(inst: Instance, Q: ConvexPolygon) -> CoverResult | _Empty:
             or (val == best_val and (p.x, p.y) < (best_p.x, best_p.y))
         ):
             best_val, best_p = val, p
-    assert best_val is not None and best_p is not None
+    if best_val is None or best_p is None:
+        raise ContractViolation("no cover candidate was evaluated")
     return CoverResult(best_val, best_p, region)

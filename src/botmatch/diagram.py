@@ -25,7 +25,7 @@ from .arrangement import (
     build_arrangement,
     used_bisectors,
 )
-from .geom import EdgeRef, Instance, Point, Scalar, squared_edge_length
+from .geom import EdgeRef, Instance, Point, Scalar, squared_length_nums
 from .matching import (
     ContractViolation,
     Matching,
@@ -33,6 +33,7 @@ from .matching import (
     assignment_by_cost,
     bottleneck_matching,
     canonical_complete_matching,
+    candidates_from_nums,
     cross_bisector,
     matching_from_map,
     prune_candidates,
@@ -95,7 +96,8 @@ class LabeledDiagram:
         return self.cells[cid]
 
     def face_lex(self, ref: FaceRef) -> LexLabel:
-        assert self.faces is not None, "lex labels were not computed"
+        if self.faces is None:
+            raise ContractViolation("lex labels were not computed")
         return self.faces[ref]
 
 
@@ -113,17 +115,17 @@ def _labeled(
 
 def eval_E(inst: Instance, t: Point) -> tuple[Scalar, Matching]:
     """Exact bottleneck value at translation t, with a witness matching."""
-    G = prune_candidates(inst, t)
-    mu, _rank = bottleneck_matching(G)
-    value = max(squared_edge_length(inst, e, t) for e in mu)
-    return value, mu
+    nums, den = squared_length_nums(inst, t)
+    mu, _rank = bottleneck_matching(candidates_from_nums(inst, nums))
+    return Fraction(max(nums[e.b][e.a] for e in mu), den), mu
 
 
 def _label_at(inst: Instance, t: Point) -> CellLabel:
     G = prune_candidates(inst, t)
     mu, rank = bottleneck_matching(G)
     longest = G.longest_of(mu)
-    assert G.w(longest) == rank
+    if G.w(longest) != rank:
+        raise ContractViolation("longest edge is not at the bottleneck rank")
     return CellLabel(mu, longest, rank)
 
 
@@ -176,12 +178,30 @@ def label_cells_incremental(
     applying the crossed bisector's edge-pair swaps. Crossings whose pairs cannot touch
     the current candidate set share the predecessor's state object.
     """
-    _check_alignment(arr, bisectors)
-    t0 = arr.face_sample(FaceRef(2, 0))
-    G0 = prune_candidates(inst, t0)
-    _mu, rank0 = bottleneck_matching(G0)
-    mu0 = canonical_complete_matching(G0, rank0)
+    cells, parts = _walk_labels(inst, arr, bisectors, range(arr.n_cells))
+    if parts != 1:
+        raise ContractViolation("dual cell graph is not connected")
+    return _labeled(inst, arr, bisectors, cells)
 
+
+_OUTSIDE = object()  # walk marker: a cell the walk must not enter
+
+
+def _walk_labels(
+    inst: Instance,
+    arr: Arrangement,
+    bisectors: Sequence[Bisector],
+    cells: Sequence[int],
+) -> tuple[list[CellLabel | None], int]:
+    """Labels of ``cells`` by walking the dual subgraph they induce.
+
+    Each connected component of that subgraph starts from a recompute at the
+    sample of its first cell in ``cells`` order and is walked breadth-first,
+    updating on crossings as ``label_cells_incremental`` describes. Returns
+    the labels indexed by cell id (None outside ``cells``) and the number of
+    components.
+    """
+    _check_alignment(arr, bisectors)
     # Per line: the pair list, the same-b edge set (any member in the
     # candidate set forces an update) and diff-b partner map (an update is
     # needed only when some pair has both edges present).
@@ -191,7 +211,6 @@ def label_cells_incremental(
     for b in bisectors:
         pair_lists.append(tuple(b.edge_pairs))
         same_e: set[EdgeRef] = set()
-        partners: dict[EdgeRef, tuple[EdgeRef, ...]] = {}
         acc: dict[EdgeRef, list[EdgeRef]] = {}
         for e1, e2, kind in b.edge_pairs:
             if kind == SAME_B:
@@ -200,41 +219,46 @@ def label_cells_incremental(
             else:
                 acc.setdefault(e1, []).append(e2)
                 acc.setdefault(e2, []).append(e1)
-        partners = {e: tuple(v) for e, v in acc.items()}
         same_edges.append(same_e)
-        diff_partners.append(partners)
+        diff_partners.append({e: tuple(v) for e, v in acc.items()})
 
-    n_cells = arr.n_cells
-    states: list[object] = [None] * n_cells
-    states[0] = _TraversalState(G0, mu0)
-    queue = deque([0])
-    done = 0
-    while queue:
-        c = queue.popleft()
-        st = states[c]
-        for nbr, eid in arr.cell_neighbors(c):
-            if states[nbr] is not None:
-                continue
-            line = arr.edge_line(eid)
-            zset = st.zset
-            needs_update = not zset.isdisjoint(same_edges[line])
-            if not needs_update:
-                partners = diff_partners[line]
-                for e in partners.keys() & zset:
-                    if any(p in zset for p in partners[e]):
-                        needs_update = True
-                        break
-            if needs_update:
-                g2, mu2 = cross_bisector(st.G, st.mu, pair_lists[line])
-                states[nbr] = _TraversalState(g2, mu2)
-            else:
-                states[nbr] = st
-            queue.append(nbr)
-        states[c] = st.cell_label()
-        done += 1
-    if done != n_cells:
-        raise ContractViolation("dual cell graph is not connected")
-    return _labeled(inst, arr, bisectors, states)
+    states: list[object] = [_OUTSIDE] * arr.n_cells
+    for c in cells:
+        states[c] = None
+    parts = 0
+    for start in cells:
+        if states[start] is not None:
+            continue
+        parts += 1
+        G0 = prune_candidates(inst, arr.face_sample(FaceRef(2, start)))
+        _mu, rank0 = bottleneck_matching(G0)
+        states[start] = _TraversalState(
+            G0, canonical_complete_matching(G0, rank0)
+        )
+        queue = deque([start])
+        while queue:
+            c = queue.popleft()
+            st = states[c]
+            for nbr, eid in arr.cell_neighbors(c):
+                if states[nbr] is not None:
+                    continue
+                line = arr.edge_line(eid)
+                zset = st.zset
+                needs_update = not zset.isdisjoint(same_edges[line])
+                if not needs_update:
+                    partners = diff_partners[line]
+                    for e in partners.keys() & zset:
+                        if any(p in zset for p in partners[e]):
+                            needs_update = True
+                            break
+                if needs_update:
+                    g2, mu2 = cross_bisector(st.G, st.mu, pair_lists[line])
+                    states[nbr] = _TraversalState(g2, mu2)
+                else:
+                    states[nbr] = st
+                queue.append(nbr)
+            states[c] = st.cell_label()
+    return [None if s is _OUTSIDE else s for s in states], parts
 
 
 # -- lex labeling --------------------------------------------------------------

@@ -171,8 +171,17 @@ def prune_candidates(inst: Instance, t: Point) -> CandidateGraph:
     their bisector. Lengths are compared as integer numerators over their
     shared positive denominator, which orders them exactly as the lengths.
     """
-    k = inst.k
     nums, _den = squared_length_nums(inst, t)
+    return candidates_from_nums(inst, nums)
+
+
+def candidates_from_nums(inst: Instance, nums: list[list[int]]) -> CandidateGraph:
+    """``prune_candidates`` from lengths already known as numerators.
+
+    ``nums[b][a]`` are the squared lengths at one translation over a shared
+    positive denominator, as ``squared_length_nums`` returns them.
+    """
+    k = inst.k
     _M, anchors = inst.int_anchors
     # equal anchors a - b mean equal difference vectors: one class each
     classes: dict[tuple[int, int], tuple[int, list[EdgeRef]]] = {}

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from botmatch import applications
 from botmatch.applications import (
     CoverResult,
     Empty,
@@ -9,8 +10,14 @@ from botmatch.applications import (
     cover_radius,
     optimal_translation,
 )
-from botmatch.diagram import eval_E, reduced_arrangement
-from botmatch.geom import Instance, Point, convex_polygon, point
+from botmatch.diagram import eval_E, label_cells_incremental, reduced_arrangement
+from botmatch.geom import (
+    Instance,
+    Point,
+    closest_point_in_polygon,
+    convex_polygon,
+    point,
+)
 from botmatch.oracle import grid_cover_radius, oracle_optimal_translation
 
 
@@ -101,6 +108,92 @@ def test_optimal_translation_beats_every_cell_sample():
         for cid in range(arr.n_cells):
             v, _ = eval_E(inst, arr.cell_centroid(cid))
             assert value <= v
+
+
+def _full_scan(inst):
+    """Reference: label every cell, then take each cell's best point.
+
+    Returns the lex-smallest optimal t, the value and the full labelling.
+    """
+    bis, arr = reduced_arrangement(inst)
+    full = label_cells_incremental(inst, arr, bis)
+    best = None
+    for cid, label in enumerate(full.cells):
+        site = inst.anchor(label.longest)
+        t = closest_point_in_polygon(site, arr.cell_polygon(cid))
+        key = (t.dist2(site), t.x, t.y)
+        if best is None or key < best:
+            best = key
+    value, x, y = best
+    return Point(x, y), value, full
+
+
+def _spy_on_walk(monkeypatch):
+    """Record the cells optimal_translation labels and the labels it gets."""
+    seen = {}
+    real = applications._walk_labels
+
+    def spy(inst, arr, bisectors, cells):
+        labels, parts = real(inst, arr, bisectors, cells)
+        seen.update(arr=arr, cells=list(cells), labels=labels)
+        return labels, parts
+
+    monkeypatch.setattr(applications, "_walk_labels", spy)
+    return seen
+
+
+def _cocircular(rng, count):
+    # the twelve integer points at distance 5 from the origin
+    ring = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3),
+            (-5, 0), (-4, -3), (-3, -4), (0, -5), (3, -4), (4, -3)]
+    return rng.sample(ring, count)
+
+
+def _pruning_families():
+    """Instances of criteria 5-7's families and of degenerate ones."""
+    rng = random.Random(5_0607)
+    for n_lo, n_hi, k_hi in ((2, 6, 3), (2, 6, 2), (3, 6, 2)):
+        for _ in range(4):
+            n = rng.randint(n_lo, n_hi)
+            k = rng.randint(1, min(k_hi, n))
+            pts: set[tuple[int, int]] = set()
+            while len(pts) < n + k:
+                pts.add((rng.randint(-5, 5), rng.randint(-5, 5)))
+            flat = sorted(pts)
+            yield _mk(flat[:n], flat[n:])
+    for _ in range(3):
+        xs = rng.sample(range(-7, 8), rng.randint(3, 6))
+        yield _mk([(x, 2 * x - 1) for x in xs], [(0, 0), (1, 3)])  # collinear A
+    lattice = [(x, y) for x in range(-1, 2) for y in range(-1, 2)]
+    yield _mk(lattice, [(0, 0), (1, 0), (0, 1)])
+    yield _mk(lattice[:6], [(0, 0), (2, 0), (0, 2)])
+    for _ in range(3):
+        yield _mk(_cocircular(rng, 5), _cocircular(rng, 2))
+    yield _mk(_cocircular(rng, 4), [(0, 0), (1, 0), (0, 1), (1, 1)])  # k = n
+    yield _mk([(0, 0), (3, 1), (1, 4)], [(0, 0), (2, 2), (5, 0)])  # k = n
+
+
+def test_pruned_optimal_translation_equals_full_scan(monkeypatch):
+    seen = _spy_on_walk(monkeypatch)
+    counts = []
+    for inst in _pruning_families():
+        t, mu, value = optimal_translation(inst)
+        ref_t, ref_value, full = _full_scan(inst)
+        assert (t, value) == (ref_t, ref_value)
+        assert sorted(e.b for e in mu) == list(range(inst.k))
+        assert len({e.a for e in mu}) == inst.k
+        assert max(t.dist2(inst.anchor(e)) for e in mu) == value
+        # the pruned walk ran on the same arrangement; its labels are
+        # bottleneck-optimal, though tied optima may pick other matchings
+        assert seen["arr"].n_cells == full.arrangement.n_cells
+        for cid in seen["cells"]:
+            got, ref = seen["labels"][cid], full.cell_label(cid)
+            assert got.rank == ref.rank
+            assert inst.anchor(got.longest) == inst.anchor(ref.longest)
+        counts.append((len(seen["cells"]), seen["arr"].n_cells))
+    # labelling every cell would pass the checks above; it must not happen
+    assert counts[2][0] < counts[2][1] // 100
+    assert sum(c for c, _ in counts) < sum(n for _, n in counts) // 2
 
 
 # -- bottleneck path --------------------------------------------------------------

@@ -1,7 +1,11 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+
+import botmatch
 
 from botmatch.arrangement import (
     FaceRef,
@@ -11,6 +15,7 @@ from botmatch.arrangement import (
 )
 from botmatch.diagram import (
     LabeledDiagram,
+    _walk_labels,
     build_diagram,
     eval_E,
     label_cells_incremental,
@@ -109,6 +114,31 @@ def test_eval_agrees_with_brute_force():
             ref, _ = brute_force_E(inst, t)
             assert value == ref
             assert _value_at(inst, mu, t) == value
+
+
+def test_eval_matches_brute_force_at_rational_points():
+    # Rational coordinates on both sides; t at anchors (values 0 and ties) and
+    # at rational points off them.
+    rng = random.Random(41)
+    for _ in range(10):
+        inst = _random_instance(rng, n_max=5)
+        half = Fraction(1, rng.choice((2, 3, 7)))
+        inst = Instance(
+            tuple(p.scale(half) for p in inst.A), tuple(p.scale(half) for p in inst.B)
+        )
+        ts = [inst.anchor(e) for e in inst.edges()][:4]
+        ts += [_random_t(rng) for _ in range(6)]
+        for t in ts:
+            value, mu = eval_E(inst, t)
+            assert value == brute_force_E(inst, t)[0]
+            assert _value_at(inst, mu, t) == value
+
+
+def _random_t(rng):
+    return Point(
+        Fraction(rng.randint(-90, 90), rng.randint(1, 13)),
+        Fraction(rng.randint(-90, 90), rng.randint(1, 13)),
+    )
 
 
 # -- recompute labeling -----------------------------------------------------------
@@ -239,6 +269,39 @@ def test_voronoi_crossing_swaps_nearest():
     diag = label_cells_incremental(inst, arr, bis)
     labels = {diag.cell_label(cid).matching for cid in range(arr.n_cells)}
     assert labels == {(E(0, 0),), (E(1, 0),)}
+
+
+def test_walk_on_a_subset_labels_only_its_cells():
+    rng = random.Random(83)
+    for _ in range(6):
+        inst = _random_instance(rng, n_max=5, span=5)
+        bis, arr = _reduced(inst)
+        full = label_cells_incremental(inst, arr, bis)
+        subset = [c for c in range(arr.n_cells) if rng.random() < 0.4]
+        labels, parts = _walk_labels(inst, arr, bis, subset)
+        assert parts <= len(subset)
+        for cid in range(arr.n_cells):
+            if cid not in subset:
+                assert labels[cid] is None
+                continue
+            got, ref = labels[cid], full.cell_label(cid)
+            assert got.rank == ref.rank
+            assert inst.anchor(got.longest) == inst.anchor(ref.longest)
+            t = arr.cell_centroid(cid)
+            assert _value_at(inst, got.matching, t) == _value_at(inst, ref.matching, t)
+
+
+def test_walk_counts_components():
+    # Voronoi cells of three points on a line: cells 0 and 2 are not adjacent.
+    inst = _mk([(0, 0), (4, 0), (8, 0)], [(0, 0)])
+    bis, arr = _reduced(inst)
+    assert arr.n_cells == 3
+    ends = [c for c in range(3) if len(arr.cell_neighbors(c)) == 1]
+    labels, parts = _walk_labels(inst, arr, bis, ends)
+    assert parts == 2
+    assert sum(label is not None for label in labels) == 2
+    _labels, parts = _walk_labels(inst, arr, bis, range(3))
+    assert parts == 1
 
 
 def test_alignment_mismatch_rejected():
@@ -382,3 +445,14 @@ def test_build_diagram_keep_all_bisectors():
     _bis, reduced = reduced_arrangement(inst)
     _bis, full = reduced_arrangement(inst, keep_all_bisectors=True)
     assert reduced.n_lines < full.n_lines
+
+
+def test_queries_and_labels_use_no_bare_assert():
+    # Their invariants raise ContractViolation, so they still run under -O.
+    hits = []
+    for name in ("applications.py", "diagram.py"):
+        path = pathlib.Path(botmatch.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                hits.append(f"{name}:{node.lineno}")
+    assert not hits, hits

@@ -17,17 +17,17 @@ import numpy as _np
 
 from .diagram import _walk_labels, build_diagram, eval_E, reduced_arrangement
 from .geom import (
+    ContractViolation,
     ConvexPolygon,
     EdgeRef,
     Instance,
     Point,
     Scalar,
-    _halfplane_clip,
     closest_point_in_polygon,
     erode_polygon,
     min_envelope_on_segment,
 )
-from .matching import ContractViolation, Matching
+from .matching import Matching
 
 
 class _Empty:
@@ -244,15 +244,59 @@ def bottleneck_path(
 
 # -- cover radius -----------------------------------------------------------------
 
+def _region_halfplanes(region: ConvexPolygon) -> list[tuple[int, int, int]]:
+    """The region as integer half-planes a*X + b*Y + c*W <= 0 on (X, Y, W), W > 0.
+
+    A full-dimensional region gives its outward edge normals. A segment gives
+    the normals across and along it, a point the two axes both ways. Each
+    normal sits at its support value over the region's vertices.
+    """
+    verts = region.vertices
+    if len(verts) >= 3:
+        normals = [Point(w.y - v.y, v.x - w.x) for v, w in region.edges()]
+    else:
+        d = verts[1] - verts[0] if len(verts) == 2 else Point(Fraction(1), Fraction(0))
+        normals = [Point(d.y, -d.x), Point(-d.y, d.x), d, Point(-d.x, -d.y)]
+    out = []
+    for n in normals:
+        c = max(n.dot(v) for v in verts)
+        s = math.lcm(n.x.denominator, n.y.denominator, c.denominator)
+        out.append((int(n.x * s), int(n.y * s), -int(c * s)))
+    return out
+
+
+def _clip_ring(
+    ring: list[tuple[int, int, int]], halfplane: tuple[int, int, int]
+) -> list[tuple[int, int, int]]:
+    """Clip a convex ring of homogeneous triples to one half-plane (Sutherland-Hodgman).
+
+    The crossing on edge (p, q) is f(q)*p - f(p)*q: f vanishes there, and it
+    is a positive combination of the two triples, so it lies between them.
+    It is kept in lowest terms with W > 0.
+    """
+    a, b, c = halfplane
+    f = [a * x + b * y + c * w for x, y, w in ring]
+    out: list[tuple[int, int, int]] = []
+    for i in range(len(ring)):
+        p, q = ring[i - 1], ring[i]
+        fp, fq = f[i - 1], f[i]
+        if fp <= 0:
+            out.append(p)
+        if (fp < 0 < fq) or (fq < 0 < fp):
+            x, y, w = fq * p[0] - fp * q[0], fq * p[1] - fp * q[1], fq * p[2] - fp * q[2]
+            g = math.gcd(x, y, w) if w > 0 else -math.gcd(x, y, w)
+            out.append((x // g, y // g, w // g))
+    return out
+
 
 def cover_radius(inst: Instance, Q: ConvexPolygon) -> CoverResult | _Empty:
     """Worst bottleneck value over all translations keeping B inside Q.
 
     The admissible region is the erosion of Q by B; the bottleneck value is
     convex on each arrangement cell, so its maximum over the region is
-    attained at a vertex of some cell-region overlay piece. Each cell is
-    clipped against the region and the value is evaluated at every clip
-    vertex.
+    attained at a vertex of some cell-region overlay piece. Each cell's
+    vertex ring is clipped against the region on exact integer triples and
+    the value is evaluated at every clip vertex.
     """
     region = erode_polygon(Q, inst.B)
     if region is None:
@@ -271,23 +315,22 @@ def cover_radius(inst: Instance, Q: ConvexPolygon) -> CoverResult | _Empty:
         & (bounds[:, 3] >= min(qys) - pad)
     )[0]
 
-    candidates: dict[tuple[Scalar, Scalar], Point] = {}
+    halfplanes = _region_halfplanes(region)
+    candidates: dict[tuple[int, int, int], None] = {}
     for cid in map(int, alive):
-        piece = list(region.vertices)
-        for v, w in arr.cell_polygon(cid).edges():
-            d = w - v
-            normal = Point(d.y, -d.x)
-            piece = _halfplane_clip(piece, normal, normal.dot(v))
+        piece = [arr.vertex_triple(v) for v in arr.cell_cycle(cid)]
+        for halfplane in halfplanes:
+            piece = _clip_ring(piece, halfplane)
             if not piece:
                 break
-        for p in piece:
-            candidates.setdefault((p.x, p.y), p)
+        candidates.update(dict.fromkeys(piece))
     if not candidates:
         raise ContractViolation("region does not meet the arrangement")
 
     best_val: Scalar | None = None
     best_p: Point | None = None
-    for p in candidates.values():
+    for x, y, w in candidates:
+        p = Point(Fraction(x, w), Fraction(y, w))
         val, _ = eval_E(inst, p)
         if (
             best_val is None

@@ -28,6 +28,10 @@ Scalar = Fraction
 ScalarLike = Union[int, str, Fraction]
 
 
+class ContractViolation(Exception):
+    """An internal invariant broke; indicates a bug, not bad input."""
+
+
 def to_scalar(value: ScalarLike) -> Fraction:
     """Parse an exact scalar: int, Fraction, or a 'p/q' / 'p' string."""
     if isinstance(value, Fraction):
@@ -307,7 +311,8 @@ def equivalence_classes(inst: Instance) -> list[list[EdgeRef]]:
     out = []
     for d in sorted(groups, key=lambda v: (v.x, v.y)):
         members = sorted(groups[d])
-        assert len(members) <= inst.k
+        if len(members) > inst.k:
+            raise ContractViolation("an equivalence class repeats an endpoint")
         out.append(members)
     return out
 
@@ -438,7 +443,8 @@ def closest_point_in_polygon(p: Point, poly: ConvexPolygon) -> Point:
         d2 = p.dist2(q)
         if best_d2 is None or d2 < best_d2 or (d2 == best_d2 and (q.x, q.y) < (best.x, best.y)):
             best, best_d2 = q, d2
-    assert best is not None
+    if best is None:
+        raise ContractViolation("polygon has no edge")
     return best
 
 
@@ -455,40 +461,53 @@ def min_envelope_on_segment(
     breakpoint of the linear parts, and each piece's unconstrained vertex,
     all exact. Returns the minimizing point and value, preferring the
     smallest parameter on ties.
+
+    Works on integers: the segment ends and the sites are scaled by one
+    shared denominator D, each candidate parameter is a pair num/den with
+    0 <= num <= den, and values are compared by cross-multiplication.
     """
     if not edges:
         raise ValueError("need at least one edge")
-    s0, s1 = seg
-    d = s1 - s0
-    sites = [inst.anchor(e) for e in edges]
-    # f_i(lam) = |s0 + lam*d - site|^2 = q(lam) + p_i + m_i*lam with shared
-    # q(lam) = lam^2*|d|^2 + 2*lam*<s0,d> + |s0|^2.
-    dd = d.norm2()
-    sd = s0.dot(d)
-    p_lin = [site.norm2() - 2 * s0.dot(site) for site in sites]
-    m_lin = [-2 * d.dot(site) for site in sites]
+    M, rows = inst.int_anchors
+    X0, Y0, W0 = homogeneous(seg[0])
+    X1, Y1, W1 = homogeneous(seg[1])
+    # Scaled by D = W0*W1*M: s0 -> (x0, y0), s1 - s0 -> (dx, dy), site -> W0*W1*row.
+    W01 = W0 * W1
+    D = W01 * M
+    x0, y0 = X0 * W1 * M, Y0 * W1 * M
+    dx, dy = X1 * W0 * M - x0, Y1 * W0 * M - y0
+    # D^2 * f_i(lam) = lam^2*dd + m_i*lam + p_i with the shared quadratic term dd.
+    dd = dx * dx + dy * dy
+    lin = []
+    for e in edges:
+        px, py = rows[e.b][e.a]
+        ux, uy = x0 - px * W01, y0 - py * W01
+        lin.append((2 * (ux * dx + uy * dy), ux * ux + uy * uy))
 
-    def g(lam: Fraction) -> Fraction:
-        base = lam * lam * dd + 2 * lam * sd + s0.norm2()
-        return base + max(p + m * lam for p, m in zip(p_lin, m_lin))
-
-    zero, one = Fraction(0), Fraction(1)
-    candidates = {zero, one}
-    n_e = len(edges)
-    for i in range(n_e):
-        for j in range(i + 1, n_e):
-            dm = m_lin[j] - m_lin[i]
-            if dm != 0:
-                lam = (p_lin[i] - p_lin[j]) / dm
-                if zero < lam < one:
-                    candidates.add(lam)
-    if dd != 0:
-        for m in m_lin:
-            lam = -(2 * sd + m) / (2 * dd)
-            if zero < lam < one:
-                candidates.add(lam)
-    best_lam = min(sorted(candidates), key=lambda lam: (g(lam), lam))
-    return s0 + d.scale(best_lam), g(best_lam)
+    # parameters num/den in (0, 1], after the end lam = 0 that starts the scan
+    candidates = [(1, 1)]
+    for i, (mi, pi) in enumerate(lin):
+        for mj, pj in lin[i + 1 :]:
+            num, den = (pi - pj, mj - mi) if mj > mi else (pj - pi, mi - mj)
+            if 0 < num < den:
+                candidates.append((num, den))
+    if dd:
+        for m, _p in lin:
+            if 0 < -m < 2 * dd:
+                candidates.append((-m, 2 * dd))
+    # val = (D*den)^2 * g(num/den): values compare by cross-multiplication
+    best_num, best_den, best_val = 0, 1, max(p for _m, p in lin)
+    for num, den in candidates:
+        val = num * num * dd + den * max(m * num + p * den for m, p in lin)
+        lhs, rhs = val * best_den * best_den, best_val * den * den
+        if lhs < rhs or (lhs == rhs and num * best_den < best_num * den):
+            best_num, best_den, best_val = num, den, val
+    scale = D * best_den
+    t = Point(
+        Fraction(x0 * best_den + best_num * dx, scale),
+        Fraction(y0 * best_den + best_num * dy, scale),
+    )
+    return t, Fraction(best_val, scale * scale)
 
 
 def _halfplane_clip(

@@ -14,15 +14,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .geom import EdgeRef, Instance, Point, squared_length_nums
+from .geom import ContractViolation, EdgeRef, Instance, Point, squared_length_nums
 
 
 class NoCompleteMatching(Exception):
     """The candidate graph cannot match every b (precondition failure)."""
-
-
-class ContractViolation(Exception):
-    """An internal matching invariant broke; indicates a bug, not bad input."""
 
 
 Matching = tuple[EdgeRef, ...]
@@ -207,15 +203,34 @@ def candidates_from_nums(inst: Instance, nums: list[list[int]]) -> CandidateGrap
 # -- maximum matching ---------------------------------------------------------
 
 
-def _adjacency(G: CandidateGraph, rank_cap: int) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {b: [] for b in range(G.k)}
-    for i, level in enumerate(G.levels[: max(rank_cap, 0)]):
+def _edges_by_rank(
+    G: CandidateGraph, rank_cap: int
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """The candidate edges of rank <= rank_cap as ``(b, a)``, lowest rank first.
+
+    ``ends[r]`` is the number of edges of rank <= r, so ``pairs[: ends[r]]``
+    are the edges within a lower cap ``r``.
+    """
+    pairs: list[tuple[int, int]] = []
+    ends = [0]
+    for level in G.levels[: max(rank_cap, 0)]:
         for key in level:
-            for e in G.members[key]:
-                adj[e.b].append(e.a)
-    for b in adj:
-        adj[b].sort()
+            pairs.extend((e.b, e.a) for e in G.members[key])
+        ends.append(len(pairs))
+    return pairs, ends
+
+
+def _adjacency_of(k: int, pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {b: [] for b in range(k)}
+    for b, a in pairs:
+        adj[b].append(a)
+    for row in adj.values():
+        row.sort()
     return adj
+
+
+def _adjacency(G: CandidateGraph, rank_cap: int) -> dict[int, list[int]]:
+    return _adjacency_of(G.k, _edges_by_rank(G, rank_cap)[0])
 
 
 def _hopcroft_karp(adj: dict[int, list[int]], k: int) -> dict[int, int]:
@@ -286,10 +301,13 @@ def max_matching(G: CandidateGraph, rank_cap: int) -> Matching:
     A second, independent augmenting-path search verifies maximality before
     returning; a success there would be a bug in this module.
     """
-    adj = _adjacency(G, rank_cap)
-    assign = _hopcroft_karp(adj, G.k)
+    return _verified_max_matching(_adjacency(G, rank_cap), G.k)
+
+
+def _verified_max_matching(adj: dict[int, list[int]], k: int) -> Matching:
+    assign = _hopcroft_karp(adj, k)
     match_a = {a: b for b, a in assign.items()}
-    for b in range(G.k):
+    for b in range(k):
         if b not in assign and _kuhn_augment(adj, match_a, dict(assign), b):
             raise ContractViolation("augmenting path found after maximum matching")
     return matching_from_map(assign)
@@ -299,15 +317,17 @@ def bottleneck_matching(G: CandidateGraph) -> tuple[Matching, int]:
     """Complete matching minimizing the maximum edge rank, plus that rank.
 
     Binary search over ranks; feasibility is monotone in the rank cap and is
-    asserted to be so across all probes of the search.
+    asserted to be so across all probes of the search. The edges are put in
+    rank order once; each probe takes a prefix of that order.
     """
     for b in range(G.k):
         if not G.by_b[b]:
             raise NoCompleteMatching(f"b index {b} has no candidate edges")
+    pairs, ends = _edges_by_rank(G, G.rank_count)
     probes: dict[int, bool] = {}
 
     def feasible(r: int) -> tuple[bool, Matching]:
-        mu = max_matching(G, r)
+        mu = _verified_max_matching(_adjacency_of(G.k, pairs[: ends[r]]), G.k)
         ok = len(mu) == G.k
         probes[r] = ok
         return ok, mu
@@ -532,7 +552,8 @@ def _cross_class_pair(
                 raise ContractViolation("entering class not directly above exiting")
             G.levels[i], G.levels[j] = G.levels[j], G.levels[i]
     else:
-        assert swap_keys is not None
+        if swap_keys is None:
+            raise ContractViolation("a different-b crossing needs its two class keys")
         key1, key2 = swap_keys
         i = G._singleton_level_index(key1)
         j = G._singleton_level_index(key2)

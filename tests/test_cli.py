@@ -2,6 +2,8 @@ import json
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+import pytest
+
 from botmatch.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -43,8 +45,6 @@ def test_scalar_round_trip():
 
 
 def test_scalar_rejects_malformed():
-    import pytest
-
     from botmatch.cli import InputError
 
     for bad in ("1/0", "1.5", "3/-4", "", "a", True, 2.5, None, "1/2/3"):
@@ -106,6 +106,311 @@ def test_cover_command(tmp_path, capsys):
     )
     assert run(["cover", wide, "--polygon", tiny]) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == {"empty": True}
+
+
+# -- golden outputs ---------------------------------------------------------------
+
+# Full `path` and `cover` stdout on instances with non-integer answers. The
+# texts were recorded from the Fraction envelope and clipping kernels; the
+# integer kernels must reproduce them byte for byte.
+GOLDEN = [
+    (
+        "path",
+        {"A": [[0, 0], [3, 1]], "B": [[0, 0]]},
+        ["--from=0,1/2", "--to=3,2"],
+        """\
+{
+  "approx": 2.5,
+  "polyline": [
+    [
+      "0",
+      "1/2"
+    ],
+    [
+      "3/2",
+      "1/2"
+    ],
+    [
+      "3",
+      "2"
+    ]
+  ],
+  "polyline_approx": [
+    [
+      0.0,
+      0.5
+    ],
+    [
+      1.5,
+      0.5
+    ],
+    [
+      3.0,
+      2.0
+    ]
+  ],
+  "value": "5/2",
+  "vertex_values": [
+    "1/4",
+    "5/2",
+    "1"
+  ]
+}
+""",
+    ),
+    (
+        "path",
+        {"A": [[-1, -5], [-3, 1], ["-5/3", -3]], "B": [[-2, 7], ["3/2", 8]]},
+        ["--from=9,0", "--to=3,1/2"],
+        """\
+{
+  "approx": 231.25,
+  "polyline": [
+    [
+      "9",
+      "0"
+    ],
+    [
+      "-53/276",
+      "-2149/276"
+    ],
+    [
+      "199/276",
+      "-1099/276"
+    ],
+    [
+      "3",
+      "1/2"
+    ]
+  ],
+  "polyline_approx": [
+    [
+      9.0,
+      0.0
+    ],
+    [
+      -0.19202898550724637,
+      -7.786231884057971
+    ],
+    [
+      0.7210144927536232,
+      -3.9818840579710146
+    ],
+    [
+      3.0,
+      0.5
+    ]
+  ],
+  "value": "925/4",
+  "vertex_values": [
+    "925/4",
+    "730405/38088",
+    "1385185/38088",
+    "4225/36"
+  ]
+}
+""",
+    ),
+    (
+        "path",
+        {"A": [["-1/2", 3], [-3, "2/3"]], "B": [["3/2", -10], ["-9/2", "11/2"]]},
+        ["--from=3,4", "--to=-3,-8"],
+        """\
+{
+  "approx": 350.69444444444446,
+  "polyline": [
+    [
+      "3",
+      "4"
+    ],
+    [
+      "-21965/7596",
+      "2007/844"
+    ],
+    [
+      "-3",
+      "-8"
+    ]
+  ],
+  "polyline_approx": [
+    [
+      3.0,
+      4.0
+    ],
+    [
+      -2.8916535018430753,
+      2.3779620853080567
+    ],
+    [
+      -3.0,
+      -8.0
+    ]
+  ],
+  "value": "12625/36",
+  "vertex_values": [
+    "3625/36",
+    "2056671305/28849608",
+    "12625/36"
+  ]
+}
+""",
+    ),
+    (
+        "cover",
+        {"A": [["1/2", 0], [4, "7/3"], [-2, 3]], "B": [[0, 0]]},
+        {"Q": [[-1, -1], [4, 0], [2, 3]]},
+        """\
+{
+  "approx": 7.010428681276432,
+  "empty": false,
+  "region": [
+    [
+      "-1",
+      "-1"
+    ],
+    [
+      "4",
+      "0"
+    ],
+    [
+      "2",
+      "3"
+    ]
+  ],
+  "value": "145873/20808",
+  "witness": [
+    "641/204",
+    "-35/204"
+  ],
+  "witness_approx": [
+    3.142156862745098,
+    -0.1715686274509804
+  ]
+}
+""",
+    ),
+    (
+        "cover",
+        {"A": [[0, -7], ["-8/3", -5]], "B": [["-7/3", "4/3"], ["-2/3", -3]]},
+        {"Q": [[-4, -4], [4, -3], [5, 5], [-3, 4]]},
+        """\
+{
+  "approx": 123.88214215727443,
+  "empty": false,
+  "region": [
+    [
+      "-206/189",
+      "-136/189"
+    ],
+    [
+      "14/3",
+      "0"
+    ],
+    [
+      "962/189",
+      "640/189"
+    ],
+    [
+      "-2/3",
+      "8/3"
+    ]
+  ],
+  "value": "4425194/35721",
+  "witness": [
+    "962/189",
+    "640/189"
+  ],
+  "witness_approx": [
+    5.08994708994709,
+    3.386243386243386
+  ]
+}
+""",
+    ),
+    (
+        "cover",
+        {"A": [[0, 0], [2, 1], [1, 3]], "B": [[0, 0], [1, 0]]},
+        {"Q": [["-1/2", 0], [3, "1/3"], [1, 4]]},
+        """\
+{
+  "approx": 4.111111111111111,
+  "empty": false,
+  "region": [
+    [
+      "-25/54",
+      "8/81"
+    ],
+    [
+      "2",
+      "1/3"
+    ],
+    [
+      "16/27",
+      "236/81"
+    ]
+  ],
+  "value": "37/9",
+  "witness": [
+    "2",
+    "1/3"
+  ],
+  "witness_approx": [
+    2.0,
+    0.3333333333333333
+  ]
+}
+""",
+    ),
+    (
+        "cover",
+        {"A": [[-4, 10], [1, -4], [8, -4]], "B": [[7, -5]]},
+        {"Q": [[-4, -4], [4, -3], [5, 5], [-3, 4]]},
+        """\
+{
+  "approx": 92.12890625,
+  "empty": false,
+  "region": [
+    [
+      "-11",
+      "1"
+    ],
+    [
+      "-3",
+      "2"
+    ],
+    [
+      "-2",
+      "10"
+    ],
+    [
+      "-10",
+      "9"
+    ]
+  ],
+  "value": "23585/256",
+  "witness": [
+    "-5/2",
+    "159/16"
+  ],
+  "witness_approx": [
+    -2.5,
+    9.9375
+  ]
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("cmd, doc, extra, expected", GOLDEN)
+def test_path_and_cover_stdout_is_pinned(tmp_path, capsys, cmd, doc, extra, expected):
+    argv = [cmd, _write(tmp_path, "in.json", doc)]
+    if cmd == "cover":
+        argv += ["--polygon", _write(tmp_path, "q.json", extra)]
+    else:
+        argv += extra
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == expected
 
 
 def test_diagram_summary(tmp_path, capsys):

@@ -450,9 +450,11 @@ def test_build_diagram_keep_all_bisectors():
 def test_queries_and_labels_use_no_bare_assert():
     # Their invariants raise ContractViolation, so they still run under -O.
     hits = []
-    for name in ("applications.py", "diagram.py"):
+    for name in ("applications.py", "diagram.py", "geom.py", "matching.py"):
         path = pathlib.Path(botmatch.__file__).parent / name
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Assert):
                 hits.append(f"{name}:{node.lineno}")
     assert not hits, hits
+    # one class, defined in geom and re-exported where matching raises it
+    assert botmatch.matching.ContractViolation is botmatch.geom.ContractViolation

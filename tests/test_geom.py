@@ -77,19 +77,22 @@ def test_bisector_line_examples():
     assert bisector_line(inst, EdgeRef(0, 0), EdgeRef(1, 1)) is None
 
 
+def _rational_instance(rng, n, k):
+    pts: set[Point] = set()
+    while len(pts) < n + k:
+        pts.add(rand_point(rng, span=6, den=rng.choice([1, 2, 3, 5, 12])))
+    flat = sorted(pts)
+    rng.shuffle(flat)
+    return Instance(tuple(flat[:n]), tuple(flat[n:]))
+
+
 def test_squared_edge_length_matches_fraction_definition():
     # rational coordinates everywhere, so the shared-denominator kernel has
     # to clear unrelated denominators in A, B and t
     rng = random.Random(54)
     for _ in range(40):
         n = rng.randint(1, 5)
-        k = rng.randint(1, n)
-        pts: set[Point] = set()
-        while len(pts) < n + k:
-            pts.add(rand_point(rng, span=6, den=rng.choice([1, 2, 3, 5, 12])))
-        flat = sorted(pts)
-        rng.shuffle(flat)
-        inst = Instance(tuple(flat[:n]), tuple(flat[n:]))
+        inst = _rational_instance(rng, n, rng.randint(1, n))
         t = rand_point(rng, span=6, den=rng.choice([1, 4, 7, 9]))
         for e in inst.edges():
             got = squared_edge_length(inst, e, t)
@@ -210,6 +213,106 @@ def test_min_envelope_beats_samples():
         for _ in range(50):
             lam = F(rng.randint(0, 64), 64)
             assert val <= env(s0 + (s1 - s0).scale(lam))
+
+
+def _envelope_reference(inst, edges, seg):
+    """The Fraction form of min_envelope_on_segment, kept as its reference.
+
+    The same candidate parameters (segment ends, pairwise breakpoints of the
+    linear parts, piece vertices), each evaluated in Fraction arithmetic.
+    """
+    s0, s1 = seg
+    d = s1 - s0
+    sites = [inst.anchor(e) for e in edges]
+    # f_i(lam) = |s0 + lam*d - site|^2 = q(lam) + p_i + m_i*lam with shared
+    # q(lam) = lam^2*|d|^2 + 2*lam*<s0,d> + |s0|^2.
+    dd = d.norm2()
+    sd = s0.dot(d)
+    p_lin = [site.norm2() - 2 * s0.dot(site) for site in sites]
+    m_lin = [-2 * d.dot(site) for site in sites]
+
+    def g(lam):
+        base = lam * lam * dd + 2 * lam * sd + s0.norm2()
+        return base + max(p + m * lam for p, m in zip(p_lin, m_lin))
+
+    zero, one = F(0), F(1)
+    candidates = {zero, one}
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            dm = m_lin[j] - m_lin[i]
+            if dm != 0:
+                lam = (p_lin[i] - p_lin[j]) / dm
+                if zero < lam < one:
+                    candidates.add(lam)
+    if dd != 0:
+        for m in m_lin:
+            lam = -(2 * sd + m) / (2 * dd)
+            if zero < lam < one:
+                candidates.add(lam)
+    best_lam = min(sorted(candidates), key=lambda lam: (g(lam), lam))
+    return s0 + d.scale(best_lam), g(best_lam)
+
+
+def _assert_envelope_matches(inst, edges, seg):
+    got = min_envelope_on_segment(inst, edges, seg)
+    want = _envelope_reference(inst, edges, seg)
+    assert got == want
+    assert type(got[1]) is F and type(got[0].x) is F and type(got[0].y) is F
+
+
+def test_min_envelope_equals_fraction_reference_on_random_instances():
+    # rational coordinates in A, B and the segment ends
+    rng = random.Random(4242)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        inst = _rational_instance(rng, n, rng.randint(1, n))
+        edges = rng.sample(list(inst.edges()), rng.randint(1, min(4, n * inst.k)))
+        seg = (
+            rand_point(rng, span=8, den=rng.choice([1, 3, 4, 7])),
+            rand_point(rng, span=8, den=rng.choice([1, 2, 9])),
+        )
+        _assert_envelope_matches(inst, edges, seg)
+
+
+def test_min_envelope_equals_fraction_reference_on_degenerate_segments():
+    rng = random.Random(4343)
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        inst = _rational_instance(rng, n, rng.randint(1, min(3, n)))
+        edges = rng.sample(list(inst.edges()), rng.randint(1, min(4, n * inst.k)))
+        p = rand_point(rng, span=8, den=rng.choice([1, 3, 5]))
+        length = F(rng.randint(1, 40), rng.choice([1, 2, 3]))
+        _assert_envelope_matches(inst, edges, (p, p))  # zero length
+        _assert_envelope_matches(inst, edges, (p, p + point(length, 0)))
+        _assert_envelope_matches(inst, edges, (p + point(0, length), p))
+        # along the bisector of two edges: their lengths tie along the whole
+        # segment, so the breakpoint of that pair is undefined
+        e1, e2 = rng.sample(list(inst.edges()), 2)
+        line = bisector_line(inst, e1, e2)
+        if line is None:
+            continue
+        q = line.some_point()
+        r = q + line.direction().scale(length)
+        for seg in ((q, r), (r, q)):
+            _assert_envelope_matches(inst, [e1, e2], seg)
+            _assert_envelope_matches(inst, [e1, e2, *edges], seg)
+
+
+def test_min_envelope_on_a_bisector_is_direction_free():
+    # x = 1 is the bisector of the sites (0, 0) and (2, 0): the two lengths
+    # tie along the whole segment. On a segment of positive length the
+    # envelope is strictly convex, so the minimizer does not depend on which
+    # end comes first; a zero-length segment returns its point.
+    inst = instance([(0, 0), (2, 0)], [(0, 0)])
+    edges = [EdgeRef(0, 0), EdgeRef(1, 0)]
+    for seg in (
+        (point(1, -3), point(1, 5)),
+        (point(1, 5), point(1, -3)),
+        (point(1, -1), point(1, 1)),
+    ):
+        assert min_envelope_on_segment(inst, edges, seg) == (point(1, 0), 1)
+    seg = (point(1, 1), point(1, 1))
+    assert min_envelope_on_segment(inst, edges, seg) == (point(1, 1), 2)
 
 
 def test_erode_examples():

@@ -1,15 +1,21 @@
-"""Property tests on small degenerate instances, checked against the oracle.
+"""Property tests on small degenerate instances, checked against references.
 
 Hypothesis runs derandomized, so every run draws the same examples and a
-failure reproduces.
+failure reproduces. The cover differential test compares the integer clipping
+kernel with a Fraction reference on the same pools and on random instances.
 """
 
+import random
+from fractions import Fraction
+
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from botmatch.applications import optimal_translation
-from botmatch.geom import Instance, point
-from botmatch.oracle import oracle_optimal_translation
+from botmatch.applications import Empty, bottleneck_path, cover_radius, optimal_translation
+from botmatch.diagram import build_diagram, eval_E
+from botmatch.geom import Instance, Point, _halfplane_clip, convex_polygon, erode_polygon, point
+from botmatch.oracle import grid_cover_radius, oracle_optimal_translation
 
 # Point pools whose members are collinear, on a lattice or co-circular.
 POOLS = {
@@ -42,13 +48,37 @@ def instances(draw):
     )
 
 
-@settings(
+@st.composite
+def placements(draw):
+    den = draw(st.sampled_from([1, 2, 3]))
+    return point(
+        Fraction(draw(st.integers(-6 * den, 6 * den)), den),
+        Fraction(draw(st.integers(-6 * den, 6 * den)), den),
+    )
+
+
+@st.composite
+def regions(draw):
+    """A square or a triangle around the origin, large enough to hold B."""
+    cx, cy = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    h = draw(st.integers(3, 6))
+    if draw(st.booleans()):
+        return convex_polygon(
+            [(cx - h, cy - h), (cx + h, cy - h), (cx + h, cy + h), (cx - h, cy + h)]
+        )
+    return convex_polygon([(cx - h, cy - h), (cx + 2 * h, cy), (cx, cy + 2 * h)])
+
+
+PROPERTY_SETTINGS = settings(
     derandomize=True,
     max_examples=100,
     deadline=None,
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+@PROPERTY_SETTINGS
 @given(instances())
 def test_optimal_translation_equals_oracle(inst):
     t, mu, value = optimal_translation(inst)
@@ -58,3 +88,109 @@ def test_optimal_translation_equals_oracle(inst):
     assert sorted(e.b for e in mu) == list(range(inst.k))
     assert len({e.a for e in mu}) == inst.k
     assert max(t.dist2(inst.anchor(e)) for e in mu) == value
+
+
+@PROPERTY_SETTINGS
+@given(instances(), placements(), placements())
+def test_bottleneck_path_properties(inst, t0, t1):
+    res = bottleneck_path(inst, t0, t1)
+    assert res.value == bottleneck_path(inst, t0, t1, keep_all_bisectors=True).value
+    # the straight segment never does worse than the matching of t0 at both ends
+    e0, mu0 = eval_E(inst, t0)
+    assert res.value <= max(e0, max(t1.dist2(inst.anchor(e)) for e in mu0))
+    assert res.vertex_values == tuple(eval_E(inst, p)[0] for p in res.polyline)
+    assert (res.polyline[0], res.polyline[-1]) == (t0, t1)
+
+
+@PROPERTY_SETTINGS
+@given(instances(), regions())
+def test_cover_radius_properties(inst, Q):
+    res = cover_radius(inst, Q)
+    if res is Empty:
+        assert erode_polygon(Q, inst.B) is None
+        return
+    assert res.region.contains(res.witness)
+    assert eval_E(inst, res.witness)[0] == res.value
+    assert grid_cover_radius(inst, Q, 8) <= res.value
+
+
+# -- integer cover clipping against a Fraction reference --------------------------
+
+
+def _cover_reference(inst, Q):
+    """The cover radius clipped in Fractions: each cell's ConvexPolygon cuts the region.
+
+    Cells whose float bounding box misses the region's (with a margin) are
+    skipped, as ``cover_radius`` skips them.
+    """
+    region = erode_polygon(Q, inst.B)
+    if region is None:
+        return Empty
+    arr = build_diagram(inst, must_contain=region.vertices).arrangement
+    bounds = arr.cell_bounds_float()
+    pad = 1e-7 * (float(np.abs(bounds).max()) + 1.0)
+    qx = [float(v.x) for v in region.vertices]
+    qy = [float(v.y) for v in region.vertices]
+    candidates: dict[Point, None] = {}
+    for cid, (x0, y0, x1, y1) in enumerate(bounds.tolist()):
+        if x0 > max(qx) + pad or x1 < min(qx) - pad or y0 > max(qy) + pad or y1 < min(qy) - pad:
+            continue
+        piece = list(region.vertices)
+        for v, w in arr.cell_polygon(cid).edges():
+            d = w - v
+            normal = Point(d.y, -d.x)
+            piece = _halfplane_clip(piece, normal, normal.dot(v))
+            if not piece:
+                break
+        candidates.update(dict.fromkeys(piece))
+    # largest value first, then the smallest (x, y)
+    witness = max(candidates, key=lambda p: (eval_E(inst, p)[0], -p.x, -p.y))
+    return eval_E(inst, witness)[0], witness, region
+
+
+def _random_instance(rng, pool, n, k):
+    A = rng.sample(pool, n)
+    B = rng.sample([(x, y) for x in range(-2, 3) for y in range(-2, 3)], k)
+    return Instance(tuple(point(x, y) for x, y in A), tuple(point(x, y) for x, y in B))
+
+
+def _cover_cases():
+    rng = random.Random(5757)
+    grid = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]  # criteria 5-7
+    for name, pool in [("criteria", grid)] + sorted(POOLS.items()):
+        for _ in range(4):
+            n = rng.randint(2, min(6, len(pool)))
+            k = rng.randint(1, min(3, n))
+            yield name, _random_instance(rng, pool, n, k)
+        n = rng.randint(1, 3)
+        yield name + " k=n", _random_instance(rng, pool, n, n)
+
+
+def test_cover_radius_equals_fraction_reference():
+    rng = random.Random(5858)
+    dims = set()
+    for name, inst in _cover_cases():
+        h = rng.randint(2, 4)
+        third = Fraction(rng.randint(1, 5), 3)
+        shapes = [
+            convex_polygon([(-h, -h), (h, -h), (h, h), (-h, h)]),
+            convex_polygon([(-h, -third), (h + third, -h), (third, h + 1)]),
+        ]
+        xs = [p.x for p in inst.B]
+        ys = [p.y for p in inst.B]
+        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+        if x0 < x1 and y0 < y1:
+            # B's bounding box, then that box widened along x: the region is
+            # a single point, then a segment
+            shapes.append(convex_polygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]))
+            shapes.append(
+                convex_polygon([(x0 - h, y0), (x1 + h, y0), (x1 + h, y1), (x0 - h, y1)])
+            )
+        for Q in shapes:
+            res = cover_radius(inst, Q)
+            want = _cover_reference(inst, Q)
+            got = res if res is Empty else (res.value, res.witness, res.region)
+            assert got == want, (name, inst, Q)
+            if res is not Empty:
+                dims.add(res.region.dim)
+    assert dims == {0, 1, 2}

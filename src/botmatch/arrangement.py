@@ -10,6 +10,7 @@ convex polygons, and a dual cell-adjacency graph.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -19,6 +20,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as _np
 
 from .geom import (
+    ContractViolation,
     ConvexPolygon,
     EdgeRef,
     Instance,
@@ -175,8 +177,8 @@ def used_bisectors(inst: Instance, bisectors: Sequence[Bisector]) -> list[Bisect
 # Clipped arrangement
 
 
-# Largest |line coefficient| for the int64 vectorized path. All intermediate
-# products are then bounded by 2*C*(2*C**2 + 4) < 2**63.
+# Largest |line coefficient| held in int64 arrays; larger ones use Python ints.
+# All intermediate products are then bounded by 2*C*(2*C**2 + 4) < 2**63.
 _COEF_LIMIT = 1 << 20
 
 _LEFT, _RIGHT, _BOTTOM, _TOP = 0, 1, 2, 3
@@ -288,14 +290,16 @@ def _boundary_rows(
             x, y, w = c
             if x0 * w <= x <= x1 * w and y0 * w <= y <= y1 * w:
                 found.setdefault(c, []).append(s)
-        assert len(found) == 2, "every input line must cross the box in a chord"
+        if len(found) != 2:
+            raise ContractViolation("every input line must cross the box in a chord")
         for c, ss in found.items():
             rows.append((i, c))
             for s in ss:
                 rows.append((L + s, c))
     for s1, s2 in ((_LEFT, _BOTTOM), (_LEFT, _TOP), (_RIGHT, _BOTTOM), (_RIGHT, _TOP)):
         c = _cross_triples(sides[s1], sides[s2])
-        assert c is not None
+        if c is None:
+            raise ContractViolation("box sides must cross at the corners")
         rows.append((L + s1, c))
         rows.append((L + s2, c))
     return rows
@@ -306,16 +310,44 @@ def _exact_lam_key(coord: tuple[int, int, int], d: tuple[int, int]) -> Fraction:
     return Fraction(d[0] * x + d[1] * y, w)
 
 
-def _geometry_fast(
+def _int_dtype(coef: int):
+    """int64 for coefficients within ``_COEF_LIMIT``, else Python ints."""
+    return _np.int64 if coef <= _COEF_LIMIT else object
+
+
+def _geometry(
     trips: list[tuple[int, int, int]],
     dirs_all: list[tuple[int, int]],
     extras: Sequence[Point],
 ):
-    """Vectorized exact geometry stage (int64-safe by the _COEF_LIMIT guard)."""
+    """Exact vertices and per-line vertex order of the clipped arrangement.
+
+    One code path for both integer widths: the numpy statements run on int64
+    arrays while the coefficients stay within ``_COEF_LIMIT`` and the box
+    within the int64 bound, and on object arrays of Python ints otherwise.
+
+    Each line's vertices are ordered by the float key lam = dx*fx + dy*fy,
+    with (dx, dy) the line's direction and (fx, fy) the vertex in floats,
+    then every float-ambiguous run is re-sorted by the exact key. The key
+    only prefilters and never inverts the exact order. On Python ints,
+    x / w is correctly rounded, so fx and fy are monotone in the exact
+    coordinates. Along the line dx*x and dy*y are each monotone, and
+    rounding keeps each product and their sum weakly monotone, so a strict
+    exact order can at worst become a float tie, which the repair resolves.
+    On int64, ``_COEF_LIMIT`` keeps the crossing coordinates below 2**53,
+    where the conversion to float is exact and the same argument holds.
+
+    Returns (vertices, row_line, row_vid, line_ptr, box): the distinct
+    vertex triples sorted by (x, y, w), and the line-major rows of
+    (line id, vertex id) in order along each line, box sides after the
+    input lines.
+    """
     L = len(trips)
-    al = _np.array([t[0] for t in trips], dtype=_np.int64)
-    be = _np.array([t[1] for t in trips], dtype=_np.int64)
-    ga = _np.array([t[2] for t in trips], dtype=_np.int64)
+    coef = max((abs(v) for t in trips for v in t), default=0)
+    dtype = _int_dtype(coef)
+    al = _np.array([t[0] for t in trips], dtype=dtype)
+    be = _np.array([t[1] for t in trips], dtype=dtype)
+    ga = _np.array([t[2] for t in trips], dtype=dtype)
     I, J = _np.triu_indices(L, 1)
     x = ga[I] * be[J] - ga[J] * be[I]
     y = ga[J] * al[I] - ga[I] * al[J]
@@ -340,8 +372,9 @@ def _geometry_fast(
     else:
         bounds = None
     box = _box_from_candidates(bounds, extras, set(trips))
-    if max(abs(v) for v in box) * max(1, int(_np.abs(_np.stack([al, be, ga])).max()) if L else 1) >= 1 << 61:
-        return None  # box too large for the int64 path; caller falls back
+    if max(abs(v) for v in box) * max(1, coef) >= 1 << 61:
+        dtype = object  # side crossings would overflow int64
+        x, y, w = x.astype(object), y.astype(object), w.astype(object)
     # sides order: left, right, bottom, top
     sides = [(1, 0, box[0]), (1, 0, box[2]), (0, 1, box[1]), (0, 1, box[3])]
     extra_rows = _boundary_rows(trips, sides, box)
@@ -349,19 +382,23 @@ def _geometry_fast(
     allt = _np.concatenate(
         [
             _np.stack([x, y, w], axis=1),
-            _np.array([list(c) for _, c in extra_rows], dtype=_np.int64).reshape(-1, 3),
+            _np.array([c for _, c in extra_rows], dtype=dtype).reshape(-1, 3),
         ]
     )
-    uniq, inv = _np.unique(allt, axis=0, return_inverse=True)
-    inv = inv.reshape(-1)
-    iv = inv[:ni]
-    bv = inv[ni:]
+    # distinct rows in (x, y, w) order; np.unique(axis=0) refuses object arrays
+    by_xyw = _np.lexsort((allt[:, 2], allt[:, 1], allt[:, 0]))
+    rows = allt[by_xyw]
+    first = _np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    uniq = rows[first]
+    inv = _np.empty(len(rows), dtype=_np.int64)
+    inv[by_xyw] = _np.cumsum(first) - 1
     row_line = _np.concatenate(
         [I, J, _np.array([l for l, _ in extra_rows], dtype=_np.int64)]
     )
-    row_vid = _np.concatenate([iv, iv, bv])
-    fx = uniq[:, 0] / uniq[:, 2]
-    fy = uniq[:, 1] / uniq[:, 2]
+    row_vid = _np.concatenate([inv[:ni], inv[:ni], inv[ni:]])
+    fx = _np.asarray(uniq[:, 0] / uniq[:, 2], dtype=_np.float64)
+    fy = _np.asarray(uniq[:, 1] / uniq[:, 2], dtype=_np.float64)
     dxf = _np.array([d[0] for d in dirs_all], dtype=float)
     dyf = _np.array([d[1] for d in dirs_all], dtype=float)
     lam = dxf[row_line] * fx[row_vid] + dyf[row_line] * fy[row_vid]
@@ -373,116 +410,22 @@ def _geometry_fast(
     same = row_line[1:] == row_line[:-1]
     tol = 1e-9 * _np.maximum(1.0, _np.maximum(_np.abs(lam[1:]), _np.abs(lam[:-1])))
     amb = same & (lam[1:] - lam[:-1] <= tol)
+    # row i is ambiguous with row i + 1; a run of them is one float cluster
     idx = _np.flatnonzero(amb)
-    if idx.size:
-        runs: list[tuple[int, int]] = []
-        rs = int(idx[0])
-        prev = rs
-        for ii in idx[1:]:
-            ii = int(ii)
-            if ii != prev + 1:
-                runs.append((rs, prev + 1))
-                rs = ii
-            prev = ii
-        runs.append((rs, prev + 1))
-        for a, b in runs:  # rows a..b inclusive share one float cluster
-            sl = slice(a, b + 1)
-            vids = [int(v) for v in row_vid[sl]]
-            line_id = int(row_line[a])
-            d = dirs_all[line_id]
-            coords = [
-                (int(uniq[v, 0]), int(uniq[v, 1]), int(uniq[v, 2])) for v in vids
-            ]
-            srt = sorted(range(len(vids)), key=lambda i: _exact_lam_key(coords[i], d))
-            row_vid[sl] = _np.array([vids[i] for i in srt], dtype=row_vid.dtype)
+    run_first = idx[_np.diff(idx, prepend=-2) != 1].tolist()
+    run_last = (idx[_np.diff(idx, append=-2) != 1] + 1).tolist()
+    for a, b in zip(run_first, run_last):  # rows a..b inclusive
+        d = dirs_all[int(row_line[a])]
+        vids = row_vid[a : b + 1].tolist()
+        vids.sort(key=lambda v: _exact_lam_key(uniq[v].tolist(), d))
+        row_vid[a : b + 1] = vids
     dup = (row_line[1:] == row_line[:-1]) & (row_vid[1:] == row_vid[:-1])
     keep = _np.ones(len(row_line), dtype=bool)
     keep[1:][dup] = False
     row_line = row_line[keep]
     row_vid = row_vid[keep]
     line_ptr = _np.searchsorted(row_line, _np.arange(L + 5))
-    return {
-        "mode": "np",
-        "uniq": uniq,
-        "coords": None,
-        "vindex": None,
-        "V": len(uniq),
-        "row_line": row_line,
-        "row_vid": row_vid,
-        "line_ptr": line_ptr,
-        "box": box,
-    }
-
-
-def _geometry_slow(
-    trips: list[tuple[int, int, int]],
-    dirs_all: list[tuple[int, int]],
-    extras: Sequence[Point],
-):
-    """Pure-Python exact geometry stage for oversized coefficients."""
-    L = len(trips)
-    crossings: list[tuple[tuple[int, int, int], int, int]] = []
-    bounds = None
-    lo_x = hi_x = lo_y = hi_y = None
-    for i in range(L):
-        for j in range(i + 1, L):
-            c = _cross_triples(trips[i], trips[j])
-            if c is None:
-                continue
-            crossings.append((c, i, j))
-            x, y, w = c
-            fx_lo, fx_hi = x // w, -((-x) // w)
-            fy_lo, fy_hi = y // w, -((-y) // w)
-            if lo_x is None:
-                lo_x, hi_x, lo_y, hi_y = fx_lo, fx_hi, fy_lo, fy_hi
-            else:
-                lo_x = min(lo_x, fx_lo)
-                hi_x = max(hi_x, fx_hi)
-                lo_y = min(lo_y, fy_lo)
-                hi_y = max(hi_y, fy_hi)
-    if lo_x is not None:
-        bounds = (lo_x, hi_x, lo_y, hi_y)
-    box = _box_from_candidates(bounds, extras, set(trips))
-    sides = [(1, 0, box[0]), (1, 0, box[2]), (0, 1, box[1]), (0, 1, box[3])]
-    rows: list[tuple[int, tuple[int, int, int]]] = []
-    for c, i, j in crossings:
-        rows.append((i, c))
-        rows.append((j, c))
-    rows.extend(_boundary_rows(trips, sides, box))
-    vindex: dict[tuple[int, int, int], int] = {}
-    coords: list[tuple[int, int, int]] = []
-    per_line: list[list[tuple[Fraction, int]]] = [[] for _ in range(L + 4)]
-    for line_id, c in rows:
-        vid = vindex.get(c)
-        if vid is None:
-            vid = len(coords)
-            vindex[c] = vid
-            coords.append(c)
-        per_line[line_id].append((_exact_lam_key(c, dirs_all[line_id]), vid))
-    row_line: list[int] = []
-    row_vid: list[int] = []
-    line_ptr = [0]
-    for line_id, entries in enumerate(per_line):
-        entries.sort()
-        prev = None
-        for _lam, vid in entries:
-            if vid == prev:
-                continue
-            prev = vid
-            row_line.append(line_id)
-            row_vid.append(vid)
-        line_ptr.append(len(row_line))
-    return {
-        "mode": "py",
-        "uniq": None,
-        "coords": coords,
-        "vindex": vindex,
-        "V": len(coords),
-        "row_line": _np.array(row_line, dtype=_np.int64),
-        "row_vid": _np.array(row_vid, dtype=_np.int64),
-        "line_ptr": _np.array(line_ptr, dtype=_np.int64),
-        "box": box,
-    }
+    return uniq, row_line, row_vid, line_ptr, box
 
 
 def _point(triple: tuple[int, int, int]) -> Point:
@@ -504,11 +447,7 @@ class Arrangement:
     box: tuple[int, int, int, int]
     dirs_all: list[tuple[int, int]]  # per line, box sides last
     _trips_all: list[tuple[int, int, int]]
-    # vertices: a sorted (V, 3) int64 array, or a list plus its index
-    _uniq: _np.ndarray | None
-    _coords: list[tuple[int, int, int]] | None
-    _vindex: dict[tuple[int, int, int], int] | None
-    _V: int
+    _uniq: _np.ndarray  # (V, 3) vertex triples sorted by (x, y, w), int64 or object
     _eu: _np.ndarray  # edge -> start vertex
     _ev: _np.ndarray  # edge -> end vertex
     _eline: _np.ndarray  # edge -> line
@@ -525,7 +464,7 @@ class Arrangement:
 
     @property
     def n_vertices(self) -> int:
-        return self._V
+        return len(self._uniq)
 
     @property
     def n_edges(self) -> int:
@@ -546,35 +485,15 @@ class Arrangement:
     # --- vertices -------------------------------------------------------
 
     def vertex_triple(self, vid: int) -> tuple[int, int, int]:
-        if self._uniq is not None:
-            return (
-                int(self._uniq[vid, 0]),
-                int(self._uniq[vid, 1]),
-                int(self._uniq[vid, 2]),
-            )
-        return self._coords[vid]
+        return tuple(self._uniq[vid].tolist())
 
     def vertex_point(self, vid: int) -> Point:
         return _point(self.vertex_triple(vid))
 
     def _find_vertex(self, x: int, y: int, w: int) -> int | None:
-        if self._uniq is None:
-            return self._vindex.get((x, y, w))
-        if max(abs(x), abs(y), w) >= 1 << 62:
-            return None  # vertices are bounded far below this
-        U = self._uniq
-        i0 = int(_np.searchsorted(U[:, 0], x, "left"))
-        i1 = int(_np.searchsorted(U[:, 0], x, "right"))
-        if i0 == i1:
-            return None
-        j0 = i0 + int(_np.searchsorted(U[i0:i1, 1], y, "left"))
-        j1 = i0 + int(_np.searchsorted(U[i0:i1, 1], y, "right"))
-        if j0 == j1:
-            return None
-        k0 = j0 + int(_np.searchsorted(U[j0:j1, 2], w, "left"))
-        if k0 < j1 and int(U[k0, 2]) == w:
-            return k0
-        return None
+        key = (x, y, w)  # vertices are sorted by (x, y, w)
+        i = bisect.bisect_left(range(self.n_vertices), key, key=self.vertex_triple)
+        return i if i < self.n_vertices and self.vertex_triple(i) == key else None
 
     # --- edges ----------------------------------------------------------
 
@@ -635,7 +554,8 @@ class Arrangement:
                 for i in range(m)
                 if orientation(ring[i - 1], ring[i], ring[(i + 1) % m]) > 0
             ]
-            assert len(corners) >= 3, "cells are full-dimensional"
+            if len(corners) < 3:
+                raise ContractViolation("cells are full-dimensional")
             pts = [_point(c) for c in corners]
             start = pts.index(min(pts))
             poly = ConvexPolygon(tuple(pts[start:] + pts[:start]))
@@ -670,7 +590,8 @@ class Arrangement:
             if cross != 0:
                 break
             h = int(self._nxt[h])
-            assert h != h0, "cell cycle is degenerate"
+            if h == h0:
+                raise ContractViolation("cell cycle is degenerate")
         mx, my, mw = x0 * w1 + x1 * w0, y0 * w1 + y1 * w0, 2 * w0 * w1
         return _reduced_triple(mx * w2 + x2 * mw, my * w2 + y2 * mw, 2 * mw * w2)
 
@@ -685,12 +606,8 @@ class Arrangement:
     def cell_bounds_float(self) -> _np.ndarray:
         """(n_cells, 4) float array [min x, min y, max x, max y] per cell."""
         bounds = _np.empty((self.n_cells, 4), dtype=_np.float64)
-        if self._uniq is not None:
-            vx = self._uniq[:, 0] / self._uniq[:, 2]
-            vy = self._uniq[:, 1] / self._uniq[:, 2]
-        else:
-            vx = _np.array([x / w for x, y, w in self._coords])
-            vy = _np.array([y / w for x, y, w in self._coords])
+        vx = _np.asarray(self._uniq[:, 0] / self._uniq[:, 2], dtype=_np.float64)
+        vy = _np.asarray(self._uniq[:, 1] / self._uniq[:, 2], dtype=_np.float64)
         E = len(self._eu)
         vids = _np.empty(2 * E, dtype=_np.int64)
         vids[0::2] = self._eu
@@ -703,7 +620,8 @@ class Arrangement:
         order = _np.argsort(cells, kind="stable")
         cells = cells[order]
         starts = _np.flatnonzero(_np.r_[True, cells[1:] != cells[:-1]])
-        assert len(starts) == self.n_cells
+        if len(starts) != self.n_cells:
+            raise ContractViolation("a cell has no half-edge")
         bounds[:, 0] = _np.minimum.reduceat(hx[order], starts)
         bounds[:, 1] = _np.minimum.reduceat(hy[order], starts)
         bounds[:, 2] = _np.maximum.reduceat(hx[order], starts)
@@ -765,19 +683,22 @@ class Arrangement:
             for s in (a * X + b * Y - c * W for a, b, c in self._trips_all)
         ]
         zeros = [l for l, s in enumerate(signs) if s == 0]
-        assert len(zeros) <= 1, "multi-line point must be a vertex"
+        if len(zeros) > 1:
+            raise ContractViolation("multi-line point must be a vertex")
         cur = 0
         steps = 0
         while True:
             steps += 1
-            assert steps <= self.n_lines + 6, "point-location walk must terminate"
+            if steps > self.n_lines + 6:
+                raise ContractViolation("point-location walk must terminate")
             moved = False
             for h in self._cell_hes(cur):
                 sig = -1 if h & 1 else 1
                 if sig * signs[self._he_line(h)] < 0:
                     nf = int(self._face[h ^ 1])
                     nxt_cell = int(self._cell_of_face[nf])
-                    assert nxt_cell >= 0, "walk stays inside the box"
+                    if nxt_cell < 0:
+                        raise ContractViolation("walk stays inside the box")
                     cur = nxt_cell
                     moved = True
                     break
@@ -795,7 +716,7 @@ class Arrangement:
                 lv = _exact_lam_key(self.vertex_triple(int(self._ev[e])), d)
                 if lu < lam_t < lv:
                     return FaceRef(1, e)
-            raise AssertionError("on-line point must lie on an edge of its cell")
+            raise ContractViolation("on-line point must lie on an edge of its cell")
         return FaceRef(2, cur)
 
 
@@ -813,36 +734,26 @@ def build_arrangement(
     if len(set(lines)) != len(lines):
         raise ValueError("lines must be deduplicated")
     trips = [ln.primitive_triple() for ln in lines]
-    coef = max((max(abs(a), abs(b), abs(c)) for a, b, c in trips), default=1)
     extras = list(must_contain) + [ln.some_point() for ln in lines]
     # box sides, in line order after the input lines: x = x0, x = x1, y = y0, y = y1
     dirs_all = [_reduced_direction(a, b) for a, b, _ in trips]
     dirs_all += [(0, -1), (0, -1), (1, 0), (1, 0)]
-    geo = None
-    if coef <= _COEF_LIMIT:
-        geo = _geometry_fast(trips, dirs_all, extras)
-    if geo is None:
-        geo = _geometry_slow(trips, dirs_all, extras)
-    return _assemble(lines, trips, dirs_all, geo)
+    return _assemble(lines, trips, dirs_all, _geometry(trips, dirs_all, extras))
 
 
 def _assemble(
     lines: list[Line],
     trips: list[tuple[int, int, int]],
     dirs_all: list[tuple[int, int]],
-    geo,
+    geo: tuple,
 ) -> Arrangement:
     L = len(trips)
-    box = geo["box"]
+    uniq, row_line, row_vid, line_ptr, box = geo
     x0, y0, x1, y1 = box
     trips_all = trips + [(1, 0, x0), (1, 0, x1), (0, 1, y0), (0, 1, y1)]
-    V = geo["V"]
-    row_line = geo["row_line"]
-    row_vid = geo["row_vid"]
-    line_ptr = geo["line_ptr"]
-    assert bool(
-        ((line_ptr[1:] - line_ptr[:-1]) >= 2).all()
-    ), "every line needs at least one segment inside the box"
+    V = len(uniq)
+    if not ((line_ptr[1:] - line_ptr[:-1]) >= 2).all():
+        raise ContractViolation("every line needs at least one segment inside the box")
 
     # edges: consecutive vertices along each line
     same = row_line[1:] == row_line[:-1]
@@ -867,7 +778,8 @@ def _assemble(
     he_rank[1::2] = rn[eline]
 
     counts = _np.bincount(he_origin, minlength=V)
-    assert int(counts.min()) > 0, "every vertex lies on some edge"
+    if int(counts.min()) <= 0:
+        raise ContractViolation("every vertex lies on some edge")
     ring_start = _np.zeros(V + 1, dtype=_np.int64)
     _np.cumsum(counts, out=ring_start[1:])
     order = _np.lexsort((he_rank, he_origin))
@@ -894,7 +806,8 @@ def _assemble(
         while face_list[h] < 0:
             face_list[h] = fid
             h = nxt_list[h]
-        assert h == h0, "half-edge cycles must close at their start"
+        if h != h0:
+            raise ContractViolation("half-edge cycles must close at their start")
         starts.append(h0)
         fid += 1
     face = _np.array(face_list, dtype=_np.int64)
@@ -903,9 +816,11 @@ def _assemble(
     # the outer face is left of the reversed half-edge of any bottom edge
     bottom_first = int(_np.searchsorted(eline, L + _BOTTOM))
     outer = int(face[2 * bottom_first + 1])
-    assert bool((eline[_np.flatnonzero(face[0::2] == outer)] >= L).all()) and bool(
-        (eline[_np.flatnonzero(face[1::2] == outer)] >= L).all()
-    ), "the outer face touches only box sides"
+    if not (
+        (eline[_np.flatnonzero(face[0::2] == outer)] >= L).all()
+        and (eline[_np.flatnonzero(face[1::2] == outer)] >= L).all()
+    ):
+        raise ContractViolation("the outer face touches only box sides")
 
     cell_of_face = _np.full(n_faces, -1, dtype=_np.int64)
     cell_start_he: list[int] = []
@@ -916,32 +831,21 @@ def _assemble(
         cell_start_he.append(starts[f])
     n_cells = len(cell_start_he)
 
-    assert V - E + (n_cells + 1) == 2, "Euler relation"
+    if V - E + (n_cells + 1) != 2:
+        raise ContractViolation("Euler relation")
 
     # convexity of bounded faces via integer turn tests
-    if geo["mode"] == "np":
-        dxl = _np.array([d[0] for d in dirs_all], dtype=_np.int64)
-        dyl = _np.array([d[1] for d in dirs_all], dtype=_np.int64)
-        he_line_arr = _np.repeat(eline, 2)
-        sgn = _np.where(_np.arange(H) % 2 == 0, 1, -1)
-        dhx = dxl[he_line_arr] * sgn
-        dhy = dyl[he_line_arr] * sgn
-        cross = dhx * dhy[nxt] - dhy * dhx[nxt]
-        bounded = cell_of_face[face] >= 0
-        assert bool((cross[bounded] >= 0).all()), "bounded faces are convex"
-    else:
-        for h in range(H):
-            if cell_of_face[face[h]] < 0:
-                continue
-            e1, o1 = divmod(h, 2)
-            h2 = nxt_list[h]
-            e2, o2 = divmod(h2, 2)
-            d1 = dirs_all[int(eline[e1])]
-            d2 = dirs_all[int(eline[e2])]
-            s1 = -1 if o1 else 1
-            s2 = -1 if o2 else 1
-            cr = s1 * s2 * (d1[0] * d2[1] - d1[1] * d2[0])
-            assert cr >= 0, "bounded faces are convex"
+    dtype = _int_dtype(max(abs(c) for d in dirs_all for c in d))
+    dxl = _np.array([d[0] for d in dirs_all], dtype=dtype)
+    dyl = _np.array([d[1] for d in dirs_all], dtype=dtype)
+    he_line_arr = _np.repeat(eline, 2)
+    sgn = _np.where(_np.arange(H) % 2 == 0, 1, -1)
+    dhx = dxl[he_line_arr] * sgn
+    dhy = dyl[he_line_arr] * sgn
+    cross = dhx * dhy[nxt] - dhy * dhx[nxt]
+    bounded = cell_of_face[face] >= 0
+    if not (cross[bounded] >= 0).all():
+        raise ContractViolation("bounded faces are convex")
 
     # dual adjacency over interior edges (both sides bounded)
     f_even = face[0::2]
@@ -963,10 +867,7 @@ def _assemble(
         box=box,
         dirs_all=dirs_all,
         _trips_all=trips_all,
-        _uniq=geo["uniq"],
-        _coords=geo["coords"],
-        _vindex=geo["vindex"],
-        _V=V,
+        _uniq=uniq,
         _eu=eu,
         _ev=ev,
         _eline=eline,

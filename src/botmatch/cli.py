@@ -30,6 +30,7 @@ from .applications import (
 )
 from .diagram import LabeledDiagram, build_diagram, eval_E
 from .geom import ConvexPolygon, Instance, Point, Scalar, format_scalar, point
+from .geom import ContractViolation
 from .matching import Matching, NoCompleteMatching
 from .oracle import (
     TooLarge,
@@ -281,7 +282,8 @@ def _cmd_cover(args) -> int:
     if res is Empty:
         _emit({"empty": True}, args.out)
         return EXIT_OK
-    assert isinstance(res, CoverResult)
+    if not isinstance(res, CoverResult):
+        raise ContractViolation("cover_radius returned neither Empty nor a result")
     _emit(
         {
             "empty": False,
@@ -339,7 +341,8 @@ def _cmd_oracle(args) -> int:
             "approx": float(value),
         }
     else:
-        assert args.subop == "cover"
+        if args.subop != "cover":
+            raise ContractViolation(f"unknown oracle subcommand {args.subop}")
         Q = parse_polygon(_load_json(args.polygon))
         value = grid_cover_radius(inst, Q, args.resolution)
         result = {"value": format_scalar(value), "approx": float(value)}

@@ -275,10 +275,12 @@ def _screen_candidate_bits(
     F = fx.size
     n = anchors_f.shape[1]
     out: list[list[int]] = []
-    weights = (1 << _np.arange(n, dtype=_np.int64)).astype(_np.int64)
+    # int64 words hold 63 bits each; words are merged as Python ints
+    groups = range(0, n, 63)
+    weights = 1 << _np.arange(63, dtype=_np.int64)
     chunk = 1 << 18
     for b in range(k):
-        bits = _np.empty(F, dtype=_np.int64)
+        bits = _np.empty((len(groups), F), dtype=_np.int64)
         ax = anchors_f[b, :, 0]
         ay = anchors_f[b, :, 1]
         for lo in range(0, F, chunk):
@@ -288,8 +290,13 @@ def _screen_candidate_bits(
             D = dx * dx + dy * dy
             kth = _np.partition(D, k - 1, axis=1)[:, k - 1]
             thr = kth * (1 + 1e-9) + 1e-12
-            bits[lo:hi] = (D <= thr[:, None]).astype(_np.int64) @ weights
-        out.append(bits.tolist())
+            hit = (D <= thr[:, None]).astype(_np.int64)
+            for j, g in enumerate(groups):
+                bits[j, lo:hi] = hit[:, g : g + 63] @ weights[: min(63, n - g)]
+        merged = bits[0].tolist()
+        for j, g in enumerate(groups[1:], start=1):
+            merged = [m | (v << g) for m, v in zip(merged, bits[j].tolist())]
+        out.append(merged)
     return out
 
 

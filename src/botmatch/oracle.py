@@ -14,6 +14,7 @@ from itertools import combinations, permutations
 from math import lcm
 
 from .geom import (
+    ContractViolation,
     ConvexPolygon,
     EdgeRef,
     Instance,
@@ -135,7 +136,8 @@ def brute_force_E(inst: Instance, t: Point) -> tuple[Scalar, tuple[EdgeRef, ...]
             used[a] = False
 
     rec(0, 0)
-    assert best is not None and best_assign is not None
+    if best is None or best_assign is None:
+        raise ContractViolation("no injection was evaluated")
     mu = tuple(EdgeRef(best_assign[b], b) for b in range(inst.k))
     return Fraction(best, den), mu
 
@@ -149,7 +151,8 @@ def brute_force_lex(inst: Instance, t: Point) -> tuple[Scalar, ...]:
         vec = tuple(sorted((d2[assign[b]][b] for b in range(inst.k)), reverse=True))
         if best is None or vec < best:
             best = vec
-    assert best is not None
+    if best is None:
+        raise ContractViolation("no injection was evaluated")
     return tuple(Fraction(v, den) for v in best)
 
 
@@ -168,7 +171,8 @@ def brute_force_lex_matchings(
             witnesses = [tuple(EdgeRef(assign[b], b) for b in range(inst.k))]
         elif vec == best:
             witnesses.append(tuple(EdgeRef(assign[b], b) for b in range(inst.k)))
-    assert best is not None
+    if best is None:
+        raise ContractViolation("no injection was evaluated")
     return tuple(Fraction(v, den) for v in best), witnesses
 
 
@@ -220,7 +224,8 @@ def oracle_optimal_translation(inst: Instance) -> tuple[Point, Scalar]:
         value, _ = brute_force_E(inst, t)
         if best_value is None or value < best_value:
             best_value, best_point = value, t
-    assert best_point is not None and best_value is not None
+    if best_point is None or best_value is None:
+        raise ContractViolation("no candidate translation was evaluated")
     return best_point, best_value
 
 

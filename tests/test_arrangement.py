@@ -17,15 +17,12 @@ from botmatch.geom import (
     point,
     squared_edge_length,
 )
+from botmatch import arrangement
 from botmatch.arrangement import (
     Arrangement,
     Bisector,
     FaceRef,
     OutsideBox,
-    _geometry_fast,
-    _geometry_slow,
-    _assemble,
-    _reduced_direction,
     all_bisectors,
     build_arrangement,
     used_bisectors,
@@ -446,7 +443,7 @@ def test_face_samples_locate_to_their_face():
         assert arr.locate(s) == ref
 
 
-# --- exact fallback path ----------------------------------------------------
+# --- integer widths ---------------------------------------------------------
 
 
 def test_huge_coefficients_use_exact_fallback():
@@ -461,57 +458,106 @@ def test_huge_coefficients_use_exact_fallback():
     assert arr.n_cells == 7
 
 
-def test_fast_and_slow_geometry_agree():
-    lines = [
-        make_line(1, 0, 0),
-        make_line(0, 1, 0),
-        make_line(1, 1, 3),
-        make_line(1, -1, 1),
-        make_line(2, 1, -2),
+def _build_python_ints(monkeypatch, lines, must_contain=()):
+    """The same arrangement with every coordinate held as a Python int."""
+    with monkeypatch.context() as m:
+        m.setattr(arrangement, "_COEF_LIMIT", 0)
+        return build_arrangement(lines, must_contain=must_contain)
+
+
+def _same_arrangement(a, b):
+    assert a.box == b.box
+    assert a.n_vertices == b.n_vertices
+    assert [a.vertex_triple(v) for v in range(a.n_vertices)] == [
+        b.vertex_triple(v) for v in range(b.n_vertices)
     ]
-    trips = [ln.primitive_triple() for ln in lines]
-    extras = [ln.some_point() for ln in lines]
-    dirs_all = [_reduced_direction(a, b) for a, b, _ in trips]
-    dirs_all += [(0, -1), (0, -1), (1, 0), (1, 0)]
-    fast = _assemble(lines, trips, dirs_all, _geometry_fast(trips, dirs_all, extras))
-    slow = _assemble(lines, trips, dirs_all, _geometry_slow(trips, dirs_all, extras))
-    assert fast.n_cells == slow.n_cells
-    assert fast.n_vertices == slow.n_vertices
-    assert fast.n_edges == slow.n_edges
-    fast_polys = sorted(
-        tuple((p.x, p.y) for p in fast.cell_polygon(c).vertices)
-        for c in range(fast.n_cells)
-    )
-    slow_polys = sorted(
-        tuple((p.x, p.y) for p in slow.cell_polygon(c).vertices)
-        for c in range(slow.n_cells)
-    )
-    assert fast_polys == slow_polys
+    assert [a.edge_endpoints(e) for e in range(a.n_edges)] == [
+        b.edge_endpoints(e) for e in range(b.n_edges)
+    ]
+    assert a.n_cells == b.n_cells
+    assert a.cell_bounds_float().tolist() == b.cell_bounds_float().tolist()
+    for c in range(a.n_cells):
+        assert a.cell_cycle(c) == b.cell_cycle(c)
+        assert a.cell_neighbors(c) == b.cell_neighbors(c)
+        assert a.cell_polygon(c) == b.cell_polygon(c)
+
+
+_GENERAL_LINES = [
+    make_line(1, 0, 0),
+    make_line(0, 1, 0),
+    make_line(1, 1, 3),
+    make_line(1, -1, 1),
+    make_line(2, 1, -2),
+]
+
+
+@pytest.mark.parametrize(
+    "must_contain", [(), (point(10**19, 5),)], ids=["small-box", "box-past-int64"]
+)
+def test_int64_and_python_int_geometry_agree(monkeypatch, must_contain):
+    # Small coefficients run on int64 until the box outgrows it; then the
+    # vertices move to Python ints while the line arrays stayed int64.
+    arr = build_arrangement(_GENERAL_LINES, must_contain=must_contain)
+    wide = _build_python_ints(monkeypatch, _GENERAL_LINES, must_contain)
+    assert arr._uniq.dtype == (object if must_contain else "int64")
+    assert wide._uniq.dtype == object
+    _same_arrangement(arr, wide)
+    assert arr.euler_characteristic() == 2
+    for p in must_contain:
+        assert arr.locate(p).dim == 2
+        assert arr.box[2] - 1 >= p.x
 
 
 def _canonical_cell_vertices(arr, c):
     return canonical_convex([arr.vertex_point(v) for v in arr.cell_cycle(c)]).vertices
 
 
-def test_cell_polygon_equals_canonical_convex_of_cycle():
+def test_cell_polygon_equals_canonical_convex_of_cycle(monkeypatch):
     rng = random.Random(413)
     for _ in range(8):
         inst = _random_instance(rng)
         lines = [b.line for b in used_bisectors(inst, all_bisectors(inst))]
         if not lines:
             continue
-        trips = [ln.primitive_triple() for ln in lines]
-        extras = [ln.some_point() for ln in lines]
-        dirs_all = [_reduced_direction(a, b) for a, b, _ in trips]
-        dirs_all += [(0, -1), (0, -1), (1, 0), (1, 0)]
-        fast_geo = _geometry_fast(trips, dirs_all, extras)
-        fast = _assemble(lines, trips, dirs_all, fast_geo)
-        slow_geo = _geometry_slow(trips, dirs_all, extras)
-        slow = _assemble(lines, trips, dirs_all, slow_geo)
-        assert fast._uniq is not None and slow._uniq is None
-        for arr in (fast, slow):
-            for c in range(arr.n_cells):
-                assert arr.cell_polygon(c).vertices == _canonical_cell_vertices(arr, c)
+        narrow = build_arrangement(lines)
+        wide = _build_python_ints(monkeypatch, lines)
+        assert narrow._uniq.dtype == "int64" and wide._uniq.dtype == object
+        _same_arrangement(narrow, wide)
+        for c in range(narrow.n_cells):
+            assert narrow.cell_polygon(c).vertices == _canonical_cell_vertices(narrow, c)
+
+
+def _assert_edges_follow_line_direction(arr):
+    # Vertices along each line are in exact parameter order, so every edge
+    # runs from start to end along its line's direction: d . (end - start) > 0.
+    for e in range(arr.n_edges):
+        dx, dy = arr.dirs_all[arr.edge_line(e)]
+        u, v = arr.edge_endpoints(e)
+        xu, yu, wu = arr.vertex_triple(u)
+        xv, yv, wv = arr.vertex_triple(v)
+        assert dx * (xv * wu - xu * wv) + dy * (yv * wu - yu * wv) > 0
+
+
+def test_edges_follow_line_direction_exactly(monkeypatch):
+    rng = random.Random(4131)
+    for _ in range(6):
+        inst = _random_instance(rng)
+        lines = [b.line for b in all_bisectors(inst)]
+        _assert_edges_follow_line_direction(build_arrangement(lines))
+        _assert_edges_follow_line_direction(_build_python_ints(monkeypatch, lines))
+    # Float ties: x = (M - j)/M and x = (M + 1 - j)/(M + 1) differ by about
+    # j/M**2, far below one ulp, so their crossings with y = 0 get equal float
+    # keys. Each pair is listed larger x first, against the order along
+    # y = 0 (direction +x), so only the exact repair can order it.
+    M = 10**12
+    near = [make_line(0, 1, 0), make_line(M, -1, 0)]
+    for j in (1, 2, 3):
+        assert (M - j) / M == (M + 1 - j) / (M + 1)
+        near += [make_line(M + 1, 0, M + 1 - j), make_line(M, 0, M - j)]
+    arr = build_arrangement(near)
+    assert arr._uniq.dtype == object
+    assert arr.euler_characteristic() == 2
+    _assert_edges_follow_line_direction(arr)
 
 
 def test_library_reads_no_private_arrangement_field():

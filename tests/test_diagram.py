@@ -410,6 +410,26 @@ def test_lex_cell_labels_agree_with_bottleneck_rank():
             )
 
 
+@pytest.mark.parametrize("n", [64, 70])
+def test_lex_labels_past_63_sites(n):
+    # The float prefilter packs each face's candidate set into 63-bit words;
+    # here the sites run past the first word.
+    rng = random.Random(5)
+    pts: set[tuple[int, int]] = set()
+    while len(pts) < n + 1:
+        pts.add((rng.randint(-40, 40), rng.randint(-40, 40)))
+    flat = sorted(pts)
+    rng.shuffle(flat)
+    inst = _mk(flat[:n], flat[n:])
+    diag = build_diagram(inst, lex=True)
+    refs = list(diag.arrangement.iter_faces())
+    high = [r for r in refs if diag.face_lex(r).matching[0].a >= 63]
+    assert high, "no face is matched to a site past the first word"
+    for ref in rng.sample(refs, 150) + rng.sample(high, min(100, len(high))):
+        t = diag.arrangement.face_sample(ref)
+        assert diag.face_lex(ref).cost_vector == brute_force_lex(inst, t)
+
+
 # -- orchestration ----------------------------------------------------------------
 
 
@@ -448,13 +468,14 @@ def test_build_diagram_keep_all_bisectors():
 
 
 def test_queries_and_labels_use_no_bare_assert():
-    # Their invariants raise ContractViolation, so they still run under -O.
+    # Library invariants raise ContractViolation, so they still run under -O.
     hits = []
-    for name in ("applications.py", "diagram.py", "geom.py", "matching.py"):
-        path = pathlib.Path(botmatch.__file__).parent / name
+    for path in sorted(pathlib.Path(botmatch.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Assert):
-                hits.append(f"{name}:{node.lineno}")
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Raise) and "AssertionError" in ast.dump(node)
+            ):
+                hits.append(f"{path.name}:{node.lineno}")
     assert not hits, hits
     # one class, defined in geom and re-exported where matching raises it
     assert botmatch.matching.ContractViolation is botmatch.geom.ContractViolation

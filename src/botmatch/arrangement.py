@@ -507,9 +507,6 @@ class Arrangement:
     def is_boundary_edge(self, eid: int) -> bool:
         return int(self._eline[eid]) >= self.n_lines
 
-    def edge_midpoint(self, eid: int) -> Point:
-        return _point(self.edge_midpoint_triple(eid))
-
     def edge_midpoint_triple(self, eid: int) -> tuple[int, int, int]:
         u, v = self.edge_endpoints(eid)
         xu, yu, wu = self.vertex_triple(u)

@@ -409,10 +409,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _glue_xy_values(argv: Sequence[str]) -> list[str]:
+    """``--t -1,0`` as ``--t=-1,0``: argparse reads a lone "-1,0" as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--t", "--from", "--to") and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(_glue_xy_values(argv))
         return args.func(args)
     except _UsageError as err:
         print(f"botmatch: {err}", file=sys.stderr)

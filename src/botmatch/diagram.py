@@ -29,12 +29,12 @@ from .geom import EdgeRef, Instance, Point, Scalar, squared_length_nums
 from .matching import (
     ContractViolation,
     Matching,
-    SAME_B,
     assignment_by_cost,
     bottleneck_matching,
     canonical_complete_matching,
     candidates_from_nums,
     cross_bisector,
+    lex_cost,
     matching_from_map,
     prune_candidates,
 )
@@ -153,12 +153,11 @@ def label_cells_recompute(
 class _TraversalState:
     """Shared (graph, matching) state for a run of equally-labeled cells."""
 
-    __slots__ = ("G", "mu", "zset", "label")
+    __slots__ = ("G", "mu", "label")
 
     def __init__(self, G, mu: Matching):
         self.G = G
         self.mu = mu
-        self.zset = set(G.class_of)
         self.label: CellLabel | None = None
 
     def cell_label(self) -> CellLabel:
@@ -175,8 +174,9 @@ def label_cells_incremental(
 
     Breadth-first from cell 0 (deterministic); the first label comes from a
     recompute at the start cell's sample, every other label is derived by
-    applying the crossed bisector's edge-pair swaps. Crossings whose pairs cannot touch
-    the current candidate set share the predecessor's state object.
+    ``cross_bisector`` from the crossed bisector's edge pairs. A crossing
+    with no pair ``CandidateGraph.touching`` the graph changes nothing, so
+    the neighbour shares the predecessor's state object.
     """
     cells, parts = _walk_labels(inst, arr, bisectors, range(arr.n_cells))
     if parts != 1:
@@ -197,31 +197,11 @@ def _walk_labels(
 
     Each connected component of that subgraph starts from a recompute at the
     sample of its first cell in ``cells`` order and is walked breadth-first,
-    updating on crossings as ``label_cells_incremental`` describes. Returns
-    the labels indexed by cell id (None outside ``cells``) and the number of
-    components.
+    calling ``cross_bisector`` only on crossings with pairs ``touching`` the
+    graph, as ``label_cells_incremental`` describes. Returns the labels
+    indexed by cell id (None outside ``cells``) and the number of components.
     """
     _check_alignment(arr, bisectors)
-    # Per line: the pair list, the same-b edge set (any member in the
-    # candidate set forces an update) and diff-b partner map (an update is
-    # needed only when some pair has both edges present).
-    pair_lists = []
-    same_edges = []
-    diff_partners = []
-    for b in bisectors:
-        pair_lists.append(tuple(b.edge_pairs))
-        same_e: set[EdgeRef] = set()
-        acc: dict[EdgeRef, list[EdgeRef]] = {}
-        for e1, e2, kind in b.edge_pairs:
-            if kind == SAME_B:
-                same_e.add(e1)
-                same_e.add(e2)
-            else:
-                acc.setdefault(e1, []).append(e2)
-                acc.setdefault(e2, []).append(e1)
-        same_edges.append(same_e)
-        diff_partners.append({e: tuple(v) for e, v in acc.items()})
-
     states: list[object] = [_OUTSIDE] * arr.n_cells
     for c in cells:
         states[c] = None
@@ -242,17 +222,9 @@ def _walk_labels(
             for nbr, eid in arr.cell_neighbors(c):
                 if states[nbr] is not None:
                     continue
-                line = arr.edge_line(eid)
-                zset = st.zset
-                needs_update = not zset.isdisjoint(same_edges[line])
-                if not needs_update:
-                    partners = diff_partners[line]
-                    for e in partners.keys() & zset:
-                        if any(p in zset for p in partners[e]):
-                            needs_update = True
-                            break
-                if needs_update:
-                    g2, mu2 = cross_bisector(st.G, st.mu, pair_lists[line])
+                pairs = bisectors[arr.edge_line(eid)].edge_pairs
+                if st.G.touching(pairs):
+                    g2, mu2 = cross_bisector(st.G, st.mu, pairs)
                     states[nbr] = _TraversalState(g2, mu2)
                 else:
                     states[nbr] = st
@@ -342,7 +314,6 @@ def label_faces_lex(
 
     faces: dict[FaceRef, LexLabel] = {}
     cells: list[CellLabel | None] = [None] * arr.n_cells
-    base = k + 1
     full_mask = (1 << n) - 1
     memo: dict[tuple, tuple] = {}
     for i in range(F):
@@ -372,21 +343,11 @@ def label_faces_lex(
         distinct = sorted({N for N, _b, _a in kept})
         rank_of = {N: r for r, N in enumerate(distinct, start=1)}
         key = tuple(sorted((b, a, rank_of[N]) for N, b, a in kept))
-        hit = memo.get(key)
-        if hit is None:
-            cols = sorted({a for _N, _b, a in kept})
-            col_of = {a: j for j, a in enumerate(cols)}
-            nranks = len(distinct)
-            pow_table = [base**r for r in range(nranks + 2)]
-            infinity = pow_table[nranks + 1] * (k + 1)
-            cost = [[infinity] * len(cols) for _ in range(k)]
-            for N, b, a in kept:
-                cost[b][col_of[a]] = pow_table[rank_of[N]]
-            chosen = assignment_by_cost(cost, infinity)
-            assign = tuple(cols[j] for j in chosen)
+        assign = memo.get(key)
+        if assign is None:
+            cost, infinity, cols = lex_cost(k, key)
+            assign = tuple(cols[j] for j in assignment_by_cost(cost, infinity))
             memo[key] = assign
-        else:
-            assign = hit
         num_of = {(b, a): N for N, b, a in kept}
         mu = matching_from_map({b: a for b, a in enumerate(assign)})
         nums = sorted((num_of[(e.b, e.a)] for e in mu), reverse=True)

@@ -87,9 +87,6 @@ def point(x: ScalarLike, y: ScalarLike) -> Point:
     return Point(to_scalar(x), to_scalar(y))
 
 
-ORIGIN = Point(Fraction(0), Fraction(0))
-
-
 class EdgeRef(NamedTuple):
     """A potential matched pair: index into A times index into B."""
 

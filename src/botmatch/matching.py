@@ -45,6 +45,8 @@ class CandidateGraph:
 
     ``levels`` lists equivalence-class keys in increasing squared-length
     order; the rank of an edge is the 1-based index of its class's level.
+    ``class_key`` names the class of any edge, candidate or not; for an
+    instance it is the integer anchor ``rows[b][a]`` of ``inst.int_anchors``.
     A level holds more than one class only when the construction translation
     ties two inequivalent edges exactly (samples on bisectors); the swap
     machinery requires singleton levels, which cell interiors guarantee.
@@ -128,6 +130,24 @@ class CandidateGraph:
                 if not self.members.get(key):
                     raise ContractViolation("empty class in a level")
 
+    def touching(
+        self, pairs: Iterable[tuple[EdgeRef, EdgeRef, str]]
+    ) -> list[tuple[EdgeRef, EdgeRef, bool, bool]]:
+        """The tying pairs of a bisector crossing that change this graph.
+
+        A same-b pair touches it when either edge is a candidate (the per-b
+        boundary moves, or two ranks transpose); a different-b pair only when
+        both are. Each comes as ``(e1, e2, in1, in2)``, ``in`` telling whether
+        the edge is a candidate. ``cross_bisector`` applies exactly these, so
+        with none the crossing changes neither graph nor matching.
+        """
+        out = []
+        for e1, e2, kind in pairs:
+            in1, in2 = e1 in self.class_of, e2 in self.class_of
+            if in1 and in2 or (kind == SAME_B and (in1 or in2)):
+                out.append((e1, e2, in1, in2))
+        return out
+
     # -- mutations used by crossings ----------------------------------------
 
     def _singleton_level_index(self, key: Hashable) -> int:
@@ -135,28 +155,6 @@ class CandidateGraph:
         if len(self.levels[i]) != 1:
             raise ContractViolation("rank tie across classes during a swap")
         return i
-
-    def _remove_edge(self, e: EdgeRef) -> Hashable:
-        key = self.class_of.pop(e)
-        self.members[key].discard(e)
-        self.by_b[e.b].discard(e)
-        if not self.members[key]:
-            del self.members[key]
-            i = self.level_of(key)
-            self.levels[i].remove(key)
-            if not self.levels[i]:
-                del self.levels[i]
-        return key
-
-    def _add_edge(self, e: EdgeRef, key: Hashable, below: Hashable | None) -> None:
-        if key not in self.members:
-            self.members[key] = set()
-            if below is None:
-                raise ContractViolation("new class needs an insertion anchor")
-            self.levels.insert(self._singleton_level_index(below), [key])
-        self.class_of[e] = key
-        self.members[key].add(e)
-        self.by_b[e.b].add(e)
 
 
 def prune_candidates(inst: Instance, t: Point) -> CandidateGraph:
@@ -191,13 +189,12 @@ def candidates_from_nums(inst: Instance, nums: list[list[int]]) -> CandidateGrap
 
     distinct = sorted({value for value, _ in classes.values()})
     index = {v: i for i, v in enumerate(distinct)}
-    keys = {anchor: inst.diff(edges[0]) for anchor, (_, edges) in classes.items()}
-    members = {keys[anchor]: set(edges) for anchor, (_, edges) in classes.items()}
+    members = {anchor: set(edges) for anchor, (_, edges) in classes.items()}
     levels: list[list[Hashable]] = [[] for _ in distinct]
     # the diff b - a is -anchor / M: descending anchors are ascending diffs
     for anchor in sorted(classes, reverse=True):
-        levels[index[classes[anchor][0]]].append(keys[anchor])
-    return CandidateGraph(k, levels, members, class_key=inst.diff)
+        levels[index[classes[anchor][0]]].append(anchor)
+    return CandidateGraph(k, levels, members, class_key=lambda e: anchors[e.b][e.a])
 
 
 # -- maximum matching ---------------------------------------------------------
@@ -457,28 +454,35 @@ def assignment_by_cost(cost: list[list[int]], infinity: int) -> list[int]:
     return cols
 
 
+def lex_cost(
+    k: int, triples: Sequence[tuple[int, int, int]]
+) -> tuple[list[list[int]], int, list[int]]:
+    """Lex-bottleneck as min-cost assignment over ``(b, a, rank)`` triples.
+
+    Edge cost (k+1)^rank in big integers: a matching has at most k edges, so
+    cost order is the lex order of its sorted rank vector. Returns the cost
+    rows, the forbidden-pair value and ``cols``, the a of each column.
+    """
+    cols = sorted({a for _b, a, _r in triples})
+    col_of = {a: j for j, a in enumerate(cols)}
+    base = k + 1
+    infinity = base ** (max((r for _b, _a, r in triples), default=0) + 1) * (k + 1)
+    cost = [[infinity] * len(cols) for _ in range(k)]
+    for b, a, r in triples:
+        cost[b][col_of[a]] = base**r
+    return cost, infinity, cols
+
+
 def lex_bottleneck_matching(G: CandidateGraph) -> tuple[Matching, tuple[int, ...]]:
     """Complete matching with lexicographically least sorted-decreasing ranks.
 
-    Exact reduction to minimum-cost assignment: cost (k+1)^w(e) in big
-    integers. A matching holds at most k edges, so every rank multiset maps
-    to a distinct base-(k+1) numeral and cost order equals lexicographic
-    order of the sorted rank vectors.
+    Exact, through ``lex_cost`` and ``assignment_by_cost``.
     """
-    k = G.k
-    a_vertices = sorted({e.a for e in G.edges()})
-    if len(a_vertices) < k:
+    cost, infinity, cols = lex_cost(G.k, [(e.b, e.a, G.w(e)) for e in G.edges()])
+    if len(cols) < G.k:
         raise NoCompleteMatching("fewer candidate a vertices than k")
-    col_of = {a: i for i, a in enumerate(a_vertices)}
-    n_cols = len(a_vertices)
-    base = k + 1
-    infinity = base ** (G.rank_count + 1) * (k + 1)
-    cost = [[infinity] * n_cols for _ in range(k)]
-    for e in G.edges():
-        cost[e.b][col_of[e.a]] = base ** G.w(e)
-    cols = assignment_by_cost(cost, infinity)
-    assign = {b: a_vertices[j] for b, j in enumerate(cols)}
-    mu = matching_from_map(assign)
+    chosen = assignment_by_cost(cost, infinity)
+    mu = matching_from_map({b: cols[j] for b, j in enumerate(chosen)})
     ranks = tuple(sorted((G.w(e) for e in mu), reverse=True))
     return mu, ranks
 
@@ -508,22 +512,17 @@ def _cross_class_pair(
 ) -> dict[int, int]:
     """Apply one class pair's crossing to ``G`` (mutated) and the matching.
 
-    ``membership`` holds (leaving, entering) same-b pairs; ``swap_keys`` is
-    set when both classes hold candidate edges so their ranks transpose.
+    ``membership`` holds (leaving, entering) same-b pairs and, when not
+    empty, decides the move; otherwise ``swap_keys`` names the two candidate
+    classes whose ranks transpose.
     """
-    exiting_key = None
-    entering_key = None
     if membership:
         exiting_key = G.class_of[membership[0][0]]
         entering_key = G.class_key(membership[0][1])
         for x, y in membership:
             if G.class_of.get(x) != exiting_key or G.class_key(y) != entering_key:
                 raise ContractViolation("inconsistent classes in one crossing")
-
-    removed: list[tuple[EdgeRef, EdgeRef]] = []
-    if membership:
-        had_entering = entering_key in G.members
-        if not had_entering:
+        if entering_key not in G.members:
             # The entering class sits directly above the exiting one on this
             # side of the bisector; the swap below moves it underneath.
             i = G._singleton_level_index(exiting_key)
@@ -536,7 +535,6 @@ def _cross_class_pair(
             G.class_of[y] = entering_key
             G.members[entering_key].add(y)
             G.by_b[y.b].add(y)
-            removed.append((x, y))
         survivor = bool(G.members[exiting_key])
         if not survivor:
             del G.members[exiting_key]
@@ -564,13 +562,13 @@ def _cross_class_pair(
 
     # Matching maintenance. First restore completeness after removals.
     exposed: list[int] = []
-    for x, _ in removed:
+    for x, _ in membership:
         if mu_map.get(x.b) == x.a:
             del mu_map[x.b]
             exposed.append(x.b)
     for b in sorted(exposed):
         cap = max(
-            [G.level_of(G.class_of[EdgeRef(ma, mb)]) + 1 for mb, ma in mu_map.items()]
+            [G.w(EdgeRef(ma, mb)) for mb, ma in mu_map.items()]
             + [G.level_of(entering_key) + 1],
         )
         result = _augment_exposed(G, mu_map, b, cap)
@@ -586,7 +584,7 @@ def _cross_class_pair(
     # Rank transposition may let the matching drop below its old bottleneck:
     # only possible when the longest edge sits directly above the lower class.
     j_low = G.level_of(lower_key) + 1
-    longest_rank = max(G.level_of(G.class_of[EdgeRef(a, b)]) + 1 for b, a in mu_map.items())
+    longest_rank = max(G.w(EdgeRef(a, b)) for b, a in mu_map.items())
     if longest_rank == j_low + 1:
         candidate = max_matching(G, j_low)
         if len(candidate) == G.k:
@@ -639,25 +637,16 @@ def cross_bisector(
     g = G.clone()
     mu_map = matching_map(mu)
     groups: dict[frozenset, dict] = {}
-    for e1, e2, kind in pairs:
-        in1, in2 = e1 in g.class_of, e2 in g.class_of
-        if not in1 and not in2:
-            continue
+    for e1, e2, in1, in2 in g.touching(pairs):
         key1 = g.class_of[e1] if in1 else g.class_key(e1)
         key2 = g.class_of[e2] if in2 else g.class_key(e2)
         group = groups.setdefault(
-            frozenset((key1, key2)), {"membership": [], "both": False}
+            frozenset((key1, key2)), {"membership": [], "keys": None}
         )
         if in1 != in2:
-            if kind == SAME_B:
-                x, y = (e1, e2) if in1 else (e2, e1)
-                group["membership"].append((x, y))
+            group["membership"].append((e1, e2) if in1 else (e2, e1))
         else:
-            group["both"] = True
             group["keys"] = (key1, key2)
     for group in groups.values():
-        if group["membership"]:
-            mu_map = _cross_class_pair(g, mu_map, group["membership"], None)
-        elif group["both"]:
-            mu_map = _cross_class_pair(g, mu_map, [], group["keys"])
+        mu_map = _cross_class_pair(g, mu_map, group["membership"], group["keys"])
     return g, matching_from_map(mu_map)

@@ -550,3 +550,26 @@ def test_diagram_svg_file_byte_identical(tmp_path, capsys):
     assert run(["diagram", inst, "--svg", str(b)]) == EXIT_OK
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_negative_points_parse_as_separate_arguments(tmp_path, capsys):
+    inst = _write(tmp_path, "in.json", {"A": [[0, 0], [3, 1]], "B": [[0, 0]]})
+    for glued, split in (
+        (["eval", inst, "--t=-1,0"], ["eval", inst, "--t", "-1,0"]),
+        (
+            ["path", inst, "--from=-7/2,1", "--to=1,1"],
+            ["path", inst, "--from", "-7/2,1", "--to", "1,1"],
+        ),
+        (
+            ["path", inst, "--from=1,1", "--to=-1/2,-3"],
+            ["path", inst, "--to", "-1/2,-3", "--from", "1,1"],
+        ),
+        (["oracle", "eval", inst, "--t=-2,-1/3"], ["oracle", "eval", inst, "--t", "-2,-1/3"]),
+    ):
+        assert run(glued) == EXIT_OK
+        expected = capsys.readouterr().out
+        assert run(split) == EXIT_OK
+        assert capsys.readouterr().out == expected
+    assert run(["eval", inst, "--t"]) == EXIT_USAGE
+    assert run(["path", inst, "--from", "--to", "1,1"]) == EXIT_USAGE
+    assert run(["path", inst, "--from", "-7/2,1", "--to"]) == EXIT_USAGE

@@ -132,9 +132,13 @@ def test_prune_candidates_matches_fraction_ranks():
         for t in (_random_t(rng), Point(Fraction(rng.randint(-6, 6), 3), Fraction(0))):
             G = prune_candidates(inst, t)
             levels, members = _fraction_candidate_graph(inst, t)
-            assert G.levels == levels
-            assert G.members == members
-            assert list(G.members) == list(members)
+            _M, anchors = inst.int_anchors
+            for key, edges in G.members.items():
+                assert {anchors[e.b][e.a] for e in edges} == {key}
+            diff_of = {key: inst.diff(min(edges)) for key, edges in G.members.items()}
+            assert [[diff_of[key] for key in level] for level in G.levels] == levels
+            assert {diff_of[key]: edges for key, edges in G.members.items()} == members
+            assert [diff_of[key] for key in G.members] == list(members)
             shared_levels += any(len(level) > 1 for level in levels)
     assert shared_levels > 0, "no tie between classes was exercised"
 
@@ -336,3 +340,52 @@ def test_update_sequences_match_recompute():
             matching_map(mu)
             steps += 1
     assert steps >= 250
+
+
+def test_touching_is_empty_exactly_when_a_crossing_changes_nothing():
+    # Pair lists mix pairs that touch no candidate state (a different-b pair
+    # with at most one candidate, a same-b pair with none) and, half the
+    # time, one crossing that does: adjacent ranks or a per-b boundary move.
+    rng = random.Random(29)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        G, n_a = _random_rank_graph(rng)
+        try:
+            mu, _ = bottleneck_matching(G)
+        except NoCompleteMatching:
+            continue
+        inside = sorted(G.edges())
+        outside = [
+            E(a, b) for b in range(G.k) for a in range(n_a + 2) if E(a, b) not in G.class_of
+        ]
+        pairs = []
+        for _ in range(rng.randint(0, 4)):
+            y = rng.choice(outside)
+            others = [e for e in inside + outside if e.b != y.b]
+            same = [e for e in outside if e.b == y.b and e != y]
+            if others and (not same or rng.random() < 0.6):
+                pairs.append((rng.choice(others), y, DIFF_B))
+            elif same:
+                pairs.append((rng.choice(same), y, SAME_B))
+        if rng.random() < 0.5:
+            if G.rank_count >= 2 and rng.random() < 0.5:
+                i = rng.randrange(G.rank_count - 1)
+                x = min(G.members[G.levels[i][0]])
+                y = min(G.members[G.levels[i + 1][0]])
+                crossing = (x, y, SAME_B if x.b == y.b else DIFF_B)
+            else:
+                b = rng.randrange(G.k)
+                x = max(G.by_b[b], key=lambda e: (G.w(e), e))
+                y = rng.choice([e for e in outside if e.b == b])
+                crossing = (x, y, SAME_B)
+            pairs.insert(rng.randint(0, len(pairs)), crossing)
+        g2, mu2 = cross_bisector(G, mu, pairs)
+        unchanged = (
+            g2.levels == G.levels
+            and set(g2.edges()) == set(G.edges())
+            and g2.members == G.members
+            and mu2 == mu
+        )
+        assert bool(G.touching(pairs)) is not unchanged
+        seen[unchanged] += 1
+    assert min(seen.values()) >= 60, seen

@@ -23,6 +23,9 @@ from .geom import (
     Instance,
     Point,
     Scalar,
+    _as_point,
+    _clip_ring,
+    _halfplane,
     closest_point_in_polygon,
     erode_polygon,
     min_envelope_on_segment,
@@ -257,36 +260,7 @@ def _region_halfplanes(region: ConvexPolygon) -> list[tuple[int, int, int]]:
     else:
         d = verts[1] - verts[0] if len(verts) == 2 else Point(Fraction(1), Fraction(0))
         normals = [Point(d.y, -d.x), Point(-d.y, d.x), d, Point(-d.x, -d.y)]
-    out = []
-    for n in normals:
-        c = max(n.dot(v) for v in verts)
-        s = math.lcm(n.x.denominator, n.y.denominator, c.denominator)
-        out.append((int(n.x * s), int(n.y * s), -int(c * s)))
-    return out
-
-
-def _clip_ring(
-    ring: list[tuple[int, int, int]], halfplane: tuple[int, int, int]
-) -> list[tuple[int, int, int]]:
-    """Clip a convex ring of homogeneous triples to one half-plane (Sutherland-Hodgman).
-
-    The crossing on edge (p, q) is f(q)*p - f(p)*q: f vanishes there, and it
-    is a positive combination of the two triples, so it lies between them.
-    It is kept in lowest terms with W > 0.
-    """
-    a, b, c = halfplane
-    f = [a * x + b * y + c * w for x, y, w in ring]
-    out: list[tuple[int, int, int]] = []
-    for i in range(len(ring)):
-        p, q = ring[i - 1], ring[i]
-        fp, fq = f[i - 1], f[i]
-        if fp <= 0:
-            out.append(p)
-        if (fp < 0 < fq) or (fq < 0 < fp):
-            x, y, w = fq * p[0] - fp * q[0], fq * p[1] - fp * q[1], fq * p[2] - fp * q[2]
-            g = math.gcd(x, y, w) if w > 0 else -math.gcd(x, y, w)
-            out.append((x // g, y // g, w // g))
-    return out
+    return [_halfplane(n, max(n.dot(v) for v in verts)) for n in normals]
 
 
 def cover_radius(inst: Instance, Q: ConvexPolygon) -> CoverResult | _Empty:
@@ -329,8 +303,7 @@ def cover_radius(inst: Instance, Q: ConvexPolygon) -> CoverResult | _Empty:
 
     best_val: Scalar | None = None
     best_p: Point | None = None
-    for x, y, w in candidates:
-        p = Point(Fraction(x, w), Fraction(y, w))
+    for p in map(_as_point, candidates):
         val, _ = eval_E(inst, p)
         if (
             best_val is None

@@ -14,7 +14,6 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as _np
@@ -26,9 +25,10 @@ from .geom import (
     Instance,
     Line,
     Point,
+    _as_point,
+    _ring_polygon,
     bisector_line,
     homogeneous,
-    orientation,
 )
 from .matching import DIFF_B, SAME_B
 
@@ -58,7 +58,7 @@ def all_bisectors(inst: Instance) -> list[Bisector]:
             groups.setdefault(line, []).append((e1, e2, kind))
     return [
         Bisector(line, tuple(sorted(groups[line])))
-        for line in sorted(groups, key=lambda l: l.primitive_triple())
+        for line in sorted(groups)
     ]
 
 
@@ -66,6 +66,15 @@ def _cmp_theta(p: tuple[int, int], q: tuple[int, int]) -> int:
     """Order thresholds (num, den), den > 0, by cross-multiplication."""
     lhs, rhs = p[0] * q[1], q[0] * p[1]
     return (lhs > rhs) - (lhs < rhs)
+
+
+_THETA_KEY = functools.cmp_to_key(_cmp_theta)
+
+
+def _lam(triple: tuple[int, int, int], d: tuple[int, int]) -> tuple[int, int]:
+    """Parameter d . (x, y) of a homogeneous point along direction d, as (num, den)."""
+    x, y, w = triple
+    return d[0] * x + d[1] * y, w
 
 
 def _min_coverage(
@@ -84,7 +93,7 @@ def _min_coverage(
     best = always + len(less)
     if best <= stop_at:
         return best
-    thetas = sorted(set(less) | set(greater), key=functools.cmp_to_key(_cmp_theta))
+    thetas = sorted(set(less) | set(greater), key=_THETA_KEY)
     n_less: dict[tuple[int, int], int] = {}
     for th in less:
         n_less[th] = n_less.get(th, 0) + 1
@@ -191,8 +200,8 @@ class FaceRef(NamedTuple):
     index: int
 
 
-def _reduced_direction(alpha: int, beta: int) -> tuple[int, int]:
-    dx, dy = beta, -alpha
+def _reduced_direction(a: int, b: int) -> tuple[int, int]:
+    dx, dy = b, -a
     g = math.gcd(abs(dx), abs(dy))
     return dx // g, dy // g
 
@@ -218,7 +227,7 @@ def _reduced_triple(x: int, y: int, w: int) -> tuple[int, int, int]:
 
 
 def _cross_triples(t1: tuple[int, int, int], t2: tuple[int, int, int]):
-    """Homogeneous intersection of two lines alpha*x + beta*y = gamma."""
+    """Homogeneous intersection of two lines a*x + b*y = c given as triples."""
     a1, b1, g1 = t1
     a2, b2, g2 = t2
     x = g1 * b2 - g2 * b1
@@ -303,11 +312,6 @@ def _boundary_rows(
         rows.append((L + s1, c))
         rows.append((L + s2, c))
     return rows
-
-
-def _exact_lam_key(coord: tuple[int, int, int], d: tuple[int, int]) -> Fraction:
-    x, y, w = coord
-    return Fraction(d[0] * x + d[1] * y, w)
 
 
 def _int_dtype(coef: int):
@@ -415,9 +419,11 @@ def _geometry(
     run_first = idx[_np.diff(idx, prepend=-2) != 1].tolist()
     run_last = (idx[_np.diff(idx, append=-2) != 1] + 1).tolist()
     for a, b in zip(run_first, run_last):  # rows a..b inclusive
-        d = dirs_all[int(row_line[a])]
         vids = row_vid[a : b + 1].tolist()
-        vids.sort(key=lambda v: _exact_lam_key(uniq[v].tolist(), d))
+        if min(vids) == max(vids):
+            continue  # one concurrent vertex, listed once per line through it
+        d = dirs_all[int(row_line[a])]
+        vids.sort(key=lambda v: _THETA_KEY(_lam(uniq[v].tolist(), d)))
         row_vid[a : b + 1] = vids
     dup = (row_line[1:] == row_line[:-1]) & (row_vid[1:] == row_vid[:-1])
     keep = _np.ones(len(row_line), dtype=bool)
@@ -426,11 +432,6 @@ def _geometry(
     row_vid = row_vid[keep]
     line_ptr = _np.searchsorted(row_line, _np.arange(L + 5))
     return uniq, row_line, row_vid, line_ptr, box
-
-
-def _point(triple: tuple[int, int, int]) -> Point:
-    x, y, w = triple
-    return Point(Fraction(x, w), Fraction(y, w))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -488,7 +489,7 @@ class Arrangement:
         return tuple(self._uniq[vid].tolist())
 
     def vertex_point(self, vid: int) -> Point:
-        return _point(self.vertex_triple(vid))
+        return _as_point(self.vertex_triple(vid))
 
     def _find_vertex(self, x: int, y: int, w: int) -> int | None:
         key = (x, y, w)  # vertices are sorted by (x, y, w)
@@ -538,30 +539,20 @@ class Arrangement:
     def cell_polygon(self, cid: int) -> ConvexPolygon:
         """The cell's corners, ccw from its lex-min vertex.
 
-        The cycle is already a weakly convex ccw ring; a vertex is a corner
-        when it turns strictly left between its two cycle neighbours, tested
-        on the exact homogeneous triples.
+        The cycle is already a weakly convex ccw ring of exact homogeneous
+        triples, which ``geom`` turns into its corners.
         """
         poly = self._poly_cache.get(cid)
         if poly is None:
-            ring = [self.vertex_triple(v) for v in self.cell_cycle(cid)]
-            m = len(ring)
-            corners = [
-                ring[i]
-                for i in range(m)
-                if orientation(ring[i - 1], ring[i], ring[(i + 1) % m]) > 0
-            ]
-            if len(corners) < 3:
+            poly = _ring_polygon([self.vertex_triple(v) for v in self.cell_cycle(cid)])
+            if poly is None or poly.dim < 2:
                 raise ContractViolation("cells are full-dimensional")
-            pts = [_point(c) for c in corners]
-            start = pts.index(min(pts))
-            poly = ConvexPolygon(tuple(pts[start:] + pts[:start]))
             self._poly_cache[cid] = poly
         return poly
 
     def cell_centroid(self, cid: int) -> Point:
         """``cell_sample_triple`` as a Point: interior, though not the centroid."""
-        return _point(self.cell_sample_triple(cid))
+        return _as_point(self.cell_sample_triple(cid))
 
     def cell_sample_triple(self, cid: int) -> tuple[int, int, int]:
         """Interior rational point with a small denominator, homogeneous.
@@ -651,7 +642,7 @@ class Arrangement:
 
     def face_sample(self, ref: FaceRef) -> Point:
         """``face_sample_triple`` as a Point."""
-        return _point(self.face_sample_triple(ref))
+        return _as_point(self.face_sample_triple(ref))
 
     def face_cells(self, ref: FaceRef) -> list[int]:
         """Cells whose closure contains the face, sorted."""
@@ -704,14 +695,14 @@ class Arrangement:
         if zeros:
             l0 = zeros[0]
             d = self.dirs_all[l0]
-            lam_t = Fraction(d[0] * X + d[1] * Y, W)
+            lam_t = _lam((X, Y, W), d)
             for h in self._cell_hes(cur):
                 if self._he_line(h) != l0:
                     continue
                 e = h // 2
-                lu = _exact_lam_key(self.vertex_triple(int(self._eu[e])), d)
-                lv = _exact_lam_key(self.vertex_triple(int(self._ev[e])), d)
-                if lu < lam_t < lv:
+                lu = _lam(self.vertex_triple(int(self._eu[e])), d)
+                lv = _lam(self.vertex_triple(int(self._ev[e])), d)
+                if _cmp_theta(lu, lam_t) < 0 < _cmp_theta(lv, lam_t):
                     return FaceRef(1, e)
             raise ContractViolation("on-line point must lie on an edge of its cell")
         return FaceRef(2, cur)

@@ -29,7 +29,7 @@ from .applications import (
     optimal_translation,
 )
 from .diagram import LabeledDiagram, build_diagram, eval_E
-from .geom import ConvexPolygon, Instance, Point, Scalar, format_scalar, point
+from .geom import ConvexPolygon, Instance, Point, Scalar, format_scalar
 from .geom import ContractViolation
 from .matching import Matching, NoCompleteMatching
 from .oracle import (

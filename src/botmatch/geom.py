@@ -1,9 +1,11 @@
 """Exact rational geometry primitives for translation-space computations.
 
 Everything operates on squared Euclidean lengths and stays exact. Scalars
-cross the API as ``fractions.Fraction``; the per-point kernels work on integer
-numerators over one shared positive denominator (``Instance.int_anchors``,
-``squared_length_nums``, ``orientation``), so they compare plain integers.
+and points cross the API as ``fractions.Fraction``; inside, the exact form is
+integers. Per-point kernels work on numerators over one shared positive
+denominator (``Instance.int_anchors``, ``squared_length_nums``), lines are
+primitive integer triples, and clipping and corner tests run on homogeneous
+integer points (``orientation``), so they compare plain integers.
 Translations live in the same plane as the input points: translating the
 second point set by ``t`` moves point ``b`` to ``b + t``, and the squared
 length of a matched pair ``(a, b)`` is ``|b + t - a|^2``. The identity
@@ -193,80 +195,73 @@ def squared_edge_length(inst: Instance, e: EdgeRef, t: Point) -> Fraction:
     return Fraction(dx * dx + dy * dy, (W * M) ** 2)
 
 
-def _normalize_line(alpha: Fraction, beta: Fraction, gamma: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    if alpha != 0:
-        return Fraction(1), beta / alpha, gamma / alpha
-    if beta == 0:
-        raise ValueError("zero line")
-    return Fraction(0), Fraction(1), gamma / beta
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Line:
-    """The line alpha*x + beta*y = gamma, normalized.
+    """The line a*x + b*y = c as its primitive integer triple.
 
-    Normalization: the first nonzero of (alpha, beta) equals 1, so equal
-    lines compare and hash equal. Never a zero line.
+    The integers are coprime with a > 0, or a = 0 and b > 0. That form is
+    unique, so lines compare, hash and sort as their triples. Never a zero
+    line.
     """
 
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
+    a: int
+    b: int
+    c: int
 
     def __post_init__(self) -> None:
-        first = self.alpha if self.alpha != 0 else self.beta
-        if first != 1:
-            raise ValueError("line must be normalized; use make_line()")
+        if self.a < 0 or (self.a == 0 and self.b <= 0) or math.gcd(self.a, self.b, self.c) != 1:
+            raise ValueError("line must be a primitive triple; use make_line()")
 
     def side(self, p: Point) -> Fraction:
-        """Signed residual alpha*x + beta*y - gamma (zero iff on the line)."""
-        return self.alpha * p.x + self.beta * p.y - self.gamma
+        """Signed residual (a*x + b*y - c) / a, over b when a = 0 (zero iff on the line)."""
+        return (self.a * p.x + self.b * p.y - self.c) / (self.a or self.b)
 
     def direction(self) -> Point:
-        """A direction vector of the line."""
-        return Point(self.beta, -self.alpha)
+        """A direction vector of the line: (b/a, -1), or (1, 0) when a = 0."""
+        if self.a:
+            return Point(Fraction(self.b, self.a), Fraction(-1))
+        return Point(Fraction(1), Fraction(0))
 
     def some_point(self) -> Point:
         """An arbitrary exact point on the line."""
-        if self.alpha != 0:
-            return Point(self.gamma / self.alpha, Fraction(0))
-        return Point(Fraction(0), self.gamma / self.beta)
+        if self.a:
+            return Point(Fraction(self.c, self.a), Fraction(0))
+        return Point(Fraction(0), Fraction(self.c, self.b))
 
     def primitive_triple(self) -> tuple[int, int, int]:
-        """Coprime integer (A, B, C) with A*x + B*y = C and canonical sign."""
-        den = math.lcm(
-            self.alpha.denominator, self.beta.denominator, self.gamma.denominator
-        )
-        a = int(self.alpha * den)
-        b = int(self.beta * den)
-        c = int(self.gamma * den)
-        g = math.gcd(math.gcd(abs(a), abs(b)), abs(c))
-        if g:
-            a, b, c = a // g, b // g, c // g
-        if a < 0 or (a == 0 and b < 0):
-            a, b, c = -a, -b, -c
-        return a, b, c
+        """The coprime integers (a, b, c) with a*x + b*y = c and canonical sign."""
+        return self.a, self.b, self.c
 
     def foot(self, p: Point) -> Point:
         """Orthogonal projection of ``p`` onto the line."""
-        n = Point(self.alpha, self.beta)
-        lam = (self.gamma - n.dot(p)) / n.norm2()
-        return p + n.scale(lam)
+        lam = (self.c - self.a * p.x - self.b * p.y) / (self.a * self.a + self.b * self.b)
+        return Point(p.x + self.a * lam, p.y + self.b * lam)
+
+
+def _primitive_line(a: int, b: int, c: int) -> Line:
+    g = math.gcd(a, b, c)
+    if a < 0 or (a == 0 and b < 0):
+        g = -g
+    return Line(a // g, b // g, c // g)
 
 
 def make_line(alpha: ScalarLike, beta: ScalarLike, gamma: ScalarLike) -> Line:
-    """Normalized line from arbitrary rational coefficients."""
-    return Line(*_normalize_line(to_scalar(alpha), to_scalar(beta), to_scalar(gamma)))
+    """The line alpha*x + beta*y = gamma from arbitrary rational coefficients."""
+    coefs = [to_scalar(alpha), to_scalar(beta), to_scalar(gamma)]
+    if coefs[0] == 0 and coefs[1] == 0:
+        raise ValueError("zero line")
+    s = math.lcm(*(v.denominator for v in coefs))
+    return _primitive_line(*(int(v * s) for v in coefs))
 
 
 def line_intersection(l1: Line, l2: Line) -> Point | None:
     """Intersection point of two lines, None when parallel (or equal)."""
-    det = l1.alpha * l2.beta - l2.alpha * l1.beta
+    det = l1.a * l2.b - l2.a * l1.b
     if det == 0:
         return None
-    x = (l1.gamma * l2.beta - l2.gamma * l1.beta) / det
-    y = (l1.alpha * l2.gamma - l2.alpha * l1.gamma) / det
-    return Point(x, y)
+    x = l1.c * l2.b - l2.c * l1.b
+    y = l1.a * l2.c - l2.a * l1.c
+    return Point(Fraction(x, det), Fraction(y, det))
 
 
 def perpendicular_bisector(p: Point, q: Point) -> Line:
@@ -288,11 +283,15 @@ def bisector_line(inst: Instance, e1: EdgeRef, e2: EdgeRef) -> Line | None:
     Otherwise the locus is the perpendicular bisector of the two alignment
     translations a1 - b1 and a2 - b2.
     """
-    p = inst.anchor(e1)
-    q = inst.anchor(e2)
-    if p == q:
+    M, rows = inst.int_anchors
+    px, py = rows[e1.b][e1.a]
+    qx, qy = rows[e2.b][e2.a]
+    if px == qx and py == qy:
         return None
-    return perpendicular_bisector(p, q)
+    # anchors P = p/M and Q = q/M: 2(Q - P).t = |Q|^2 - |P|^2, scaled by M^2
+    return _primitive_line(
+        2 * M * (qx - px), 2 * M * (qy - py), qx * qx + qy * qy - px * px - py * py
+    )
 
 
 def equivalence_classes(inst: Instance) -> list[list[EdgeRef]]:
@@ -332,12 +331,6 @@ def orientation(
     )
 
 
-def _is_strictly_convex_ccw(ring: Sequence[tuple[int, int, int]]) -> bool:
-    return all(
-        orientation(ring[i - 2], ring[i - 1], ring[i]) > 0 for i in range(len(ring))
-    )
-
-
 @dataclass(frozen=True)
 class ConvexPolygon:
     """Convex region given by ccw vertices.
@@ -356,7 +349,7 @@ class ConvexPolygon:
         ring = [homogeneous(v) for v in self.vertices]  # lowest terms: canonical
         if len(set(ring)) != m:
             raise ValueError("repeated vertices")
-        if m >= 3 and not _is_strictly_convex_ccw(ring):
+        if m >= 3 and any(orientation(ring[i - 2], ring[i - 1], ring[i]) <= 0 for i in range(m)):
             raise ValueError("vertices must be in strictly convex ccw order")
 
     @property
@@ -507,57 +500,67 @@ def min_envelope_on_segment(
     return t, Fraction(best_val, scale * scale)
 
 
-def _halfplane_clip(
-    vertices: list[Point], n: Point, c: Fraction
-) -> list[Point]:
-    """Clip a ccw polygon to the half-plane <n, t> <= c (Sutherland-Hodgman)."""
-    if not vertices:
-        return []
-    out: list[Point] = []
-    m = len(vertices)
-    for i in range(m):
-        v, w = vertices[i], vertices[(i + 1) % m]
-        fv, fw = n.dot(v) - c, n.dot(w) - c
-        if fv <= 0:
-            out.append(v)
-            if fw > 0:
-                lam = fv / (fv - fw)
-                out.append(v + (w - v).scale(lam))
-        elif fw < 0:
-            lam = fv / (fv - fw)
-            out.append(v + (w - v).scale(lam))
-    dedup: list[Point] = []
-    for p in out:
-        if not dedup or p != dedup[-1]:
-            dedup.append(p)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    return dedup
+def _as_point(triple: tuple[int, int, int]) -> Point:
+    x, y, w = triple
+    return Point(Fraction(x, w), Fraction(y, w))
 
 
-def canonical_convex(vertices: list[Point]) -> ConvexPolygon | None:
-    """Canonicalize a weakly convex ccw vertex chain into a ConvexPolygon."""
-    if not vertices:
+def _halfplane(n: Point, c: Fraction) -> tuple[int, int, int]:
+    """<n, t> <= c as integers (a, b, c') with a*X + b*Y + c'*W <= 0 on (X, Y, W), W > 0."""
+    s = math.lcm(n.x.denominator, n.y.denominator, c.denominator)
+    return int(n.x * s), int(n.y * s), -int(c * s)
+
+
+def _clip_ring(
+    ring: list[tuple[int, int, int]], halfplane: tuple[int, int, int]
+) -> list[tuple[int, int, int]]:
+    """Clip a convex ring of homogeneous triples to one half-plane (Sutherland-Hodgman).
+
+    The crossing on edge (p, q) is f(q)*p - f(p)*q: f vanishes there, and it
+    is a positive combination of the two triples, so it lies between them.
+    It is kept in lowest terms with W > 0.
+    """
+    a, b, c = halfplane
+    f = [a * x + b * y + c * w for x, y, w in ring]
+    out: list[tuple[int, int, int]] = []
+    for i in range(len(ring)):
+        p, q = ring[i - 1], ring[i]
+        fp, fq = f[i - 1], f[i]
+        if fp <= 0:
+            out.append(p)
+        if (fp < 0 < fq) or (fq < 0 < fp):
+            x, y, w = fq * p[0] - fp * q[0], fq * p[1] - fp * q[1], fq * p[2] - fp * q[2]
+            g = math.gcd(x, y, w) if w > 0 else -math.gcd(x, y, w)
+            out.append((x // g, y // g, w // g))
+    return out
+
+
+def _ring_polygon(ring: list[tuple[int, int, int]]) -> ConvexPolygon | None:
+    """The region of a weakly convex ccw ring of homogeneous triples in lowest terms.
+
+    The corners are the vertices that turn strictly left between their two
+    ring neighbours, listed ccw from the lex-min one. A ring without a corner
+    is a segment (its lex-min and lex-max points) or a point; an empty ring
+    is ``None``. Only such collinear rings can repeat a point: a clip puts
+    each crossing strictly inside its edge, and the edges of a ring with a
+    corner do not overlap.
+    """
+    if not ring:
         return None
-    pts = sorted(set(vertices))
-    if len(pts) == 1:
-        return ConvexPolygon((pts[0],))
-    # Collinear chains collapse to their extreme pair.
-    p0 = pts[0]
-    if all((pts[-1] - p0).cross(p - p0) == 0 for p in pts):
-        return ConvexPolygon((p0, pts[-1]))
-    # Full-dimensional: drop collinear middles, restart from the lex-min vertex.
-    m = len(vertices)
-    start = vertices.index(min(vertices))
-    ring = [vertices[(start + i) % m] for i in range(m)]
-    kept: list[Point] = []
-    for p in ring:
-        while len(kept) >= 2 and (kept[-1] - kept[-2]).cross(p - kept[-1]) <= 0:
-            kept.pop()
-        kept.append(p)
-    while len(kept) >= 3 and (kept[-1] - kept[-2]).cross(kept[0] - kept[-1]) <= 0:
-        kept.pop()
-    return ConvexPolygon(tuple(kept))
+    m = len(ring)
+    corners = [
+        _as_point(ring[i])
+        for i in range(m)
+        if orientation(ring[i - 1], ring[i], ring[(i + 1) % m]) > 0
+    ]
+    if not corners:
+        pts = [_as_point(p) for p in ring]
+        lo, hi = min(pts), max(pts)
+        return ConvexPolygon((lo,) if lo == hi else (lo, hi))
+    if len(corners) < 3:
+        raise ContractViolation("ring is not weakly convex")
+    start = corners.index(min(corners))
+    return ConvexPolygon(tuple(corners[start:] + corners[:start]))
 
 
 def erode_polygon(Q: ConvexPolygon, B: Sequence[Point]) -> ConvexPolygon | None:
@@ -565,27 +568,19 @@ def erode_polygon(Q: ConvexPolygon, B: Sequence[Point]) -> ConvexPolygon | None:
 
     Each supporting half-plane <n, x> <= c of Q tightens to
     <n, t> <= c - max_b <n, b>, the maximum over the B points extreme in
-    direction n. Returns ``None`` when no translation fits; the result may
+    direction n. Clipping runs on integer triples, from Q - B[0], which holds
+    every fit. Returns ``None`` when no translation fits; the result may
     degenerate to a segment or a single point.
     """
     if len(Q.vertices) < 3:
         raise ValueError("Q must be a full-dimensional convex polygon")
     if not B:
         raise ValueError("B must be nonempty")
-    b0 = B[0]
-    xs = [v.x for v in Q.vertices]
-    ys = [v.y for v in Q.vertices]
-    poly = [
-        Point(min(xs) - b0.x, min(ys) - b0.y),
-        Point(max(xs) - b0.x, min(ys) - b0.y),
-        Point(max(xs) - b0.x, max(ys) - b0.y),
-        Point(min(xs) - b0.x, max(ys) - b0.y),
-    ]
+    ring = [homogeneous(v - B[0]) for v in Q.vertices]
     for v, w in Q.edges():
         d = w - v
         n = Point(d.y, -d.x)  # outward normal of a ccw edge
-        c = n.dot(v) - max(n.dot(b) for b in B)
-        poly = _halfplane_clip(poly, n, c)
-        if not poly:
+        ring = _clip_ring(ring, _halfplane(n, n.dot(v) - max(n.dot(b) for b in B)))
+        if not ring:
             return None
-    return canonical_convex(poly)
+    return _ring_polygon(ring)

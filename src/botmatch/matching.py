@@ -340,10 +340,9 @@ def bottleneck_matching(G: CandidateGraph) -> tuple[Matching, int]:
             hi, best = mid, mu
         else:
             lo = mid + 1
-    if lo > 1:
-        ok, _ = feasible(lo - 1)
-        if ok:
-            raise ContractViolation("bottleneck rank not minimal")
+    # the search settles on lo > 1 only after probing lo - 1 infeasible
+    if lo > 1 and probes.get(lo - 1, True):
+        raise ContractViolation("bottleneck rank not minimal")
     if any(
         r1 < r2 and probes[r1] and not probes[r2] for r1 in probes for r2 in probes
     ):

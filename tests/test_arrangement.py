@@ -11,7 +11,6 @@ from botmatch.geom import (
     EdgeRef,
     Instance,
     Point,
-    canonical_convex,
     line_intersection,
     make_line,
     point,
@@ -28,6 +27,7 @@ from botmatch.arrangement import (
     used_bisectors,
 )
 from botmatch.matching import DIFF_B, SAME_B
+from fraction_geometry import canonical_convex
 
 E = EdgeRef
 

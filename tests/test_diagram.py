@@ -479,3 +479,43 @@ def test_queries_and_labels_use_no_bare_assert():
     assert not hits, hits
     # one class, defined in geom and re-exported where matching raises it
     assert botmatch.matching.ContractViolation is botmatch.geom.ContractViolation
+
+
+def _names_used(tree):
+    """Every name a module reads, including names inside string annotations."""
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for ann in annotations:
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _names_used(ast.parse(node.value, mode="eval"))
+    return used
+
+
+def test_library_modules_use_every_import():
+    # __init__.py imports in order to re-export; every other module must read
+    # each name it imports.
+    hits = []
+    for path in sorted(pathlib.Path(botmatch.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            hits += [f"{path.name}:{node.lineno} {n}" for n in names if n not in used]
+    assert not hits, hits

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -16,12 +17,15 @@ from botmatch.geom import (
     equivalence_classes,
     erode_polygon,
     instance,
+    line_intersection,
     make_line,
     min_envelope_on_segment,
+    perpendicular_bisector,
     point,
     squared_edge_length,
     to_scalar,
 )
+from fraction_geometry import _halfplane_clip, canonical_convex
 
 F = Fraction
 
@@ -397,3 +401,144 @@ def test_line_canonicalization():
     assert make_line(0, -5, 10) == make_line(0, 1, -2)
     assert make_line("1/2", 0, "3/2").primitive_triple() == (1, 0, 3)
     assert make_line(-2, 6, 4).primitive_triple() == (1, -3, -2)
+
+
+def _rand_scalar(rng, span=6):
+    return F(rng.randint(-span * 12, span * 12), rng.choice([1, 2, 3, 5, 12]))
+
+
+def test_bisector_line_equals_perpendicular_bisector_of_anchors():
+    # rational coordinates, so the integer anchors share a denominator M > 1
+    rng = random.Random(91)
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        inst = _rational_instance(rng, n, rng.randint(1, n))
+        edges = list(inst.edges())
+        pairs = [(e1, e2) for e1 in edges for e2 in edges if e1 < e2]
+        for e1, e2 in rng.sample(pairs, min(4, len(pairs))):
+            p, q = inst.anchor(e1), inst.anchor(e2)
+            line = bisector_line(inst, e1, e2)
+            if p == q:
+                assert line is None
+            else:
+                assert line == perpendicular_bisector(p, q)
+    # equal anchors appear once B shifted by some vector lands on A twice
+    inst = instance([(0, 0), ("1/3", "1/2")], [("5/2", 0), ("17/6", "1/2")])
+    assert bisector_line(inst, EdgeRef(0, 0), EdgeRef(1, 1)) is None
+    assert inst.int_anchors[0] == 6
+
+
+def _fraction_line(alpha, beta, gamma):
+    """The Fraction normal form: the first nonzero of (alpha, beta) is 1."""
+    if alpha != 0:
+        return F(1), beta / alpha, gamma / alpha
+    return F(0), F(1), gamma / beta
+
+
+def test_line_methods_equal_fraction_formulas():
+    rng = random.Random(92)
+    for i in range(300):
+        coefs = [_rand_scalar(rng) for _ in range(3)]
+        if i % 5 == 0:
+            coefs[rng.randrange(2)] = F(0)  # axis-parallel lines
+        if coefs[0] == 0 and coefs[1] == 0:
+            with pytest.raises(ValueError):
+                make_line(*coefs)
+            continue
+        line = make_line(*coefs)
+        alpha, beta, gamma = _fraction_line(*coefs)
+        den = lcm(alpha.denominator, beta.denominator, gamma.denominator)
+        trip = tuple(int(v * den) for v in (alpha, beta, gamma))
+        g = gcd(*trip)
+        assert line.primitive_triple() == tuple(v // g for v in trip)
+        assert (line.a, line.b, line.c) == line.primitive_triple()
+        scale = _rand_scalar(rng) or F(1)
+        assert make_line(*(v * scale for v in coefs)) == line
+        assert line.direction() == Point(beta, -alpha)
+        assert line.some_point() == (
+            Point(gamma / alpha, F(0)) if alpha != 0 else Point(F(0), gamma / beta)
+        )
+        p = point(_rand_scalar(rng), _rand_scalar(rng))
+        assert line.side(p) == alpha * p.x + beta * p.y - gamma
+        n = Point(alpha, beta)
+        assert line.foot(p) == p + n.scale((gamma - n.dot(p)) / n.norm2())
+        other = make_line(*(_rand_scalar(rng) or F(1) for _ in range(3)))
+        a2, b2, g2 = _fraction_line(*map(F, other.primitive_triple()))
+        det = alpha * b2 - a2 * beta
+        want = (
+            None
+            if det == 0
+            else Point((gamma * b2 - g2 * beta) / det, (alpha * g2 - a2 * gamma) / det)
+        )
+        assert line_intersection(line, other) == want
+
+
+def _hull(pts):
+    """Strictly convex ccw hull of Fraction points (monotone chain)."""
+    pts = sorted(set(pts))
+    if len(pts) < 3:
+        return pts
+    chain = []
+    for seq in (pts, pts[::-1]):
+        part = []
+        for p in seq:
+            while len(part) >= 2 and (part[-1] - part[-2]).cross(p - part[-1]) <= 0:
+                part.pop()
+            part.append(p)
+        chain += part[:-1]
+    return chain
+
+
+def _erode_reference(Q, B):
+    """Erosion in Fraction arithmetic: clip Q's bounding box, then canonical_convex."""
+    b0 = B[0]
+    xs = [v.x - b0.x for v in Q.vertices]
+    ys = [v.y - b0.y for v in Q.vertices]
+    poly = [
+        Point(min(xs), min(ys)),
+        Point(max(xs), min(ys)),
+        Point(max(xs), max(ys)),
+        Point(min(xs), max(ys)),
+    ]
+    for v, w in Q.edges():
+        d = w - v
+        n = Point(d.y, -d.x)
+        poly = _halfplane_clip(poly, n, n.dot(v) - max(n.dot(b) for b in B))
+        if not poly:
+            return None
+    return canonical_convex(poly)
+
+
+def test_erode_polygon_equals_fraction_reference():
+    # Q is B's hull (the region is the point 0), B's hull swept along s (the
+    # segment [0, s]), swept along s and u (a triangle), or random.
+    rng = random.Random(93)
+    dims = {}
+    i = 0
+    while i < 400:
+        B = [
+            point(F(rng.randint(-24, 24), d), F(rng.randint(-24, 24), d))
+            for d in [rng.choice([1, 2, 3, 4, 6])]
+            for _ in range(rng.randint(1, 4))
+        ]
+        s = point(_rand_scalar(rng, 2), _rand_scalar(rng, 2))
+        u = point(_rand_scalar(rng, 2), _rand_scalar(rng, 2))
+        shape = i % 4
+        if shape == 0:
+            hull = _hull(B)
+        elif shape == 1:
+            hull = _hull(B + [b + s for b in B])
+        elif shape == 2:
+            hull = _hull(B + [b + s for b in B] + [b + u for b in B])
+        else:
+            hull = _hull([point(_rand_scalar(rng, 2), _rand_scalar(rng, 2)) for _ in range(5)])
+        if len(hull) < 3:
+            continue
+        i += 1
+        Q = ConvexPolygon(tuple(hull))
+        got = erode_polygon(Q, B)
+        want = _erode_reference(Q, B)
+        assert (got and got.vertices) == (want and want.vertices), (Q, B)
+        key = "empty" if got is None else got.dim
+        dims[key] = dims.get(key, 0) + 1
+    assert set(dims) == {"empty", 0, 1, 2} and min(dims.values()) >= 20, dims

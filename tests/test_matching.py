@@ -195,6 +195,49 @@ def test_bottleneck_matches_brute_force():
         matching_map(mu)  # validates injectivity
 
 
+class _CapLog(list):
+    """The ``ends`` list of ``_edges_by_rank``, recording every cap it is read at."""
+
+    def __getitem__(self, r):
+        self.caps.add(r)
+        return super().__getitem__(r)
+
+
+def test_bottleneck_runs_one_max_matching_per_distinct_cap(monkeypatch):
+    from botmatch import matching
+
+    runs = []
+    logs = []
+    verified = matching._verified_max_matching
+    edges_by_rank = matching._edges_by_rank
+
+    def counting_verified(adj, k):
+        runs.append(k)
+        return verified(adj, k)
+
+    def logging_edges_by_rank(G, rank_cap):
+        pairs, ends = edges_by_rank(G, rank_cap)
+        log = _CapLog(ends)
+        log.caps = set()
+        logs.append(log)
+        return pairs, log
+
+    monkeypatch.setattr(matching, "_verified_max_matching", counting_verified)
+    monkeypatch.setattr(matching, "_edges_by_rank", logging_edges_by_rank)
+    rng = random.Random(12)
+    above_one = 0
+    for _ in range(40):
+        inst = _random_instance(rng)
+        G = prune_candidates(inst, _random_t(rng))
+        runs.clear()
+        logs.clear()
+        _mu, rank = bottleneck_matching(G)
+        assert len(logs) == 1
+        assert len(runs) == len(logs[0].caps)
+        above_one += rank > 1
+    assert above_one >= 10
+
+
 # -- lexicographic bottleneck -------------------------------------------------
 
 

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from botmatch.applications import Empty, bottleneck_path, cover_radius, optimal_translation
 from botmatch.diagram import build_diagram, eval_E
-from botmatch.geom import Instance, Point, _halfplane_clip, convex_polygon, erode_polygon, point
+from botmatch.geom import Instance, Point, convex_polygon, erode_polygon, point
 from botmatch.oracle import grid_cover_radius, oracle_optimal_translation
+from fraction_geometry import _halfplane_clip
 
 # Point pools whose members are collinear, on a lattice or co-circular.
 POOLS = {

@@ -19,7 +19,6 @@ from .diagram import _walk_labels, build_diagram, eval_E, reduced_arrangement
 from .geom import (
     ContractViolation,
     ConvexPolygon,
-    EdgeRef,
     Instance,
     Point,
     Scalar,
@@ -115,22 +114,23 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
     bounds = arr.cell_bounds_float()
     pad = 1e-7 * (float(_np.abs(bounds).max()) + 1.0)
     boxes = (bounds[:, 0] - pad, bounds[:, 1] - pad, bounds[:, 2] + pad, bounds[:, 3] + pad)
+    # Float sites: int / int is correctly rounded, so axm / M == float(site.x).
+    M, anchors = inst.int_anchors
     # A cell survives when every b keeps min_a of its box bound within the
     # incumbent; each b only looks at the cells the earlier ones kept.
     alive = _np.arange(arr.n_cells)
     for b in range(inst.k):
         kept = tuple(side[alive] for side in boxes)
         nearest = _np.full(len(alive), _np.inf)
-        for a in range(inst.n):
-            site = inst.anchor(EdgeRef(a, b))
-            _np.minimum(nearest, _box_dist2(kept, float(site.x), float(site.y)), out=nearest)
+        for axm, aym in anchors[b]:
+            _np.minimum(nearest, _box_dist2(kept, axm / M, aym / M), out=nearest)
         alive = alive[_certified_lower(nearest) <= upper]
     cells = alive.tolist()
     labels, _parts = _walk_labels(inst, arr, bis, cells)
 
-    sites = [inst.anchor(labels[cid].longest) for cid in cells]
-    ax = _np.array([float(s.x) for s in sites])
-    ay = _np.array([float(s.y) for s in sites])
+    longest = [labels[cid].longest for cid in cells]
+    ax = _np.array([anchors[e.b][e.a][0] / M for e in longest])
+    ay = _np.array([anchors[e.b][e.a][1] / M for e in longest])
     lower = _certified_lower(_box_dist2(tuple(side[alive] for side in boxes), ax, ay))
 
     best_val: Scalar | None = None
@@ -140,7 +140,7 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
     for i in map(int, _np.argsort(lower, kind="stable")):
         if lower[i] > best_hi:
             break
-        site, cid = sites[i], cells[i]
+        site, cid = inst.anchor(longest[i]), cells[i]
         t = closest_point_in_polygon(site, arr.cell_polygon(cid))
         val = t.dist2(site)
         if (

@@ -10,9 +10,11 @@ bottleneck value anywhere.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as _np
@@ -79,7 +81,7 @@ class LabeledDiagram:
     inst: Instance
     bisectors: tuple[Bisector, ...]
     arrangement: Arrangement
-    faces: dict[FaceRef, LexLabel] | None = None
+    faces: Mapping[FaceRef, LexLabel] | None = None
 
     @cached_property
     def cells(self) -> list[CellLabel]:
@@ -106,7 +108,7 @@ def _labeled(
     arr: Arrangement,
     bisectors: Sequence[Bisector],
     cells: list[CellLabel],
-    faces: dict[FaceRef, LexLabel] | None = None,
+    faces: Mapping[FaceRef, LexLabel] | None = None,
 ) -> LabeledDiagram:
     diag = LabeledDiagram(inst, tuple(bisectors), arr, faces)
     diag.cells = cells
@@ -236,43 +238,46 @@ def _walk_labels(
 # -- lex labeling --------------------------------------------------------------
 
 
-def _screen_candidate_bits(
-    fx: "_np.ndarray", fy: "_np.ndarray", anchors_f: "_np.ndarray", k: int
-) -> list[list[int]]:
-    """Float prefilter: per b, a bitmask over a of possible candidates.
+_LEX_CHUNK = 1 << 20  # entries of a (faces, k * n) chunk array: 8 MB as int64
+_INT64_LIMIT = 1 << 62  # largest bound on |Q| that the lex labeller keeps in int64
 
-    Sound superset of the k shortest (ties included): the threshold carries a
-    relative margin far above float error, and the exact kernel re-trims.
+
+@dataclass(frozen=True, eq=False)
+class _LexFaces(Mapping):
+    """Read-only ``FaceRef -> LexLabel`` view over the lex labeller's arrays.
+
+    Rows follow ``iter_faces`` order. Per row: an index into ``matchings``,
+    the matched Q values in decreasing order and the sample (X, Y, W). A
+    ``LexLabel`` is built on access, with numerators M^2 (X^2 + Y^2) + W Q
+    over the denominator (W M)^2.
     """
-    F = fx.size
-    n = anchors_f.shape[1]
-    out: list[list[int]] = []
-    # int64 words hold 63 bits each; words are merged as Python ints
-    groups = range(0, n, 63)
-    weights = 1 << _np.arange(63, dtype=_np.int64)
-    chunk = 1 << 18
-    for b in range(k):
-        bits = _np.empty((len(groups), F), dtype=_np.int64)
-        ax = anchors_f[b, :, 0]
-        ay = anchors_f[b, :, 1]
-        for lo in range(0, F, chunk):
-            hi = min(lo + chunk, F)
-            dx = fx[lo:hi, None] - ax[None, :]
-            dy = fy[lo:hi, None] - ay[None, :]
-            D = dx * dx + dy * dy
-            kth = _np.partition(D, k - 1, axis=1)[:, k - 1]
-            thr = kth * (1 + 1e-9) + 1e-12
-            hit = (D <= thr[:, None]).astype(_np.int64)
-            for j, g in enumerate(groups):
-                bits[j, lo:hi] = hit[:, g : g + 63] @ weights[: min(63, n - g)]
-        merged = bits[0].tolist()
-        for j, g in enumerate(groups[1:], start=1):
-            merged = [m | (v << g) for m, v in zip(merged, bits[j].tolist())]
-        out.append(merged)
-    return out
 
+    arr: Arrangement
+    M: int
+    samples: _np.ndarray
+    matchings: list[Matching]
+    face_matching: _np.ndarray
+    matched: _np.ndarray
 
-_FULL_SCAN_LIMIT = 20_000  # faces; below this the float prefilter cannot pay off
+    def __getitem__(self, ref: FaceRef) -> LexLabel:
+        arr = self.arr
+        if not (isinstance(ref, tuple) and len(ref) == 2 and ref[0] in (0, 1, 2)):
+            raise KeyError(ref)
+        dim, index = ref
+        count = (arr.n_vertices, arr.n_edges, arr.n_cells)[dim]
+        if not (isinstance(index, (int, _np.integer)) and 0 <= index < count):
+            raise KeyError(ref)
+        row = (arr.n_cells + arr.n_edges, arr.n_cells, 0)[dim] + int(index)
+        x, y, w = self.samples[row].tolist()
+        base = self.M * self.M * (x * x + y * y)
+        nums = tuple(base + w * q for q in self.matched[row].tolist())
+        return LexLabel(self.matchings[self.face_matching[row]], nums, (w * self.M) ** 2)
+
+    def __iter__(self):
+        return self.arr.iter_faces()
+
+    def __len__(self) -> int:
+        return len(self.face_matching)
 
 
 def label_faces_lex(
@@ -280,85 +285,75 @@ def label_faces_lex(
 ) -> LabeledDiagram:
     """Lex-bottleneck label for every face (cells, edges, vertices).
 
-    Each face gets an exact relative-interior rational sample; the candidate
-    sets, ranks with ties active at that sample, and the lex-optimal matching
-    are all computed in exact integer arithmetic over homogeneous coordinates
-    (squared lengths share the denominator (M*w)^2 at one sample, so ranks
-    reduce to integer comparisons). Large face counts get a vectorized float
-    prefilter of the per-b candidate sets; the exact kernel re-trims, so the
-    filter only bounds the work, never the answer.
+    At a face's exact sample (X/W, Y/W), W > 0, edge (a, b) with anchor s
+    (``Instance.int_anchors``) has squared length (M^2 (X^2 + Y^2) + W Q) /
+    (W M)^2, Q = W |s|^2 - 2 M (X s_x + Y s_y). So Q orders a face's edges
+    exactly, on fewer bits; numpy computes it over chunks of faces, on int64
+    within ``_INT64_LIMIT`` and on Python ints beyond. Per b the edges up to
+    the k-th smallest Q (ties included) are candidates. Their dense ranks
+    form the face's key, and each distinct key gets one exact assignment.
     """
     if bisectors:
         _check_alignment(arr, bisectors)
     k, n = inst.k, inst.n
-    M, anchors = inst.int_anchors
+    M, rows = inst.int_anchors
+    F = arr.n_cells + arr.n_edges + arr.n_vertices
+    coords = chain.from_iterable(map(arr.face_sample_triple, arr.iter_faces()))
+    samples = _np.fromiter(coords, dtype=object, count=3 * F).reshape(F, 3)
+    span = max(samples.max(), -samples.min())  # bounds |X|, |Y| and W
+    sq = max(x * x + y * y for row in rows for x, y in row)
+    lin = max(abs(x) + abs(y) for row in rows for x, y in row)
+    dtype = _np.int64 if span * (sq + 2 * M * lin + 1) <= _INT64_LIMIT else object
+    samples = samples.astype(dtype)
+    Ax, Ay = _np.moveaxis(_np.array(rows, dtype=dtype), 2, 0)  # (k, n) each
+    key_dtype = _np.min_scalar_type(k * n + 1)
+    row_dtype = _np.dtype((_np.void, k * n * key_dtype.itemsize))
 
-    refs: list[FaceRef] = []
-    Xs: list[int] = []
-    Ys: list[int] = []
-    Ws: list[int] = []
-    for ref in arr.iter_faces():
-        x, y, w = arr.face_sample_triple(ref)
-        refs.append(ref)
-        Xs.append(x)
-        Ys.append(y)
-        Ws.append(w)
-
-    F = len(refs)
-    bits: list[list[int]] | None = None
-    if F * n * k >= _FULL_SCAN_LIMIT:
-        fx = _np.array([x / w for x, w in zip(Xs, Ws)])
-        fy = _np.array([y / w for y, w in zip(Ys, Ws)])
-        anchors_f = _np.array(anchors, dtype=_np.float64) / M
-        bits = _screen_candidate_bits(fx, fy, anchors_f, k)
-
-    faces: dict[FaceRef, LexLabel] = {}
-    cells: list[CellLabel | None] = [None] * arr.n_cells
-    full_mask = (1 << n) - 1
-    memo: dict[tuple, tuple] = {}
-    for i in range(F):
-        W = Ws[i]
-        XM = Xs[i] * M
-        YM = Ys[i] * M
-        WM = W * M
-        kept: list[tuple[int, int, int]] = []  # (numerator, b, a)
-        for b in range(k):
-            mask = bits[b][i] if bits is not None else full_mask
-            row = anchors[b]
-            vals: list[tuple[int, int]] = []
-            while mask:
-                low = mask & -mask
-                a = low.bit_length() - 1
-                mask ^= low
-                axm, aym = row[a]
-                dx = XM - axm * W
-                dy = YM - aym * W
-                vals.append((dx * dx + dy * dy, a))
-            vals.sort()
-            thr = vals[k - 1][0]
-            for N, a in vals:
-                if N > thr:
-                    break
-                kept.append((N, b, a))
-        distinct = sorted({N for N, _b, _a in kept})
-        rank_of = {N: r for r, N in enumerate(distinct, start=1)}
-        key = tuple(sorted((b, a, rank_of[N]) for N, b, a in kept))
-        assign = memo.get(key)
-        if assign is None:
-            cost, infinity, cols = lex_cost(k, key)
-            assign = tuple(cols[j] for j in assignment_by_cost(cost, infinity))
-            memo[key] = assign
-        num_of = {(b, a): N for N, b, a in kept}
-        mu = matching_from_map({b: a for b, a in enumerate(assign)})
-        nums = sorted((num_of[(e.b, e.a)] for e in mu), reverse=True)
-        label = LexLabel(mu, tuple(nums), WM * WM)
-        ref = refs[i]
-        faces[ref] = label
-        if ref.dim == 2:
-            top = max(mu, key=lambda e: (num_of[(e.b, e.a)], e))
-            cells[ref.index] = CellLabel(
-                mu, top, rank_of[num_of[(top.b, top.a)]]
-            )
+    known: dict[tuple[int, ...], tuple[int, ...]] = {}  # key -> (*assign, ids)
+    matching_ids: dict[tuple[int, ...], int] = {}
+    matchings: list[Matching] = []
+    cell_ids: dict[CellLabel, int] = {}
+    ids = _np.empty((F, 2), dtype=_np.int64)  # matching id, cell label id
+    matched = _np.empty((F, k), dtype=dtype)
+    step = max(1, _LEX_CHUNK // (k * n))
+    for lo in range(0, F, step):
+        X, Y, W = (samples[lo : lo + step, j, None, None] for j in range(3))
+        Q = W * (Ax * Ax + Ay * Ay) - (2 * M) * (X * Ax + Y * Ay)  # (faces, k, n)
+        thr = _np.partition(Q, k - 1, axis=2)[:, :, k - 1 : k]
+        kept = (Q <= thr).reshape(len(Q), k * n)
+        flat = _np.where(kept, Q.reshape(kept.shape), thr.max() + 1)
+        order = _np.argsort(flat, axis=1)
+        srt = _np.take_along_axis(flat, order, axis=1)
+        new = _np.ones(srt.shape, dtype=bool)
+        new[:, 1:] = srt[:, 1:] != srt[:, :-1]
+        keys = _np.empty(kept.shape, dtype=key_dtype)
+        _np.put_along_axis(keys, order, _np.cumsum(new, axis=1, dtype=key_dtype), axis=1)
+        keys[~kept] = 0
+        # one bytes record per row: np.unique groups them like axis=0, faster
+        uniq, inv = _np.unique(keys.view(row_dtype)[:, 0], return_inverse=True)
+        per_key = []
+        for rank in uniq.view(key_dtype).reshape(len(uniq), k * n).tolist():
+            row = known.get(tuple(rank))
+            if row is None:
+                triples = [(j // n, j % n, r) for j, r in enumerate(rank) if r]
+                cost, infinity, cols = lex_cost(k, triples)
+                assign = tuple(cols[j] for j in assignment_by_cost(cost, infinity))
+                mid = matching_ids.setdefault(assign, len(matchings))
+                if mid == len(matchings):
+                    matchings.append(matching_from_map(dict(enumerate(assign))))
+                # equal rank means equal length at the face sample
+                top = max(matchings[mid], key=lambda e: (rank[e.b * n + e.a], e))
+                cell = CellLabel(matchings[mid], top, rank[top.b * n + top.a])
+                row = (*assign, mid, cell_ids.setdefault(cell, len(cell_ids)))
+                known[tuple(rank)] = row
+            per_key.append(row)
+        per_face = _np.array(per_key)[inv.reshape(-1)]  # (faces, k + 2)
+        got = _np.take_along_axis(Q, per_face[:, :k, None], axis=2)[:, :, 0]
+        matched[lo : lo + step] = _np.sort(got, axis=1)[:, ::-1]
+        ids[lo : lo + step] = per_face[:, k:]
+    cell_table = list(cell_ids)
+    cells = [cell_table[i] for i in ids[: arr.n_cells, 1].tolist()]
+    faces = _LexFaces(arr, M, samples, matchings, ids[:, 0], matched)
     return _labeled(inst, arr, bisectors, cells, faces)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -427,6 +428,44 @@ def test_diagram_lex_counts_faces(tmp_path, capsys):
     assert run(["diagram", inst, "--lex"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["lex_faces"] == doc["cells"] + doc["edges"] + doc["vertices"]
+
+
+# `diagram --lex` stdout and the sha256 of its SVG, recorded from the per-face
+# lex labeller; the array labeller must reproduce them byte for byte.
+LEX_GOLDEN = [
+    (
+        {"A": [[0, 0], [6, 0], [0, 6]], "B": [[0, 0]]},
+        (6, 3, 14, 29, 3, 9),
+        "f0f149130d57f784c22200b9b90ce10c43778e498963795f4baca1e8c5ae8aac",
+    ),
+    (
+        {"A": [[0, 0], [1, 0], [7, 5]], "B": [[0, 0], [1, 0]]},
+        (39, 5, 81, 163, 10, 43),
+        "ab01d4006704e64f690208cc8364ffcf7faef0e2d669ebd15cb4fa7b7d83e2d9",
+    ),
+    (
+        {"A": [[5, 5], [6, 4], [6, 5], [20, 20]], "B": [[0, 0], [1, 0], [0, 1]]},
+        (345, 13, 637, 1275, 30, 293),
+        "a60ccabe0ce2a46f3ef50d0d0e456b8f4a26bdf7d07bae7a8006a0041bf4b951",
+    ),
+    (
+        {"A": [["1/3", 2], [0, 0], [3, 1], [-2, "5/2"]], "B": [["-5/7", 1], [1, 1]]},
+        (317, 10, 613, 1227, 27, 297),
+        "fa238854a8a750d590ca622cc2175b44f25445de7da3b3822191bff699cb18c7",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, counts, svg_sha256", LEX_GOLDEN)
+def test_diagram_lex_stdout_and_svg_are_pinned(tmp_path, capsys, doc, counts, svg_sha256):
+    svg = tmp_path / "out.svg"
+    assert run(["diagram", _write(tmp_path, "in.json", doc), "--lex", "--svg", str(svg)]) == EXIT_OK
+    cells, labels, edges, faces, used, vertices = counts
+    assert capsys.readouterr().out == (
+        f'{{\n  "cells": {cells},\n  "distinct_labels": {labels},\n  "edges": {edges},\n'
+        f'  "lex_faces": {faces},\n  "used_bisectors": {used},\n  "vertices": {vertices}\n}}\n'
+    )
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_sha256
 
 
 def test_exit_codes(tmp_path, capsys):

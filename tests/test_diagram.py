@@ -13,8 +13,10 @@ from botmatch.arrangement import (
     build_arrangement,
     used_bisectors,
 )
+from botmatch import diagram
 from botmatch.diagram import (
     LabeledDiagram,
+    LexLabel,
     _walk_labels,
     build_diagram,
     eval_E,
@@ -24,7 +26,9 @@ from botmatch.diagram import (
     reduced_arrangement,
 )
 from botmatch.geom import EdgeRef, Instance, Point, point
+from botmatch.matching import ContractViolation
 from botmatch.oracle import brute_force_E, brute_force_lex, brute_force_lex_matchings
+from lex_reference import reference_lex_labels
 
 E = EdgeRef
 
@@ -410,17 +414,22 @@ def test_lex_cell_labels_agree_with_bottleneck_rank():
             )
 
 
-@pytest.mark.parametrize("n", [64, 70])
-def test_lex_labels_past_63_sites(n):
-    # The float prefilter packs each face's candidate set into 63-bit words;
-    # here the sites run past the first word.
+def _past_63_instance(n):
+    """n sites in [-40, 40]^2 and one b, with the generator that drew them."""
     rng = random.Random(5)
     pts: set[tuple[int, int]] = set()
     while len(pts) < n + 1:
         pts.add((rng.randint(-40, 40), rng.randint(-40, 40)))
     flat = sorted(pts)
     rng.shuffle(flat)
-    inst = _mk(flat[:n], flat[n:])
+    return _mk(flat[:n], flat[n:]), rng
+
+
+@pytest.mark.parametrize("n", [64, 70])
+def test_lex_labels_past_63_sites(n):
+    # Past 63 sites a candidate set no longer fits one int64 bitmask; the
+    # labels must not depend on how many sites there are.
+    inst, rng = _past_63_instance(n)
     diag = build_diagram(inst, lex=True)
     refs = list(diag.arrangement.iter_faces())
     high = [r for r in refs if diag.face_lex(r).matching[0].a >= 63]
@@ -428,6 +437,103 @@ def test_lex_labels_past_63_sites(n):
     for ref in rng.sample(refs, 150) + rng.sample(high, min(100, len(high))):
         t = diag.arrangement.face_sample(ref)
         assert diag.face_lex(ref).cost_vector == brute_force_lex(inst, t)
+
+
+def _lex_families():
+    """Criterion 4's instances, degenerate pools, k = n, rational and n past 63."""
+    rng = random.Random(404)
+    for _ in range(25):
+        n = rng.randint(2, 6)
+        k = rng.randint(1, min(3, n))
+        pts: set[tuple[int, int]] = set()
+        while len(pts) < n + k:
+            pts.add((rng.randint(-4, 4), rng.randint(-4, 4)))
+        flat = sorted(pts)
+        yield _mk(flat[:n], flat[n:])
+    # three optima in every cell
+    yield _mk([(5, 5), (6, 4), (6, 5), (20, 20)], [(0, 0), (1, 0), (0, 1)])
+    yield _mk([(x, 2 * x - 1) for x in (-3, -1, 0, 2, 3)], [(0, 0), (1, 3)])
+    yield _mk([(x, 0) for x in range(5)], [(0, 0), (1, 0), (3, 0)])
+    lattice = [(x, y) for x in range(0, 6, 2) for y in range(0, 4, 2)]
+    yield _mk(lattice, [(0, 0), (1, 0), (0, 1)])
+    ring = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3), (-5, 0), (-4, -3)]
+    yield _mk(ring[:5], [(0, 0), (1, 2)])
+    yield _mk(ring[:4], ring[4:])  # k = n, co-circular
+    yield _mk([(0, 0), (3, 1), (1, 4)], [(0, 0), (2, 2), (5, 0)])  # k = n
+    yield _mk([("1/3", 2), (0, 0), (3, 1), (-2, "5/2")], [("-5/7", 1), (1, 1)])
+    yield _mk([(3, 4)], [(0, 0)])  # one cell, no bisector
+    yield _past_63_instance(64)[0]
+    yield _past_63_instance(70)[0]
+
+
+def _assert_lex_matches_reference(inst, diag):
+    faces, cells = reference_lex_labels(inst, diag.arrangement)
+    assert list(diag.faces) == list(faces)
+    for ref, want in faces.items():
+        got = diag.faces[ref]
+        assert got.matching == want.matching, ref
+        assert (got._nums, got._den) == (want._nums, want._den), ref
+        assert got.cost_vector == want.cost_vector, ref
+    assert diag.cells == cells
+
+
+def test_lex_labels_equal_per_face_reference():
+    for inst in _lex_families():
+        diag = build_diagram(inst, lex=True)
+        assert diag.faces.matched.dtype == "int64"
+        _assert_lex_matches_reference(inst, diag)
+
+
+def _lex_on_python_ints(monkeypatch, inst):
+    with monkeypatch.context() as m:
+        m.setattr(diagram, "_INT64_LIMIT", 0)
+        return build_diagram(inst, lex=True)
+
+
+@pytest.mark.parametrize("scale", [1, 10**9])
+def test_int64_and_python_int_lex_labels_agree(monkeypatch, scale):
+    # Small coordinates keep Q in int64; scaled by 10^9 the bound on |Q|
+    # passes the int64 limit and the same statements run on Python ints.
+    A = [(0, 0), (7 * scale, 2 * scale), (3 * scale, 5 * scale), (-2 * scale, 4 * scale)]
+    inst = _mk(A, [(0, scale), (2 * scale, 0)])
+    narrow = build_diagram(inst, lex=True)
+    wide = _lex_on_python_ints(monkeypatch, inst)
+    assert narrow.faces.matched.dtype == ("int64" if scale == 1 else object)
+    assert wide.faces.matched.dtype == object
+    _assert_lex_matches_reference(inst, narrow)
+    _assert_lex_matches_reference(inst, wide)
+
+
+def test_lex_faces_view_reads_like_a_dict():
+    inst = _mk([(0, 0), (4, 1), (1, 5)], [(0, 0), (3, 3)])
+    diag = build_diagram(inst, lex=True)
+    refs = list(diag.arrangement.iter_faces())
+    assert len(diag.faces) == len(refs)
+    assert list(diag.faces) == refs
+    plain = dict(diag.faces)
+    assert list(plain) == refs
+    assert [ref for ref, _label in diag.faces.items()] == refs
+    values = list(diag.faces.values())
+    assert [v.matching for v in values] == [plain[r].matching for r in refs]
+    assert [v._nums for v in values] == [plain[r]._nums for r in refs]
+    assert refs[-1] in diag.faces and tuple(refs[0]) in diag.faces
+    for bad in (FaceRef(2, diag.arrangement.n_cells), FaceRef(0, -1), FaceRef(3, 0), "x"):
+        assert bad not in diag.faces
+        with pytest.raises(KeyError):
+            diag.faces[bad]
+    with pytest.raises(TypeError):
+        diag.faces[refs[0]] = plain[refs[0]]
+    with pytest.raises(ContractViolation):
+        build_diagram(inst).face_lex(refs[0])
+    # a plain dict and a list still replace the labels, as checks that
+    # plant wrong labels do
+    good = plain[refs[0]]
+    planted = LexLabel(good.matching, tuple(v + 1 for v in good._nums), good._den)
+    diag.faces = {**plain, refs[0]: planted}
+    assert diag.face_lex(refs[0]) is planted
+    assert planted._nums == tuple(v + 1 for v in good._nums) and planted._den == good._den
+    diag.cells = list(reversed(diag.cells))
+    assert diag.cell_label(0) == diag.cells[0]
 
 
 # -- orchestration ----------------------------------------------------------------

@@ -25,9 +25,9 @@ from .geom import (
     _as_point,
     _clip_ring,
     _halfplane,
+    _min_envelope_on_triples,
     closest_point_in_polygon,
     erode_polygon,
-    min_envelope_on_segment,
 )
 from .matching import Matching
 
@@ -218,8 +218,8 @@ def bottleneck_path(
             got = weights.get(eid)
             if got is None:
                 u, v = arr.edge_endpoints(eid)
-                seg = (arr.vertex_point(u), arr.vertex_point(v))
-                got = min_envelope_on_segment(inst, label_edges, seg)
+                ends = (arr.vertex_triple(u), arr.vertex_triple(v))
+                got = _min_envelope_on_triples(inst, label_edges, *ends)
                 weights[eid] = got
             nd = d if d >= got[1] else got[1]
             if dist[nbr] is None or nd < dist[nbr]:

@@ -189,6 +189,7 @@ def used_bisectors(inst: Instance, bisectors: Sequence[Bisector]) -> list[Bisect
 # Largest |line coefficient| held in int64 arrays; larger ones use Python ints.
 # All intermediate products are then bounded by 2*C*(2*C**2 + 4) < 2**63.
 _COEF_LIMIT = 1 << 20
+_SAMPLE_LIMIT = 1 << 62  # largest bound on face-sample arithmetic kept in int64
 
 _LEFT, _RIGHT, _BOTTOM, _TOP = 0, 1, 2, 3
 
@@ -454,7 +455,7 @@ class Arrangement:
     _eline: _np.ndarray  # edge -> line
     _nxt: _np.ndarray  # half-edge -> next half-edge around its face
     _face: _np.ndarray  # half-edge -> face
-    _cell_start_he: list[int]
+    _cell_start_he: _np.ndarray  # cell -> first half-edge of its face cycle
     _cell_of_face: _np.ndarray  # face -> cell, -1 for the outer face
     _adj_ptr: _np.ndarray  # dual graph in CSR form
     _adj_nbr: _np.ndarray
@@ -590,6 +591,49 @@ class Arrangement:
         if ref.dim == 1:
             return self.edge_midpoint_triple(ref.index)
         return self.vertex_triple(ref.index)
+
+    def face_samples(self) -> _np.ndarray:
+        """``face_sample_triple`` of every face as one (F, 3) array, ``iter_faces`` order.
+
+        Vertices are their triples, edges their reduced midpoints, and cells
+        follow ``cell_sample_triple``: every cell whose third vertex is still
+        collinear steps to the next one together. With X, Y and W the largest
+        |x|, |y| and w of a vertex, no value passes max(8 X Y, 4 max(X, Y, W))
+        * W^2, so the arithmetic runs on int64 while that fits and on Python
+        ints otherwise.
+        """
+        sx, sy, sw = (int(abs(self._uniq[:, j]).max()) for j in range(3))
+        bound = max(8 * sx * sy, 4 * max(sx, sy, sw)) * sw * sw
+        vt = self._uniq.astype(_np.int64 if bound <= _SAMPLE_LIMIT else object)
+        eu, ev, nxt = self._eu, self._ev, self._nxt
+
+        def origin(h):
+            return vt[_np.where(h & 1, ev[h >> 1], eu[h >> 1])].T
+
+        def mid(p, q):  # midpoint of homogeneous triples, not reduced
+            (xp, yp, wp), (xq, yq, wq) = p, q
+            return xp * wq + xq * wp, yp * wq + yq * wp, 2 * wp * wq
+
+        def reduced(x, y, w):
+            g = _np.gcd(_np.gcd(x, y), w)
+            return _np.stack([x // g, y // g, w // g], axis=1)
+
+        h0 = self._cell_start_he
+        x0, y0, w0 = t0 = vt[eu[h0 >> 1]].T
+        x1, y1, w1 = t1 = vt[ev[h0 >> 1]].T
+        dx, dy = x1 * w0 - x0 * w1, y1 * w0 - y0 * w1
+        h = nxt[nxt[h0]]
+        c = _np.arange(len(h0))  # the cells whose third vertex may be collinear
+        while c.size:
+            x2, y2, w2 = origin(h[c])
+            cross = dx[c] * (y2 * w0[c] - y0[c] * w2) - dy[c] * (x2 * w0[c] - x0[c] * w2)
+            c = c[cross == 0]
+            h[c] = nxt[h[c]]
+            if (h[c] == h0[c]).any():
+                raise ContractViolation("cell cycle is degenerate")
+        cells = reduced(*mid(mid(t0, t1), origin(h)))
+        edges = reduced(*mid(vt[eu].T, vt[ev].T))
+        return _np.concatenate([cells, edges, vt])
 
     def cell_bounds_float(self) -> _np.ndarray:
         """(n_cells, 4) float array [min x, min y, max x, max y] per cell."""
@@ -810,13 +854,10 @@ def _assemble(
     ):
         raise ContractViolation("the outer face touches only box sides")
 
-    cell_of_face = _np.full(n_faces, -1, dtype=_np.int64)
-    cell_start_he: list[int] = []
-    for f in range(n_faces):
-        if f == outer:
-            continue
-        cell_of_face[f] = len(cell_start_he)
-        cell_start_he.append(starts[f])
+    # cells: the bounded faces in face order
+    bounded_face = _np.arange(n_faces) != outer
+    cell_of_face = _np.where(bounded_face, _np.cumsum(bounded_face) - 1, -1)
+    cell_start_he = _np.array(starts, dtype=_np.int64)[bounded_face]
     n_cells = len(cell_start_he)
 
     if V - E + (n_cells + 1) != 2:

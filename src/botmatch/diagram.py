@@ -14,7 +14,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Sequence
 
 import numpy as _np
@@ -31,12 +30,11 @@ from .geom import EdgeRef, Instance, Point, Scalar, squared_length_nums
 from .matching import (
     ContractViolation,
     Matching,
-    assignment_by_cost,
     bottleneck_matching,
     canonical_complete_matching,
     candidates_from_nums,
     cross_bisector,
-    lex_cost,
+    lex_assignments,
     matching_from_map,
     prune_candidates,
 )
@@ -240,6 +238,7 @@ def _walk_labels(
 
 _LEX_CHUNK = 1 << 20  # entries of a (faces, k * n) chunk array: 8 MB as int64
 _INT64_LIMIT = 1 << 62  # largest bound on |Q| that the lex labeller keeps in int64
+_ASSIGN_SLICE = 4096  # distinct keys per lex_assignments call
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,6 +279,53 @@ class _LexFaces(Mapping):
         return len(self.face_matching)
 
 
+def _row_bytes(rows: _np.ndarray) -> _np.ndarray:
+    """One bytes record per row of a C-contiguous integer array.
+
+    ``np.unique`` and ``np.searchsorted`` group and find these like rows
+    with ``axis=0``, and faster.
+    """
+    return rows.view(_np.dtype((_np.void, rows.itemsize * rows.shape[1])))[:, 0]
+
+
+def _unique_rows(rows: _np.ndarray) -> tuple[_np.ndarray, _np.ndarray]:
+    """Distinct rows of an integer array in bytes order, and each row's index among them."""
+    rows = _np.ascontiguousarray(rows)
+    _, first, inv = _np.unique(_row_bytes(rows), return_index=True, return_inverse=True)
+    return rows[first], inv.reshape(-1)
+
+
+def _intern(rows: _np.ndarray, table: dict, make) -> _np.ndarray:
+    """Id in ``table`` of each row's object; a new distinct row adds ``make(row)``."""
+    distinct, inv = _unique_rows(rows)
+    got = [table.setdefault(make(row), len(table)) for row in distinct.tolist()]
+    return _np.array(got, dtype=_np.int64)[inv]
+
+
+def _solve_keys(
+    ranks: _np.ndarray, matching_ids: dict[Matching, int], cell_ids: dict[CellLabel, int]
+) -> _np.ndarray:
+    """Per ``(keys, k, n)`` rank key: the a of each b, its matching id and cell label id."""
+    _, k, n = ranks.shape
+    assign = _np.empty((len(ranks), k), dtype=_np.int64)
+    for s in range(0, len(ranks), _ASSIGN_SLICE):
+        assign[s : s + _ASSIGN_SLICE] = lex_assignments(k, n, ranks[s : s + _ASSIGN_SLICE])
+    mid = _intern(assign, matching_ids, lambda a: matching_from_map(dict(enumerate(a))))
+    # the top edge has the largest rank, then the largest a; equal rank
+    # means equal length at the face sample
+    rank = _np.take_along_axis(ranks, assign[:, :, None], axis=2)[:, :, 0].astype(_np.int64)
+    top = _np.argmax(rank * n + assign, axis=1)[:, None]
+    top_a = _np.take_along_axis(assign, top, axis=1)[:, 0]
+    top_rank = _np.take_along_axis(rank, top, axis=1)[:, 0]
+    table = list(matching_ids)
+    cid = _intern(
+        _np.column_stack([mid, top[:, 0], top_a, top_rank]),
+        cell_ids,
+        lambda r: CellLabel(table[r[0]], EdgeRef(r[2], r[1]), r[3]),
+    )
+    return _np.column_stack([assign, mid, cid])
+
+
 def label_faces_lex(
     inst: Instance, arr: Arrangement, bisectors: Sequence[Bisector] = ()
 ) -> LabeledDiagram:
@@ -291,27 +337,27 @@ def label_faces_lex(
     exactly, on fewer bits; numpy computes it over chunks of faces, on int64
     within ``_INT64_LIMIT`` and on Python ints beyond. Per b the edges up to
     the k-th smallest Q (ties included) are candidates. Their dense ranks
-    form the face's key, and each distinct key gets one exact assignment.
+    form the face's key; ``lex_assignments`` solves a chunk's distinct keys
+    at once. Python objects are made only per distinct matching and per
+    distinct cell label.
     """
     if bisectors:
         _check_alignment(arr, bisectors)
     k, n = inst.k, inst.n
     M, rows = inst.int_anchors
-    F = arr.n_cells + arr.n_edges + arr.n_vertices
-    coords = chain.from_iterable(map(arr.face_sample_triple, arr.iter_faces()))
-    samples = _np.fromiter(coords, dtype=object, count=3 * F).reshape(F, 3)
-    span = max(samples.max(), -samples.min())  # bounds |X|, |Y| and W
+    samples = arr.face_samples()
+    F = len(samples)
+    span = int(abs(samples).max())  # bounds |X|, |Y| and W
     sq = max(x * x + y * y for row in rows for x, y in row)
     lin = max(abs(x) + abs(y) for row in rows for x, y in row)
     dtype = _np.int64 if span * (sq + 2 * M * lin + 1) <= _INT64_LIMIT else object
     samples = samples.astype(dtype)
     Ax, Ay = _np.moveaxis(_np.array(rows, dtype=dtype), 2, 0)  # (k, n) each
     key_dtype = _np.min_scalar_type(k * n + 1)
-    row_dtype = _np.dtype((_np.void, k * n * key_dtype.itemsize))
 
-    known: dict[tuple[int, ...], tuple[int, ...]] = {}  # key -> (*assign, ids)
-    matching_ids: dict[tuple[int, ...], int] = {}
-    matchings: list[Matching] = []
+    known_keys = _row_bytes(_np.empty((0, k * n), dtype=key_dtype))  # sorted as bytes
+    known = _np.empty((0, k + 2), dtype=_np.int64)  # per known key: *assign, mid, cid
+    matching_ids: dict[Matching, int] = {}
     cell_ids: dict[CellLabel, int] = {}
     ids = _np.empty((F, 2), dtype=_np.int64)  # matching id, cell label id
     matched = _np.empty((F, k), dtype=dtype)
@@ -329,31 +375,26 @@ def label_faces_lex(
         keys = _np.empty(kept.shape, dtype=key_dtype)
         _np.put_along_axis(keys, order, _np.cumsum(new, axis=1, dtype=key_dtype), axis=1)
         keys[~kept] = 0
-        # one bytes record per row: np.unique groups them like axis=0, faster
-        uniq, inv = _np.unique(keys.view(row_dtype)[:, 0], return_inverse=True)
-        per_key = []
-        for rank in uniq.view(key_dtype).reshape(len(uniq), k * n).tolist():
-            row = known.get(tuple(rank))
-            if row is None:
-                triples = [(j // n, j % n, r) for j, r in enumerate(rank) if r]
-                cost, infinity, cols = lex_cost(k, triples)
-                assign = tuple(cols[j] for j in assignment_by_cost(cost, infinity))
-                mid = matching_ids.setdefault(assign, len(matchings))
-                if mid == len(matchings):
-                    matchings.append(matching_from_map(dict(enumerate(assign))))
-                # equal rank means equal length at the face sample
-                top = max(matchings[mid], key=lambda e: (rank[e.b * n + e.a], e))
-                cell = CellLabel(matchings[mid], top, rank[top.b * n + top.a])
-                row = (*assign, mid, cell_ids.setdefault(cell, len(cell_ids)))
-                known[tuple(rank)] = row
-            per_key.append(row)
-        per_face = _np.array(per_key)[inv.reshape(-1)]  # (faces, k + 2)
+        del flat, order, srt, new, kept
+        ranks, inv = _unique_rows(keys)
+        del keys
+        # keys solved in earlier chunks are looked up, the others solved
+        kb = _row_bytes(ranks)
+        pos = _np.searchsorted(known_keys, kb)
+        old = pos < len(known_keys)
+        old[old] = known_keys[pos[old]] == kb[old]
+        per_key = _np.empty((len(kb), k + 2), dtype=_np.int64)
+        per_key[old] = known[pos[old]]
+        per_key[~old] = _solve_keys(ranks[~old].reshape(-1, k, n), matching_ids, cell_ids)
+        known_keys = _np.insert(known_keys, pos[~old], kb[~old])
+        known = _np.insert(known, pos[~old], per_key[~old], axis=0)
+        per_face = per_key[inv]
         got = _np.take_along_axis(Q, per_face[:, :k, None], axis=2)[:, :, 0]
         matched[lo : lo + step] = _np.sort(got, axis=1)[:, ::-1]
         ids[lo : lo + step] = per_face[:, k:]
     cell_table = list(cell_ids)
     cells = [cell_table[i] for i in ids[: arr.n_cells, 1].tolist()]
-    faces = _LexFaces(arr, M, samples, matchings, ids[:, 0], matched)
+    faces = _LexFaces(arr, M, samples, list(matching_ids), ids[:, 0], matched)
     return _labeled(inst, arr, bisectors, cells, faces)
 
 

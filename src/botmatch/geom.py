@@ -456,11 +456,21 @@ def min_envelope_on_segment(
     shared denominator D, each candidate parameter is a pair num/den with
     0 <= num <= den, and values are compared by cross-multiplication.
     """
+    return _min_envelope_on_triples(inst, edges, homogeneous(seg[0]), homogeneous(seg[1]))
+
+
+def _min_envelope_on_triples(
+    inst: Instance,
+    edges: Sequence[EdgeRef],
+    s0: tuple[int, int, int],
+    s1: tuple[int, int, int],
+) -> tuple[Point, Fraction]:
+    """``min_envelope_on_segment`` with the segment ends as homogeneous triples, W > 0."""
     if not edges:
         raise ValueError("need at least one edge")
     M, rows = inst.int_anchors
-    X0, Y0, W0 = homogeneous(seg[0])
-    X1, Y1, W1 = homogeneous(seg[1])
+    X0, Y0, W0 = s0
+    X1, Y1, W1 = s1
     # Scaled by D = W0*W1*M: s0 -> (x0, y0), s1 - s0 -> (dx, dy), site -> W0*W1*row.
     W01 = W0 * W1
     D = W01 * M

@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Hashable, Iterable, Sequence
 
+import numpy as _np
+
 from .geom import ContractViolation, EdgeRef, Instance, Point, squared_length_nums
 
 
@@ -391,97 +393,112 @@ def canonical_complete_matching(G: CandidateGraph, rank_cap: int) -> Matching:
 # -- lexicographic bottleneck -------------------------------------------------
 
 
-def assignment_by_cost(cost: list[list[int]], infinity: int) -> list[int]:
-    """Minimum-cost row-to-column assignment (Hungarian with potentials).
+_ASSIGN_INT64_LIMIT = 1 << 62  # largest bound on |values| that stays in int64
 
-    ``cost`` is rows x cols with len(rows) <= len(cols); entries are exact
-    integers, ``infinity`` marks forbidden pairs. Returns the matched column
-    per row. Raises NoCompleteMatching if only forbidden assignments exist.
+
+def lex_assignments(k: int, n: int, ranks) -> _np.ndarray:
+    """Lex-bottleneck assignment of every row of a ``(keys, k * n)`` rank array.
+
+    ``(keys, k, n)`` is read the same way. Entry ``b * n + a`` of a row is the 1-based rank of candidate edge (a, b),
+    0 for a non-candidate. Each row is a min-cost assignment with edge cost
+    (k+1)^rank: a matching has at most k edges, so cost order is the lex
+    order of its sorted rank vector. Non-candidates cost the row's
+    ``infinity`` = (k+1)^(max rank + 1) * (k+1).
+
+    The Hungarian method with potentials runs in lockstep over all rows:
+    row i of every key is added in the same phase, and each step acts on the
+    keys whose phase is still open. Per key it is the scalar method exactly:
+    ``minv`` moves on strict ``<``, ``delta`` and ``j1`` come from the first
+    minimum over unused columns, and the augmenting path is walked back the
+    same way, so tied optima resolve the same way. Columns are all n values
+    of a. A column without candidates costs ``infinity`` from every row and
+    is never the minimum while a finite augmenting path exists.
+
+    Values stay in int64 while ``(2 k^2 + 2) * huge`` fits, ``huge`` being
+    the largest ``infinity * (k + 2)``: reduced costs and every ``delta`` lie
+    in [0, huge], a phase takes at most k steps, so the potentials move by at
+    most k^2 * huge in all. Beyond that the same statements run on Python
+    ints. Returns the a of every b, shape ``(keys, k)``. Raises
+    NoCompleteMatching if some row has no assignment avoiding non-candidates.
     """
-    k = len(cost)
-    n_cols = len(cost[0]) if cost else 0
-    if n_cols < k:
+    ranks = _np.asarray(ranks).reshape(-1, k, n)
+    B = len(ranks)
+    if n < k:
         raise NoCompleteMatching("fewer columns than rows to assign")
-    u = [0] * (k + 1)
-    v = [0] * (n_cols + 1)
-    way = [0] * (n_cols + 1)
-    p = [0] * (n_cols + 1)  # p[j] = row matched to column j (1-based rows)
-    huge = infinity * (k + 2)
-    for i in range(1, k + 1):
-        p[0] = i
-        j0 = 0
-        minv = [huge] * (n_cols + 1)
-        used = [False] * (n_cols + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = huge
-            j1 = 0
-            row = cost[i0 - 1]
-            ui = u[i0]
-            for j in range(1, n_cols + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - ui - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n_cols + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    cols = [-1] * k
-    for j in range(1, n_cols + 1):
-        if p[j]:
-            cols[p[j] - 1] = j - 1
-    if any(c < 0 for c in cols) or any(
-        cost[i][c] >= infinity for i, c in enumerate(cols)
-    ):
-        raise NoCompleteMatching("no assignment avoids forbidden pairs")
-    return cols
-
-
-def lex_cost(
-    k: int, triples: Sequence[tuple[int, int, int]]
-) -> tuple[list[list[int]], int, list[int]]:
-    """Lex-bottleneck as min-cost assignment over ``(b, a, rank)`` triples.
-
-    Edge cost (k+1)^rank in big integers: a matching has at most k edges, so
-    cost order is the lex order of its sorted rank vector. Returns the cost
-    rows, the forbidden-pair value and ``cols``, the a of each column.
-    """
-    cols = sorted({a for _b, a, _r in triples})
-    col_of = {a: j for j, a in enumerate(cols)}
     base = k + 1
-    infinity = base ** (max((r for _b, _a, r in triples), default=0) + 1) * (k + 1)
-    cost = [[infinity] * len(cols) for _ in range(k)]
-    for b, a, r in triples:
-        cost[b][col_of[a]] = base**r
-    return cost, infinity, cols
+    top = ranks.max(axis=(1, 2)).astype(_np.int64)
+    R = int(top.max(initial=0))
+    bound = (2 * k * k + 2) * base ** (R + 1) * (k + 1) * (k + 2)
+    dtype = _np.int64 if bound <= _ASSIGN_INT64_LIMIT else object
+    powers = _np.array([base**r for r in range(R + 2)], dtype=dtype)
+    infinity = powers[top + 1] * (k + 1)
+    cost = _np.where(ranks > 0, powers[ranks], infinity[:, None, None])  # (B, k, n)
+    huge = (infinity * (k + 2))[:, None]
+
+    u = _np.zeros((B, k + 1), dtype=dtype)
+    v = _np.zeros((B, n + 1), dtype=dtype)
+    p = _np.zeros((B, n + 1), dtype=_np.int64)  # p[j] = row matched to column j
+    way = _np.zeros((B, n + 1), dtype=_np.int64)
+    for i in range(1, k + 1):
+        p[:, 0] = i
+        j0 = _np.zeros(B, dtype=_np.int64)
+        minv = _np.repeat(huge, n + 1, axis=1)
+        used = _np.zeros((B, n + 1), dtype=bool)
+        in_tree = _np.zeros((B, k + 1), dtype=bool)  # rows p[j] of used columns
+        r = _np.arange(B)  # the keys whose phase is open
+        while r.size:
+            j = j0[r]
+            used[r, j] = True
+            i0 = p[r, j]
+            in_tree[r, i0] = True
+            cur = cost[r, i0 - 1] - u[r, i0][:, None] - v[r, 1:]
+            free = ~used[r, 1:]
+            mv = minv[r, 1:]
+            better = free & (cur < mv)
+            mv = _np.where(better, cur, mv)
+            way[r, 1:] = _np.where(better, j[:, None], way[r, 1:])
+            hr = huge[r]
+            masked = _np.where(free, mv, hr)
+            j1 = masked.argmin(axis=1)
+            delta = masked[_np.arange(len(r)), j1][:, None]
+            # as in the scalar scan, j1 stays 0 unless some minv is below huge
+            j1 = _np.where(delta[:, 0] < hr[:, 0], j1 + 1, 0)
+            u[r] += in_tree[r] * delta
+            v[r] -= used[r] * delta
+            minv[r, 1:] = mv - free * delta
+            j0[r] = j1
+            r = r[p[r, j1] != 0]
+        back = _np.flatnonzero(j0)
+        while back.size:
+            j = j0[back]
+            j1 = way[back, j]
+            p[back, j] = p[back, j1]
+            j0[back] = j1
+            back = back[j1 != 0]
+    keys, cols = _np.nonzero(p[:, 1:])
+    assign = _np.full((B, k), -1, dtype=_np.int64)
+    assign[keys, p[keys, cols + 1] - 1] = cols
+    if (assign < 0).any() or not (
+        _np.take_along_axis(ranks, assign[:, :, None], axis=2) > 0
+    ).all():
+        raise NoCompleteMatching("no assignment avoids forbidden pairs")
+    return assign
 
 
 def lex_bottleneck_matching(G: CandidateGraph) -> tuple[Matching, tuple[int, ...]]:
     """Complete matching with lexicographically least sorted-decreasing ranks.
 
-    Exact, through ``lex_cost`` and ``assignment_by_cost``.
+    Exact, through ``lex_assignments`` on the graph's one rank row.
     """
-    cost, infinity, cols = lex_cost(G.k, [(e.b, e.a, G.w(e)) for e in G.edges()])
-    if len(cols) < G.k:
+    edges = list(G.edges())
+    if len({e.a for e in edges}) < G.k:
         raise NoCompleteMatching("fewer candidate a vertices than k")
-    chosen = assignment_by_cost(cost, infinity)
-    mu = matching_from_map({b: cols[j] for b, j in enumerate(chosen)})
+    n = max(e.a for e in edges) + 1
+    row = _np.zeros(G.k * n, dtype=_np.int64)
+    for e in edges:
+        row[e.b * n + e.a] = G.w(e)
+    assign = lex_assignments(G.k, n, row)[0].tolist()
+    mu = matching_from_map(dict(enumerate(assign)))
     ranks = tuple(sorted((G.w(e) for e in mu), reverse=True))
     return mu, ranks
 

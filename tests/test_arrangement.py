@@ -508,6 +508,40 @@ def test_int64_and_python_int_geometry_agree(monkeypatch, must_contain):
         assert arr.box[2] - 1 >= p.x
 
 
+def _assert_face_samples_equal_per_face(arr):
+    samples = arr.face_samples()
+    refs = list(arr.iter_faces())
+    assert samples.shape == (len(refs), 3)
+    assert [tuple(row) for row in samples.tolist()] == [arr.face_sample_triple(r) for r in refs]
+    return samples
+
+
+@pytest.mark.parametrize(
+    "must_contain, dtype",
+    [((), "int64"), ((point(10**12, -(10**12)),), object), ((point(10**19, 5),), object)],
+    ids=["small-box", "samples-past-int64", "box-past-int64"],
+)
+def test_face_samples_equal_face_sample_triple(monkeypatch, must_contain, dtype):
+    # A box of 10^12 keeps the vertices in int64 while the sample arithmetic
+    # needs Python ints; past 10^19 the vertices are Python ints too.
+    arr = build_arrangement(_GENERAL_LINES, must_contain=must_contain)
+    assert _assert_face_samples_equal_per_face(arr).dtype == dtype
+    wide = _build_python_ints(monkeypatch, _GENERAL_LINES, must_contain)
+    assert _assert_face_samples_equal_per_face(wide).tolist() == arr.face_samples().tolist()
+    with monkeypatch.context() as m:
+        m.setattr(arrangement, "_SAMPLE_LIMIT", 0)
+        assert _assert_face_samples_equal_per_face(arr).dtype == object
+
+
+def test_face_samples_equal_face_sample_triple_on_random_and_degenerate_instances():
+    rng = random.Random(4132)
+    instances = [_random_instance(rng) for _ in range(6)]
+    instances.append(_mk([(x, 0) for x in range(5)], [(0, 0), (1, 0), (3, 0)]))
+    instances.append(_mk([(x, y) for x in range(0, 6, 2) for y in range(0, 4, 2)], [(0, 0), (1, 0), (0, 1)]))
+    for inst in instances:
+        _assert_face_samples_equal_per_face(build_arrangement([b.line for b in all_bisectors(inst)]))
+
+
 def _canonical_cell_vertices(arr, c):
     return canonical_convex([arr.vertex_point(v) for v in arr.cell_cycle(c)]).vertices
 

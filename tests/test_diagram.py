@@ -8,6 +8,7 @@ import pytest
 import botmatch
 
 from botmatch.arrangement import (
+    Arrangement,
     FaceRef,
     all_bisectors,
     build_arrangement,
@@ -26,7 +27,7 @@ from botmatch.diagram import (
     reduced_arrangement,
 )
 from botmatch.geom import EdgeRef, Instance, Point, point
-from botmatch.matching import ContractViolation
+from botmatch.matching import ContractViolation, lex_assignments
 from botmatch.oracle import brute_force_E, brute_force_lex, brute_force_lex_matchings
 from lex_reference import reference_lex_labels
 
@@ -502,6 +503,28 @@ def test_int64_and_python_int_lex_labels_agree(monkeypatch, scale):
     assert wide.faces.matched.dtype == object
     _assert_lex_matches_reference(inst, narrow)
     _assert_lex_matches_reference(inst, wide)
+
+
+def test_lex_labeller_makes_no_call_per_face_or_per_key(monkeypatch):
+    # Samples come from one face_samples() array and every distinct key is
+    # solved by one lex_assignments call, not one Python call per face or key.
+    inst = _mk([(0, 0), (4, 1), (1, 5), (-3, 2), (2, -4)], [(0, 0), (3, 3), (-1, 2)])
+
+    def per_face(self, ref):
+        raise AssertionError(f"per-face sample read at {ref}")
+
+    solved = []
+
+    def counting(k, n, ranks):
+        solved.append(len(ranks))
+        return lex_assignments(k, n, ranks)
+
+    monkeypatch.setattr(Arrangement, "face_sample_triple", per_face)
+    monkeypatch.setattr(diagram, "lex_assignments", counting)
+    diag = build_diagram(inst, lex=True)
+    assert len(diag.faces) == len(list(diag.arrangement.iter_faces()))
+    assert 1 < sum(solved) < len(diag.faces)
+    assert len(solved) == -(-sum(solved) // diagram._ASSIGN_SLICE)  # full slices
 
 
 def test_lex_faces_view_reads_like_a_dict():

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from botmatch import diagram, matching
+from botmatch.diagram import build_diagram
 from botmatch.geom import EdgeRef, Instance, Point, point, squared_edge_length
 from botmatch.matching import (
     DIFF_B,
@@ -12,6 +15,7 @@ from botmatch.matching import (
     bottleneck_matching,
     canonical_complete_matching,
     cross_bisector,
+    lex_assignments,
     lex_bottleneck_matching,
     matching_map,
     max_matching,
@@ -19,6 +23,7 @@ from botmatch.matching import (
     update_on_swap,
 )
 from botmatch.oracle import brute_force_E, brute_force_lex
+from lex_reference import reference_assignment
 
 E = EdgeRef
 
@@ -265,6 +270,107 @@ def test_lex_matches_brute_force():
         )
         assert vec == brute_force_lex(inst, t)
         assert ranks == tuple(sorted((G.w(e) for e in mu), reverse=True))
+
+
+def _reference_rows(ranks):
+    """The scalar reference's assignment of every (k, n) rank key."""
+    out = []
+    for key in ranks.tolist():
+        triples = [(b, a, r) for b, row in enumerate(key) for a, r in enumerate(row) if r]
+        out.append(reference_assignment(len(key), triples))
+    return out
+
+
+def _assert_equals_reference(ranks):
+    got = lex_assignments(ranks.shape[1], ranks.shape[2], ranks)
+    assert got.tolist() == [list(a) for a in _reference_rows(ranks)]
+
+
+def _keys_of_lex_build(monkeypatch, inst):
+    """Every rank key ``label_faces_lex`` passes to ``lex_assignments``, and its answers."""
+    seen = []
+
+    def spy(k, n, ranks):
+        got = lex_assignments(k, n, ranks)
+        seen.append((np.array(ranks), got))
+        return got
+
+    with monkeypatch.context() as m:
+        m.setattr(diagram, "lex_assignments", spy)
+        build_diagram(inst, lex=True)
+    return seen
+
+
+def _seeded_instance(seed, n, k, span):
+    rng = random.Random(seed)
+    pts: set[tuple[int, int]] = set()
+    while len(pts) < n + k:
+        pts.add((rng.randint(-span, span), rng.randint(-span, span)))
+    flat = sorted(pts)
+    return _mk(flat[:n], flat[n:])
+
+
+@pytest.mark.parametrize(
+    "seed, n, k, span", [(7, 5, 4, 10), (21, 6, 3, 8), (22, 4, 4, 6)], ids=["bench-lex", "n6-k3", "k-eq-n"]
+)
+def test_lex_assignments_equal_scalar_reference_on_every_instance_key(monkeypatch, seed, n, k, span):
+    # (7, 5, 4, 10) is the benchmark's lex instance; the others add k < n - 1 and k = n.
+    calls = _keys_of_lex_build(monkeypatch, _seeded_instance(seed, n, k, span))
+    keys = np.concatenate([ranks for ranks, _got in calls])
+    assert len({key.tobytes() for key in keys}) == len(keys) > 0  # each key solved once
+    want = _reference_rows(keys)
+    got = np.concatenate([got for _ranks, got in calls])
+    assert got.tolist() == [list(a) for a in want]
+    # one call over all keys answers like the slices the labeller used
+    assert lex_assignments(k, n, keys).tolist() == got.tolist()
+
+
+def _tie_heavy_keys(rng, k, n, count, top):
+    """Rank keys where every b has at least k candidates, ranks drawn from 1..top."""
+    ranks = np.zeros((count, k, n), dtype=np.int64)
+    for key in ranks:
+        for b in range(k):
+            cols = rng.sample(range(n), rng.randint(k, n))
+            key[b, cols] = [rng.randint(1, top) for _ in cols]
+    return ranks
+
+
+def test_lex_assignments_equal_scalar_reference_on_tie_heavy_keys(monkeypatch):
+    rng = random.Random(1101)
+    shapes = [(k, n) for k in range(1, 6) for n in range(k, 9)]
+    batches = [_tie_heavy_keys(rng, k, n, 120, rng.randint(1, 4)) for k, n in shapes]
+    for ranks in batches:
+        _assert_equals_reference(ranks)
+    # the same statements on Python ints
+    monkeypatch.setattr(matching, "_ASSIGN_INT64_LIMIT", 0)
+    for ranks in batches[::4]:
+        _assert_equals_reference(ranks)
+
+
+def test_lex_assignments_past_int64_run_on_python_ints():
+    # k = 6, n = 7: ranks up to 42 make costs (k + 1)^rank that pass int64.
+    k, n = 6, 7
+    rng = random.Random(1102)
+    spread = _tie_heavy_keys(rng, k, n, 40, k * n)
+    high_ties = _tie_heavy_keys(rng, k, n, 40, 3)
+    high_ties[high_ties > 0] += k * n - 3  # ranks 40..42 only
+    ranks = np.concatenate([spread, high_ties])
+    assert (k + 1) ** int(ranks.max()) > 2**63
+    _assert_equals_reference(ranks)
+
+
+def test_lex_assignments_infeasible_key_raises():
+    # both b have a0 as their only candidate
+    lone = np.zeros((1, 2, 3), dtype=np.int64)
+    lone[0, :, 0] = [1, 2]
+    with pytest.raises(NoCompleteMatching):
+        lex_assignments(2, 3, lone)
+    fine = np.array([[[1, 2, 0], [0, 1, 2]]])
+    assert lex_assignments(2, 3, fine).tolist() == [[0, 1]]
+    with pytest.raises(NoCompleteMatching):
+        lex_assignments(2, 3, np.concatenate([fine, lone]))
+    with pytest.raises(NoCompleteMatching):
+        lex_assignments(3, 2, np.ones((1, 3, 2), dtype=np.int64))
 
 
 def test_canonical_complete_matching():

@@ -15,7 +15,14 @@ from itertools import count
 
 import numpy as _np
 
-from .diagram import _walk_labels, build_diagram, eval_E, reduced_arrangement
+from .diagram import (
+    _crossed,
+    _start_state,
+    _walk_labels,
+    build_diagram,
+    eval_E,
+    reduced_arrangement,
+)
 from .geom import (
     ContractViolation,
     ConvexPolygon,
@@ -161,9 +168,7 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
 # -- bottleneck path --------------------------------------------------------------
 
 
-def bottleneck_path(
-    inst: Instance, t0: Point, t1: Point, *, keep_all_bisectors: bool = False
-) -> PathResult:
+def bottleneck_path(inst: Instance, t0: Point, t1: Point) -> PathResult:
     """Path between placements minimizing the worst bottleneck value en route.
 
     The working box is inflated so that the sublevel set of a straight-line
@@ -172,21 +177,17 @@ def bottleneck_path(
     costs the minimum of the bottleneck value along it (the incident cell's
     label envelope, valid on the closed cell); a minimax Dijkstra over the
     dual graph then yields the optimum, walked back through the per-edge
-    minimizers.
+    minimizers. Only the cells Dijkstra settles are labelled: a seed from a
+    recompute at its sample, any other cell by ``_crossed`` from the state of
+    the parent that set its distance. Parent states live on the frontier only.
     """
     e0, mu0 = eval_E(inst, t0)
     v_straight = max(e0, max(t1.dist2(inst.anchor(e)) for e in mu0))
-    radius = math.isqrt(int(v_straight)) + 1
-    shift = Point(Fraction(radius), Fraction(radius))
-    musts = [t0, t1]
-    for e in inst.edges():
-        site = inst.anchor(e)
-        musts.append(site - shift)
-        musts.append(site + shift)
-    diag = build_diagram(
-        inst, must_contain=musts, keep_all_bisectors=keep_all_bisectors
-    )
-    arr = diag.arrangement
+    r = math.isqrt(int(v_straight)) + 1
+    sites = [inst.anchor(e) for e in inst.edges()]
+    xs, ys = [s.x for s in sites], [s.y for s in sites]
+    corners = [Point(min(xs) - r, min(ys) - r), Point(max(xs) + r, max(ys) + r)]
+    bis, arr = reduced_arrangement(inst, must_contain=[t0, t1, *corners])
 
     seeds = arr.face_cells(arr.locate(t0))
     targets = set(arr.face_cells(arr.locate(t1)))
@@ -194,13 +195,13 @@ def bottleneck_path(
     zero = Fraction(0)
     dist: list[Scalar | None] = [None] * arr.n_cells
     parent_cell = [-1] * arr.n_cells
-    parent_eid = [-1] * arr.n_cells
+    crossing: list[Point | None] = [None] * arr.n_cells
+    frontier = {}  # unsettled cell -> (state of its parent, bisector to cross)
     tick = count()
     heap = []
     for c in seeds:
         dist[c] = zero
         heapq.heappush(heap, (zero, next(tick), c))
-    weights: dict[int, tuple[Point, Scalar]] = {}
     end_cell = -1
     settled = [False] * arr.n_cells
     while heap:
@@ -211,21 +212,19 @@ def bottleneck_path(
         if c in targets:
             end_cell = c
             break
-        label_edges = diag.cells[c].matching
+        got = frontier.pop(c, None)
+        state = _start_state(inst, arr, c) if got is None else _crossed(*got)
         for nbr, eid in arr.cell_neighbors(c):
             if settled[nbr]:
                 continue
-            got = weights.get(eid)
-            if got is None:
-                u, v = arr.edge_endpoints(eid)
-                ends = (arr.vertex_triple(u), arr.vertex_triple(v))
-                got = _min_envelope_on_triples(inst, label_edges, *ends)
-                weights[eid] = got
-            nd = d if d >= got[1] else got[1]
+            ends = map(arr.vertex_triple, arr.edge_endpoints(eid))
+            p, w = _min_envelope_on_triples(inst, state.mu, *ends)
+            nd = d if d >= w else w
             if dist[nbr] is None or nd < dist[nbr]:
                 dist[nbr] = nd
                 parent_cell[nbr] = c
-                parent_eid[nbr] = eid
+                crossing[nbr] = p
+                frontier[nbr] = (state, bis[arr.edge_line(eid)])
                 heapq.heappush(heap, (nd, next(tick), nbr))
     if end_cell < 0:
         raise ContractViolation("dual cell graph is not connected")
@@ -233,7 +232,7 @@ def bottleneck_path(
     crossings: list[Point] = []
     c = end_cell
     while parent_cell[c] >= 0:
-        crossings.append(weights[parent_eid[c]][0])
+        crossings.append(crossing[c])
         c = parent_cell[c]
     crossings.reverse()
     polyline = (t0, *crossings, t1)

@@ -167,16 +167,32 @@ class _TraversalState:
         return self.label
 
 
+def _start_state(inst: Instance, arr: Arrangement, cid: int) -> _TraversalState:
+    """State recomputed at the sample of cell ``cid``, with the canonical matching."""
+    G = prune_candidates(inst, arr.face_sample(FaceRef(2, cid)))
+    _mu, rank = bottleneck_matching(G)
+    return _TraversalState(G, canonical_complete_matching(G, rank))
+
+
+def _crossed(state: _TraversalState, bisector: Bisector) -> _TraversalState:
+    """The state across ``bisector``, the walk rule every labeller shares.
+
+    It is the same state object unless a tying pair is ``touching`` the graph.
+    """
+    pairs = bisector.edge_pairs
+    if state.G.touching(pairs):
+        return _TraversalState(*cross_bisector(state.G, state.mu, pairs))
+    return state
+
+
 def label_cells_incremental(
     inst: Instance, arr: Arrangement, bisectors: Sequence[Bisector]
 ) -> LabeledDiagram:
     """Label every cell by walking the dual graph and updating on crossings.
 
-    Breadth-first from cell 0 (deterministic); the first label comes from a
-    recompute at the start cell's sample, every other label is derived by
-    ``cross_bisector`` from the crossed bisector's edge pairs. A crossing
-    with no pair ``CandidateGraph.touching`` the graph changes nothing, so
-    the neighbour shares the predecessor's state object.
+    Breadth-first from cell 0 (deterministic); the first label comes from
+    ``_start_state`` at the start cell's sample, every other label from
+    ``_crossed``, the one home of the walk rule, across the crossed bisector.
     """
     cells, parts = _walk_labels(inst, arr, bisectors, range(arr.n_cells))
     if parts != 1:
@@ -195,11 +211,11 @@ def _walk_labels(
 ) -> tuple[list[CellLabel | None], int]:
     """Labels of ``cells`` by walking the dual subgraph they induce.
 
-    Each connected component of that subgraph starts from a recompute at the
-    sample of its first cell in ``cells`` order and is walked breadth-first,
-    calling ``cross_bisector`` only on crossings with pairs ``touching`` the
-    graph, as ``label_cells_incremental`` describes. Returns the labels
-    indexed by cell id (None outside ``cells``) and the number of components.
+    Each connected component of that subgraph starts from ``_start_state`` at
+    the sample of its first cell in ``cells`` order and is walked
+    breadth-first, each neighbour's state coming from ``_crossed``, the one
+    home of the walk rule. Returns the labels indexed by cell id (None outside
+    ``cells``) and the number of components.
     """
     _check_alignment(arr, bisectors)
     states: list[object] = [_OUTSIDE] * arr.n_cells
@@ -210,11 +226,7 @@ def _walk_labels(
         if states[start] is not None:
             continue
         parts += 1
-        G0 = prune_candidates(inst, arr.face_sample(FaceRef(2, start)))
-        _mu, rank0 = bottleneck_matching(G0)
-        states[start] = _TraversalState(
-            G0, canonical_complete_matching(G0, rank0)
-        )
+        states[start] = _start_state(inst, arr, start)
         queue = deque([start])
         while queue:
             c = queue.popleft()
@@ -222,12 +234,7 @@ def _walk_labels(
             for nbr, eid in arr.cell_neighbors(c):
                 if states[nbr] is not None:
                     continue
-                pairs = bisectors[arr.edge_line(eid)].edge_pairs
-                if st.G.touching(pairs):
-                    g2, mu2 = cross_bisector(st.G, st.mu, pairs)
-                    states[nbr] = _TraversalState(g2, mu2)
-                else:
-                    states[nbr] = st
+                states[nbr] = _crossed(st, bisectors[arr.edge_line(eid)])
                 queue.append(nbr)
             states[c] = st.cell_label()
     return [None if s is _OUTSIDE else s for s in states], parts
@@ -402,19 +409,14 @@ def label_faces_lex(
 
 
 def reduced_arrangement(
-    inst: Instance,
-    *,
-    must_contain: Sequence[Point] = (),
-    keep_all_bisectors: bool = False,
+    inst: Instance, *, must_contain: Sequence[Point] = ()
 ) -> tuple[list[Bisector], Arrangement]:
-    """Bisectors (reduced unless ``keep_all_bisectors``) and their arrangement.
+    """Reduced bisectors and their arrangement.
 
     The bounding box always contains every anchor a - b (so the global
     bottleneck optimum is inside) plus any extra query points supplied.
     """
-    bis = all_bisectors(inst)
-    if not keep_all_bisectors:
-        bis = used_bisectors(inst, bis)
+    bis = used_bisectors(inst, all_bisectors(inst))
     anchors = [inst.anchor(e) for e in inst.edges()]
     arr = build_arrangement(
         [b.line for b in bis], must_contain=anchors + list(must_contain)
@@ -426,7 +428,6 @@ def build_diagram(
     inst: Instance,
     *,
     must_contain: Sequence[Point] = (),
-    keep_all_bisectors: bool = False,
     lex: bool = False,
 ) -> LabeledDiagram:
     """Full pipeline: bisectors, reduction, arrangement, labels.
@@ -436,9 +437,7 @@ def build_diagram(
     Otherwise ``label_cells_incremental`` labels the cells when they are
     first read.
     """
-    bis, arr = reduced_arrangement(
-        inst, must_contain=must_contain, keep_all_bisectors=keep_all_bisectors
-    )
+    bis, arr = reduced_arrangement(inst, must_contain=must_contain)
     if lex:
         return label_faces_lex(inst, arr, bis)
     return LabeledDiagram(inst, tuple(bis), arr)

@@ -42,6 +42,7 @@ from botmatch import (
 )
 from botmatch.matching import cross_bisector, update_on_swap
 from botmatch.oracle import brute_force_E, brute_force_lex, brute_force_lex_matchings
+from path_reference import unreduced
 
 # -- reporting ---------------------------------------------------------------
 
@@ -264,7 +265,7 @@ def test_criterion_06_bottleneck_path(capsys):
             t0 = point(rng.randint(-8, 8), rng.randint(-8, 8))
             t1 = point(rng.randint(-8, 8), rng.randint(-8, 8))
             reduced = bottleneck_path(inst, t0, t1)
-            full = bottleneck_path(inst, t0, t1, keep_all_bisectors=True)
+            full = unreduced(bottleneck_path, inst, t0, t1)
             assert reduced.value == full.value
             e0, e1 = eval_E(inst, t0)[0], eval_E(inst, t1)[0]
             assert reduced.value >= max(e0, e1)

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from botmatch import applications
+import pytest
+
+from botmatch import applications, diagram
 from botmatch.applications import (
     CoverResult,
     Empty,
@@ -19,6 +21,8 @@ from botmatch.geom import (
     point,
 )
 from botmatch.oracle import grid_cover_radius, oracle_optimal_translation
+from path_reference import bottleneck_path as reference_path
+from path_reference import unreduced
 
 
 def _pts(coords):
@@ -231,7 +235,7 @@ def test_path_reduction_independent_and_bounded():
         inst = _random_instance(rng, span=4)
         t0, t1 = _random_t(rng), _random_t(rng)
         res = bottleneck_path(inst, t0, t1)
-        full = bottleneck_path(inst, t0, t1, keep_all_bisectors=True)
+        full = unreduced(bottleneck_path, inst, t0, t1)
         assert res.value == full.value
         e0, _ = eval_E(inst, t0)
         e1, _ = eval_E(inst, t1)
@@ -239,6 +243,84 @@ def test_path_reduction_independent_and_bounded():
         assert res.value <= _segment_max(inst, t0, t1)
         assert res.vertex_values == tuple(eval_E(inst, p)[0] for p in res.polyline)
         assert max(res.vertex_values) == res.value
+
+
+def _paths_and_boxes(inst, t0, t1):
+    """The library's and the reference's path, and each one's arrangement box."""
+    boxes = []
+    real = diagram.build_arrangement
+
+    def spy(lines, must_contain=()):
+        arr = real(lines, must_contain)
+        boxes.append(arr.box)
+        return arr
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagram, "build_arrangement", spy)
+        got = bottleneck_path(inst, t0, t1)
+        ref = reference_path(inst, t0, t1)
+    return got, ref, boxes
+
+
+def _on_lines(inst, rng):
+    """An arrangement vertex and a point inside an edge, both inside the box."""
+    _bis, arr = reduced_arrangement(inst)
+    x0, y0, x1, y1 = arr.box
+    inside = []
+    for eid in range(arr.n_edges):
+        ends = [arr.vertex_point(v) for v in arr.edge_endpoints(eid)]
+        if arr.edge_line(eid) < arr.n_lines and all(
+            x0 < p.x < x1 and y0 < p.y < y1 for p in ends
+        ):
+            inside.append(ends)
+    if not inside:
+        return []
+    p, q = rng.choice(inside)
+    picks = [p, p + (q - p).scale(Fraction(1, 2))]
+    for t in picks:
+        assert len(arr.face_cells(arr.locate(t))) >= 2
+    return picks
+
+
+def test_path_equals_whole_box_reference():
+    rng = random.Random(1_2060)
+    placed = 0
+    for inst in _pruning_families():
+        ends = [point(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(2)]
+        on_lines = _on_lines(inst, rng)
+        placed += len(on_lines)
+        pairs = [tuple(ends)] + [(t, ends[1]) for t in on_lines] + [(ends[0], t) for t in on_lines]
+        if len(on_lines) == 2:
+            pairs.append(tuple(on_lines))
+        for t0, t1 in pairs:
+            got, ref, boxes = _paths_and_boxes(inst, t0, t1)
+            assert got == ref  # polyline, value and vertex values
+            assert len(boxes) == 2 and boxes[0] == boxes[1]
+    assert placed >= 30
+
+
+def test_path_labels_only_the_cells_it_settles(monkeypatch):
+    # the first path of the bench's `queries` workload at seed 0
+    inst = _mk([(-3, 4), (1, 6), (2, -6), (3, -2), (5, -1)], [(5, 4), (6, 5)])
+    calls = []
+    arrs = []
+
+    def counted(real, into):
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            into.append(out)
+            return out
+
+        return spy
+
+    for name in ("_start_state", "_crossed"):
+        monkeypatch.setattr(applications, name, counted(getattr(applications, name), calls))
+    real = applications.reduced_arrangement
+    monkeypatch.setattr(applications, "reduced_arrangement", counted(real, arrs))
+    res = bottleneck_path(inst, point(-7, -3), point(-5, 3))
+    assert res == reference_path(inst, point(-7, -3), point(-5, 3))
+    [(_bis, arr)] = arrs
+    assert 0 < len(calls) < arr.n_cells  # 27 of 694 cells
 
 
 def test_path_not_beaten_by_random_polylines():

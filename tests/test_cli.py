@@ -17,7 +17,8 @@ from botmatch.cli import (
     render_svg,
     run,
 )
-from botmatch.diagram import build_diagram
+from botmatch import diagram
+from botmatch.diagram import LabeledDiagram, build_diagram
 from botmatch.geom import Instance, point
 
 
@@ -411,6 +412,22 @@ def test_path_and_cover_stdout_is_pinned(tmp_path, capsys, cmd, doc, extra, expe
     else:
         argv += extra
     assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
+PATH_GOLDEN = [g[1:] for g in GOLDEN if g[0] == "path"]
+
+
+@pytest.mark.parametrize(
+    "doc, extra, expected", PATH_GOLDEN, ids=[f"path{i}" for i in range(len(PATH_GOLDEN))]
+)
+def test_path_answers_without_labelling_the_diagram(tmp_path, capsys, monkeypatch, doc, extra, expected):
+    def refuse(*args):
+        raise AssertionError("the path must not label the whole diagram")
+
+    monkeypatch.setattr(diagram, "label_cells_incremental", refuse)
+    monkeypatch.setattr(LabeledDiagram, "cells", property(refuse))
+    assert run(["path", _write(tmp_path, "in.json", doc), *extra]) == EXIT_OK
     assert capsys.readouterr().out == expected
 
 

@@ -592,7 +592,7 @@ def test_build_diagram_box_covers_anchors():
 def test_build_diagram_keep_all_bisectors():
     inst = _mk([(0, 0), (2, 0), (4, 0)], [(0, 0)])
     _bis, reduced = reduced_arrangement(inst)
-    _bis, full = reduced_arrangement(inst, keep_all_bisectors=True)
+    full = build_arrangement([b.line for b in all_bisectors(inst)])
     assert reduced.n_lines < full.n_lines
 
 

@@ -17,6 +17,7 @@ from botmatch.diagram import build_diagram, eval_E
 from botmatch.geom import Instance, Point, convex_polygon, erode_polygon, point
 from botmatch.oracle import grid_cover_radius, oracle_optimal_translation
 from fraction_geometry import _halfplane_clip
+from path_reference import unreduced
 
 # Point pools whose members are collinear, on a lattice or co-circular.
 POOLS = {
@@ -95,7 +96,7 @@ def test_optimal_translation_equals_oracle(inst):
 @given(instances(), placements(), placements())
 def test_bottleneck_path_properties(inst, t0, t1):
     res = bottleneck_path(inst, t0, t1)
-    assert res.value == bottleneck_path(inst, t0, t1, keep_all_bisectors=True).value
+    assert res.value == unreduced(bottleneck_path, inst, t0, t1).value
     # the straight segment never does worse than the matching of t0 at both ends
     e0, mu0 = eval_E(inst, t0)
     assert res.value <= max(e0, max(t1.dist2(inst.anchor(e)) for e in mu0))

@@ -15,6 +15,7 @@ from itertools import count
 
 import numpy as _np
 
+from .arrangement import all_bisectors
 from .diagram import (
     _crossed,
     _start_state,
@@ -101,68 +102,135 @@ def _box_dist2(boxes: tuple[_np.ndarray, ...], x, y) -> _np.ndarray:
     return dx
 
 
+def _window(x0: Scalar, y0: Scalar, x1: Scalar, y1: Scalar) -> tuple[int, int, int, int]:
+    """The least integer box holding [x0, x1] x [y0, y1] with sides at least 1 long."""
+    ix0, iy0 = math.floor(x0), math.floor(y0)
+    return ix0, iy0, max(math.ceil(x1), ix0 + 1), max(math.ceil(y1), iy0 + 1)
+
+
+def _merged(boxes: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
+    """The boxes with every two that meet, as closed boxes, replaced by their bounding box."""
+    out: list[tuple[int, int, int, int]] = []
+    for box in boxes:
+        while True:
+            hit = next(
+                (o for o in out if o[0] <= box[2] and box[0] <= o[2] and o[1] <= box[3] and box[1] <= o[3]),
+                None,
+            )
+            if hit is None:
+                break
+            out.remove(hit)
+            box = (min(box[0], hit[0]), min(box[1], hit[1]), max(box[2], hit[2]), max(box[3], hit[3]))
+        out.append(box)
+    return sorted(out)
+
+
+def _optimizer_windows(inst: Instance, upper: Scalar) -> list[tuple[int, int, int, int]]:
+    """Disjoint integer windows holding every translation of value at most ``upper``.
+
+    Such a t lies within sqrt(upper) <= r, r the least integer with r^2 >=
+    upper, of some anchor q_b of every b, and then |q_b0 - q_b|^2 <= 4 upper.
+    So for any b0 it lies in the box s +- r of an anchor s = q_b0, cut for
+    every b by the bounding box, grown by r, of the anchors of b within
+    2 sqrt(upper) of s; an s with no such anchor for some b is dropped. The
+    b0 whose merged windows have the least total area is kept.
+    """
+    M, rows = inst.int_anchors
+    upper = Fraction(upper)
+    ceil = math.ceil(upper)
+    r = math.isqrt(ceil)
+    R = (r + (r * r < ceil)) * M  # in the frame of rows, scaled by M
+    near_num, near_den = 4 * upper.numerator * M * M, upper.denominator
+    best = None
+    for b0 in range(inst.k):
+        boxes = []
+        for sx, sy in rows[b0]:
+            x0, y0, x1, y1 = sx - R, sy - R, sx + R, sy + R
+            for row in rows:
+                near = [
+                    (qx, qy)
+                    for qx, qy in row
+                    if ((qx - sx) ** 2 + (qy - sy) ** 2) * near_den <= near_num
+                ]
+                if not near:
+                    break
+                xs, ys = zip(*near)
+                x0, y0 = max(x0, min(xs) - R), max(y0, min(ys) - R)
+                x1, y1 = min(x1, max(xs) + R), min(y1, max(ys) + R)
+            else:
+                boxes.append(_window(*(Fraction(v, M) for v in (x0, y0, x1, y1))))
+        boxes = _merged(boxes)
+        area = sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in boxes)
+        if best is None or area < best[0]:
+            best = (area, boxes)
+    return best[1]
+
+
 def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
     """Translation minimizing the bottleneck cost, with matching and value.
 
-    Within one closed cell the bottleneck value is the squared distance to
-    the label's longest-edge site a - b, so the cell's best candidate is that
-    site or its projection onto the cell. Only cells that can hold an optimum
-    are labelled: the max-min bound max_b min_a |t - (a - b)|^2 never exceeds
-    the bottleneck value, so a cell whose bounding box keeps that bound above
-    the best value at any anchor holds no optimizer. The labelled cells are
-    scanned in order of a certified lower bound (site distance to the cell's
-    bounding box) and the scan stops as soon as the bound exceeds the
-    incumbent; exact ties are never pruned, and the smallest (x, y) optimizer
-    wins.
+    The best value at any anchor is an upper bound U on the optimum, so every
+    optimizer lies in the windows of ``_optimizer_windows`` for U; each
+    window gets its own reduced arrangement. Within one closed cell the
+    bottleneck value is the squared distance to the label's longest-edge
+    site a - b, so the cell's best candidate is that site or its projection
+    onto the cell. Only cells that can hold an optimum are labelled: the
+    max-min bound max_b min_a |t - (a - b)|^2 never exceeds the bottleneck
+    value, so a cell whose bounding box keeps that bound above U holds no
+    optimizer. The labelled cells are scanned in order of a certified lower
+    bound (site distance to the cell's bounding box) and the scan stops as
+    soon as the bound exceeds the incumbent; exact ties are never pruned,
+    and the smallest (x, y) optimizer over all windows wins.
     """
-    bis, arr = reduced_arrangement(inst)
-    upper = _certified_upper(min(eval_E(inst, inst.anchor(e))[0] for e in inst.edges()))
-
-    bounds = arr.cell_bounds_float()
-    pad = 1e-7 * (float(_np.abs(bounds).max()) + 1.0)
-    boxes = (bounds[:, 0] - pad, bounds[:, 1] - pad, bounds[:, 2] + pad, bounds[:, 3] + pad)
+    value_at_anchors = min(eval_E(inst, inst.anchor(e))[0] for e in inst.edges())
+    upper = _certified_upper(value_at_anchors)
     # Float sites: int / int is correctly rounded, so axm / M == float(site.x).
     M, anchors = inst.int_anchors
-    # A cell survives when every b keeps min_a of its box bound within the
-    # incumbent; each b only looks at the cells the earlier ones kept.
-    alive = _np.arange(arr.n_cells)
-    for b in range(inst.k):
-        kept = tuple(side[alive] for side in boxes)
-        nearest = _np.full(len(alive), _np.inf)
-        for axm, aym in anchors[b]:
-            _np.minimum(nearest, _box_dist2(kept, axm / M, aym / M), out=nearest)
-        alive = alive[_certified_lower(nearest) <= upper]
-    cells = alive.tolist()
-    labels, _parts = _walk_labels(inst, arr, bis, cells)
-
-    longest = [labels[cid].longest for cid in cells]
-    ax = _np.array([anchors[e.b][e.a][0] / M for e in longest])
-    ay = _np.array([anchors[e.b][e.a][1] / M for e in longest])
-    lower = _certified_lower(_box_dist2(tuple(side[alive] for side in boxes), ax, ay))
-
     best_val: Scalar | None = None
     best_t: Point | None = None
-    best_cid = -1
+    best_mu: Matching | None = None
     best_hi = math.inf
-    for i in map(int, _np.argsort(lower, kind="stable")):
-        if lower[i] > best_hi:
-            break
-        site, cid = inst.anchor(longest[i]), cells[i]
-        t = closest_point_in_polygon(site, arr.cell_polygon(cid))
-        val = t.dist2(site)
-        if (
-            best_val is None
-            or val < best_val
-            or (val == best_val and (t.x, t.y) < (best_t.x, best_t.y))
-        ):
-            best_val, best_t, best_cid = val, t, cid
-            best_hi = _certified_upper(val)
-    if best_val is None or best_t is None:
+    every = all_bisectors(inst)
+    for window in _optimizer_windows(inst, value_at_anchors):
+        bis, arr = reduced_arrangement(inst, window=window, bisectors=every)
+        bounds = arr.cell_bounds_float()
+        pad = 1e-7 * (float(_np.abs(bounds).max()) + 1.0)
+        boxes = (bounds[:, 0] - pad, bounds[:, 1] - pad, bounds[:, 2] + pad, bounds[:, 3] + pad)
+        # A cell survives when every b keeps min_a of its box bound within the
+        # incumbent; each b only looks at the cells the earlier ones kept.
+        alive = _np.arange(arr.n_cells)
+        for b in range(inst.k):
+            kept = tuple(side[alive] for side in boxes)
+            nearest = _np.full(len(alive), _np.inf)
+            for axm, aym in anchors[b]:
+                _np.minimum(nearest, _box_dist2(kept, axm / M, aym / M), out=nearest)
+            alive = alive[_certified_lower(nearest) <= upper]
+        cells = alive.tolist()
+        labels, _parts = _walk_labels(inst, arr, bis, cells)
+
+        longest = [labels[cid].longest for cid in cells]
+        ax = _np.array([anchors[e.b][e.a][0] / M for e in longest])
+        ay = _np.array([anchors[e.b][e.a][1] / M for e in longest])
+        lower = _certified_lower(_box_dist2(tuple(side[alive] for side in boxes), ax, ay))
+
+        for i in map(int, _np.argsort(lower, kind="stable")):
+            if lower[i] > best_hi:
+                break
+            site, cid = inst.anchor(longest[i]), cells[i]
+            t = closest_point_in_polygon(site, arr.cell_polygon(cid))
+            val = t.dist2(site)
+            if (
+                best_val is None
+                or val < best_val
+                or (val == best_val and (t.x, t.y) < (best_t.x, best_t.y))
+            ):
+                best_val, best_t, best_mu = val, t, labels[cid].matching
+                best_hi = _certified_upper(val)
+    if best_val is None or best_t is None or best_mu is None:
         raise ContractViolation("no cell can hold the optimum")
-    mu = labels[best_cid].matching
-    if max(best_t.dist2(inst.anchor(e)) for e in mu) != best_val:
+    if max(best_t.dist2(inst.anchor(e)) for e in best_mu) != best_val:
         raise ContractViolation("the cell's matching does not attain its value")
-    return best_t, mu, best_val
+    return best_t, best_mu, best_val
 
 
 # -- bottleneck path --------------------------------------------------------------
@@ -265,32 +333,25 @@ def _region_halfplanes(region: ConvexPolygon) -> list[tuple[int, int, int]]:
 def cover_radius(inst: Instance, Q: ConvexPolygon) -> CoverResult | _Empty:
     """Worst bottleneck value over all translations keeping B inside Q.
 
-    The admissible region is the erosion of Q by B; the bottleneck value is
-    convex on each arrangement cell, so its maximum over the region is
-    attained at a vertex of some cell-region overlay piece. Each cell's
-    vertex ring is clipped against the region on exact integer triples and
-    the value is evaluated at every clip vertex.
+    The admissible region is the erosion of Q by B, and the arrangement is
+    built in the integer window around it. The bottleneck value is
+    |t - s|^2 on each cell, strictly convex along any segment, so every
+    maximizer over the region is a vertex of some cell-region overlay piece.
+    Each cell's vertex ring is clipped against the region on exact integer
+    triples and the value is evaluated at every clip vertex.
     """
     region = erode_polygon(Q, inst.B)
     if region is None:
         return Empty
+    xs = [v.x for v in region.vertices]
+    ys = [v.y for v in region.vertices]
+    window = _window(min(xs), min(ys), max(xs), max(ys))
     # The cell labels are never read, so they are never computed.
-    arr = build_diagram(inst, must_contain=region.vertices).arrangement
-
-    qxs = [float(v.x) for v in region.vertices]
-    qys = [float(v.y) for v in region.vertices]
-    bounds = arr.cell_bounds_float()
-    pad = 1e-7 * (float(_np.abs(bounds).max()) + 1.0)
-    alive = _np.nonzero(
-        (bounds[:, 0] <= max(qxs) + pad)
-        & (bounds[:, 2] >= min(qxs) - pad)
-        & (bounds[:, 1] <= max(qys) + pad)
-        & (bounds[:, 3] >= min(qys) - pad)
-    )[0]
+    arr = build_diagram(inst, window=window).arrangement
 
     halfplanes = _region_halfplanes(region)
     candidates: dict[tuple[int, int, int], None] = {}
-    for cid in map(int, alive):
+    for cid in range(arr.n_cells):
         piece = [arr.vertex_triple(v) for v in arr.cell_cycle(cid)]
         for halfplane in halfplanes:
             piece = _clip_ring(piece, halfplane)

@@ -3,7 +3,8 @@
 Translation space is subdivided by the perpendicular bisectors of pairs of
 alignment translations a - b. Only bisectors that can support an order-k
 candidate-set change are kept (a cheap per-line sweep gives a sound
-superset); the survivors are clipped to an adaptive integer bounding box and
+superset, over the whole line or over its chord in a window); the survivors
+are clipped to an adaptive integer bounding box, or to the window, and
 assembled into a DCEL with exact homogeneous integer vertices, per-cell
 convex polygons, and a dual cell-adjacency graph.
 """
@@ -112,12 +113,53 @@ def _min_coverage(
     return best
 
 
+def _line_base(trip: tuple[int, int, int], M: int) -> tuple[int, int, int]:
+    """Homogeneous base point (X0, Y0, W0), W0 > 0, of A*X + B*Y = C*M."""
+    A, B, C = trip
+    return (C * M, 0, A) if A else (0, C * M, B)
+
+
+def _theta(num: int, den: int) -> tuple[int, int]:
+    """The fraction num/den as a threshold (num, den) with den > 0."""
+    return (num, den) if den > 0 else (-num, -den)
+
+
+def _chord(
+    trip: tuple[int, int, int], M: int, window: tuple[int, int, int, int]
+) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Closed parameter interval (lo, hi) of the line's chord in ``window``.
+
+    The parameter is lam of ``_pair_supports_candidate_change``, in the frame
+    scaled by M. None unless the line crosses the open window: corners lie
+    strictly on both sides of it.
+    """
+    A, B, C = trip
+    x0, y0, x1, y1 = (v * M for v in window)
+    sides = [A * x + B * y - C * M for x in (x0, x1) for y in (y0, y1)]
+    if not min(sides) < 0 < max(sides):
+        return None
+    X0, Y0, W0 = _line_base(trip, M)
+    lo = hi = None
+    # the coordinate p0 / W0 + lam * d meets v at lam = (v * W0 - p0) / (W0 * d)
+    for p0, d, v0, v1 in ((X0, B, x0, x1), (Y0, -A, y0, y1)):
+        if d:
+            first, last = _theta(v0 * W0 - p0, W0 * d), _theta(v1 * W0 - p0, W0 * d)
+            if d < 0:
+                first, last = last, first
+            if lo is None or _cmp_theta(first, lo) > 0:
+                lo = first
+            if hi is None or _cmp_theta(last, hi) < 0:
+                hi = last
+    return lo, hi
+
+
 def _pair_supports_candidate_change(
     inst: Instance,
     trip: tuple[int, int, int],
     e1: EdgeRef,
     e2: EdgeRef,
     kind: str,
+    chord: tuple[tuple[int, int], tuple[int, int]] | None = None,
 ) -> bool:
     """Necessary condition for the pair's tie to matter somewhere on the line.
 
@@ -132,10 +174,16 @@ def _pair_supports_candidate_change(
     A*X + B*Y = C*M. It is walked as T0 + lam*(B, -A) from the homogeneous
     base T0 = (X0/W0, Y0/W0), W0 > 0. The minimum coverage over the line
     does not depend on how the line is parametrized.
+
+    With a ``chord`` (lo, hi) from ``_chord`` the minimum runs over that
+    closed interval only: a condition that never holds there is dropped, one
+    that holds on all of it counts as parameter-free, and the rest are swept.
+    The swept thresholds lie in [lo, hi], where their coverage takes every
+    value it takes on the whole line.
     """
     M, rows = inst.int_anchors
-    A, B, C = trip
-    X0, Y0, W0 = (C * M, 0, A) if A else (0, C * M, B)
+    A, B, _C = trip
+    X0, Y0, W0 = _line_base(trip, M)
     px, py = rows[e1.b][e1.a]
     q = rows[e2.b][e2.a]
     sites = set(rows[e1.b])
@@ -161,21 +209,46 @@ def _pair_supports_candidate_change(
             continue
         g = math.gcd(const, coef) if coef > 0 else -math.gcd(const, coef)
         theta = (-const // g, coef // g)  # -const/coef in lowest terms
+        if chord is not None:
+            lo, hi = chord
+            if coef > 0:  # lam < theta
+                if _cmp_theta(theta, lo) <= 0:
+                    continue
+                if _cmp_theta(hi, theta) < 0:
+                    always += 1
+                    continue
+            else:  # lam > theta
+                if _cmp_theta(theta, hi) >= 0:
+                    continue
+                if _cmp_theta(lo, theta) > 0:
+                    always += 1
+                    continue
         (less if coef > 0 else greater).append(theta)
     return _min_coverage(always, less, greater, threshold) <= threshold
 
 
-def used_bisectors(inst: Instance, bisectors: Sequence[Bisector]) -> list[Bisector]:
+def used_bisectors(
+    inst: Instance,
+    bisectors: Sequence[Bisector],
+    window: tuple[int, int, int, int] | None = None,
+) -> list[Bisector]:
     """Filter to bisectors that can border a candidate-set change.
 
     A sound superset of the lines the labeled diagram needs: dropping the
-    rest merges only cells whose candidate structure agrees.
+    rest merges only cells whose candidate structure agrees. With an integer
+    ``window`` (x0, y0, x1, y1) only lines crossing the open window are kept,
+    and each is tested on its chord there: sound for the labels inside the
+    window, and a subset of the lines kept without it.
     """
+    M = inst.int_anchors[0]
     kept = []
     for bi in bisectors:
         trip = bi.line.primitive_triple()
+        chord = None if window is None else _chord(trip, M, window)
+        if window is not None and chord is None:
+            continue
         if any(
-            _pair_supports_candidate_change(inst, trip, e1, e2, kind)
+            _pair_supports_candidate_change(inst, trip, e1, e2, kind, chord)
             for e1, e2, kind in bi.edge_pairs
         ):
             kept.append(bi)
@@ -324,8 +397,13 @@ def _geometry(
     trips: list[tuple[int, int, int]],
     dirs_all: list[tuple[int, int]],
     extras: Sequence[Point],
+    window: tuple[int, int, int, int] | None,
 ):
     """Exact vertices and per-line vertex order of the clipped arrangement.
+
+    The box is ``window`` when given, and the crossings outside the closed
+    window are dropped; otherwise it is the box of ``_box_from_candidates``
+    around every crossing and the ``extras``.
 
     One code path for both integer widths: the numpy statements run on int64
     arrays while the coefficients stay within ``_COEF_LIMIT`` and the box
@@ -368,15 +446,15 @@ def _geometry(
         x //= g
         y //= g
         w //= g
-        bounds = (
-            int((x // w).min()),
-            int(-((-x) // w).min()),
-            int((y // w).min()),
-            int(-((-y) // w).min()),
-        )
+    # floor and ceiling of each coordinate, which cannot overflow
+    fx, cx, fy, cy = x // w, -((-x) // w), y // w, -((-y) // w)
+    if window is not None:
+        box = window
+        m = (fx >= box[0]) & (cx <= box[2]) & (fy >= box[1]) & (cy <= box[3])
+        x, y, w, I, J = x[m], y[m], w[m], I[m], J[m]
     else:
-        bounds = None
-    box = _box_from_candidates(bounds, extras, set(trips))
+        bounds = (int(fx.min()), int(cx.max()), int(fy.min()), int(cy.max())) if x.size else None
+        box = _box_from_candidates(bounds, extras, set(trips))
     if max(abs(v) for v in box) * max(1, coef) >= 1 << 61:
         dtype = object  # side crossings would overflow int64
         x, y, w = x.astype(object), y.astype(object), w.astype(object)
@@ -753,12 +831,17 @@ class Arrangement:
 
 
 def build_arrangement(
-    lines: Sequence[Line], must_contain: Sequence[Point] = ()
+    lines: Sequence[Line],
+    must_contain: Sequence[Point] = (),
+    window: tuple[int, int, int, int] | None = None,
 ) -> Arrangement:
-    """Exact DCEL of ``lines`` clipped to an adaptive integer box.
+    """Exact DCEL of ``lines`` clipped to an integer box.
 
-    The box strictly contains every pairwise intersection, a chord of every
-    line, and every ``must_contain`` point, with margin at least 1. Faces of
+    Without ``window`` the box is adaptive: it strictly contains every
+    pairwise intersection, a chord of every line, and every ``must_contain``
+    point, with margin at least 1. An integer ``window`` (x0, y0, x1, y1),
+    x0 < x1 and y0 < y1, is the box itself: every line must cross it, no
+    side may lie on a line, and crossings outside it are dropped. Faces of
     the subdivision are convex; the bounded ones become cells of the dual
     graph.
     """
@@ -766,11 +849,17 @@ def build_arrangement(
     if len(set(lines)) != len(lines):
         raise ValueError("lines must be deduplicated")
     trips = [ln.primitive_triple() for ln in lines]
-    extras = list(must_contain) + [ln.some_point() for ln in lines]
+    if window is not None:
+        x0, y0, x1, y1 = window
+        if must_contain or not (x0 < x1 and y0 < y1):
+            raise ValueError("a window is a nonempty box and replaces must_contain")
+        if {(1, 0, x0), (1, 0, x1), (0, 1, y0), (0, 1, y1)} & set(trips):
+            raise ValueError("a window side lies on an input line")
+    extras = [] if window is not None else list(must_contain) + [ln.some_point() for ln in lines]
     # box sides, in line order after the input lines: x = x0, x = x1, y = y0, y = y1
     dirs_all = [_reduced_direction(a, b) for a, b, _ in trips]
     dirs_all += [(0, -1), (0, -1), (1, 0), (1, 0)]
-    return _assemble(lines, trips, dirs_all, _geometry(trips, dirs_all, extras))
+    return _assemble(lines, trips, dirs_all, _geometry(trips, dirs_all, extras, window))
 
 
 def _assemble(
@@ -825,25 +914,19 @@ def _assemble(
     # which keeps the face on the left of every half-edge
     nxt = order[ring_start[he_head] + (twin_pos - 1) % size_at_head]
 
-    # face traversal
-    face = _np.full(H, -1, dtype=_np.int64)
-    nxt_list = nxt.tolist()
-    face_list = face.tolist()
-    starts: list[int] = []
-    fid = 0
-    for h0 in range(H):
-        if face_list[h0] >= 0:
-            continue
-        h = h0
-        while face_list[h] < 0:
-            face_list[h] = fid
-            h = nxt_list[h]
-        if h != h0:
-            raise ContractViolation("half-edge cycles must close at their start")
-        starts.append(h0)
-        fid += 1
-    face = _np.array(face_list, dtype=_np.int64)
-    n_faces = fid
+    # faces: the cycles of the permutation nxt, numbered by their smallest
+    # half-edge. Pointer jumping leaves lab[h] the minimum over the next
+    # 2^round half-edges of h's cycle; once lab is constant along every
+    # cycle, it is each cycle's minimum.
+    if (_np.bincount(nxt, minlength=H) != 1).any():
+        raise ContractViolation("next half-edge must be a permutation")
+    lab = _np.arange(H, dtype=_np.int64)
+    jump = nxt
+    while (lab != lab[nxt]).any():
+        lab = _np.minimum(lab, lab[jump])
+        jump = jump[jump]
+    starts, face = _np.unique(lab, return_inverse=True)
+    n_faces = len(starts)
 
     # the outer face is left of the reversed half-edge of any bottom edge
     bottom_first = int(_np.searchsorted(eline, L + _BOTTOM))
@@ -857,7 +940,7 @@ def _assemble(
     # cells: the bounded faces in face order
     bounded_face = _np.arange(n_faces) != outer
     cell_of_face = _np.where(bounded_face, _np.cumsum(bounded_face) - 1, -1)
-    cell_start_he = _np.array(starts, dtype=_np.int64)[bounded_face]
+    cell_start_he = starts[bounded_face]
     n_cells = len(cell_start_he)
 
     if V - E + (n_cells + 1) != 2:

@@ -52,9 +52,11 @@ class CandidateGraph:
     A level holds more than one class only when the construction translation
     ties two inequivalent edges exactly (samples on bisectors); the swap
     machinery requires singleton levels, which cell interiors guarantee.
+    ``levels`` changes only through the level methods below, which keep the
+    key -> level index map of ``level_of`` up to date.
     """
 
-    __slots__ = ("k", "levels", "members", "class_of", "by_b", "class_key")
+    __slots__ = ("k", "levels", "members", "class_of", "by_b", "class_key", "_level_index")
 
     def __init__(
         self,
@@ -73,6 +75,8 @@ class CandidateGraph:
             for e in edges:
                 self.class_of[e] = key
                 self.by_b[e.b].add(e)
+        self._level_index: dict[Hashable, int] = {}
+        self._reindex(0)
 
     # -- construction ------------------------------------------------------
 
@@ -97,6 +101,7 @@ class CandidateGraph:
         g.class_key = self.class_key
         g.class_of = dict(self.class_of)
         g.by_b = {b: set(v) for b, v in self.by_b.items()}
+        g._level_index = dict(self._level_index)
         return g
 
     # -- queries -----------------------------------------------------------
@@ -109,10 +114,7 @@ class CandidateGraph:
         return self.class_of.keys()
 
     def level_of(self, key: Hashable) -> int:
-        for i, level in enumerate(self.levels):
-            if key in level:
-                return i
-        raise KeyError(key)
+        return self._level_index[key]
 
     def w(self, e: EdgeRef) -> int:
         """Rank weight of a candidate edge (1-based)."""
@@ -131,6 +133,9 @@ class CandidateGraph:
             for key in level:
                 if not self.members.get(key):
                     raise ContractViolation("empty class in a level")
+        index = {key: i for i, level in enumerate(self.levels) for key in level}
+        if index != self._level_index:
+            raise ContractViolation("level index out of date")
 
     def touching(
         self, pairs: Iterable[tuple[EdgeRef, EdgeRef, str]]
@@ -157,6 +162,30 @@ class CandidateGraph:
         if len(self.levels[i]) != 1:
             raise ContractViolation("rank tie across classes during a swap")
         return i
+
+    def _reindex(self, start: int) -> None:
+        """Point the index of every key in ``levels[start:]`` at its level."""
+        for i in range(start, len(self.levels)):
+            for key in self.levels[i]:
+                self._level_index[key] = i
+
+    def _insert_level(self, i: int, key: Hashable) -> None:
+        self.levels.insert(i, [key])
+        self._reindex(i)
+
+    def _remove_key(self, key: Hashable) -> None:
+        """Drop ``key`` from its level, and the level once it is empty."""
+        i = self._level_index.pop(key)
+        self.levels[i].remove(key)
+        if not self.levels[i]:
+            del self.levels[i]
+            self._reindex(i)
+
+    def _swap_levels(self, i: int, j: int) -> None:
+        self.levels[i], self.levels[j] = self.levels[j], self.levels[i]
+        for t in (i, j):
+            for key in self.levels[t]:
+                self._level_index[key] = t
 
 
 def prune_candidates(inst: Instance, t: Point) -> CandidateGraph:
@@ -542,7 +571,7 @@ def _cross_class_pair(
             # The entering class sits directly above the exiting one on this
             # side of the bisector; the swap below moves it underneath.
             i = G._singleton_level_index(exiting_key)
-            G.levels.insert(i + 1, [entering_key])
+            G._insert_level(i + 1, entering_key)
             G.members[entering_key] = set()
         for x, y in membership:
             G.members[exiting_key].discard(x)
@@ -554,17 +583,14 @@ def _cross_class_pair(
         survivor = bool(G.members[exiting_key])
         if not survivor:
             del G.members[exiting_key]
-            i = G.level_of(exiting_key)
-            G.levels[i].remove(exiting_key)
-            if not G.levels[i]:
-                del G.levels[i]
+            G._remove_key(exiting_key)
         lower_key = entering_key
         if survivor:
             i = G._singleton_level_index(exiting_key)
             j = G._singleton_level_index(entering_key)
             if j != i + 1:
                 raise ContractViolation("entering class not directly above exiting")
-            G.levels[i], G.levels[j] = G.levels[j], G.levels[i]
+            G._swap_levels(i, j)
     else:
         if swap_keys is None:
             raise ContractViolation("a different-b crossing needs its two class keys")
@@ -573,7 +599,7 @@ def _cross_class_pair(
         j = G._singleton_level_index(key2)
         if abs(i - j) != 1:
             raise ContractViolation("crossing classes not rank-adjacent")
-        G.levels[i], G.levels[j] = G.levels[j], G.levels[i]
+        G._swap_levels(i, j)
         lower_key = G.levels[min(i, j)][0]
 
     # Matching maintenance. First restore completeness after removals.

@@ -25,7 +25,7 @@ from botmatch.geom import ContractViolation, Instance, Point, Scalar, _min_envel
 def unreduced(query, *args):
     """``query(*args)`` with ``used_bisectors`` patched to keep every bisector."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(diagram, "used_bisectors", lambda inst, bisectors: bisectors)
+        mp.setattr(diagram, "used_bisectors", lambda inst, bisectors, window=None: bisectors)
         return query(*args)
 
 

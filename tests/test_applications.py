@@ -14,6 +14,7 @@ from botmatch.applications import (
 )
 from botmatch.diagram import eval_E, label_cells_incremental, reduced_arrangement
 from botmatch.geom import (
+    EdgeRef,
     Instance,
     Point,
     closest_point_in_polygon,
@@ -23,6 +24,7 @@ from botmatch.geom import (
 from botmatch.oracle import grid_cover_radius, oracle_optimal_translation
 from path_reference import bottleneck_path as reference_path
 from path_reference import unreduced
+from translation_reference import optimal_translation as reference_translation
 
 
 def _pts(coords):
@@ -133,17 +135,17 @@ def _full_scan(inst):
 
 
 def _spy_on_walk(monkeypatch):
-    """Record the cells optimal_translation labels and the labels it gets."""
-    seen = {}
+    """Record, per window, the cells optimal_translation labels and their labels."""
+    walks = []
     real = applications._walk_labels
 
     def spy(inst, arr, bisectors, cells):
         labels, parts = real(inst, arr, bisectors, cells)
-        seen.update(arr=arr, cells=list(cells), labels=labels)
+        walks.append((arr, list(cells), labels))
         return labels, parts
 
     monkeypatch.setattr(applications, "_walk_labels", spy)
-    return seen
+    return walks
 
 
 def _cocircular(rng, count):
@@ -178,26 +180,138 @@ def _pruning_families():
 
 
 def test_pruned_optimal_translation_equals_full_scan(monkeypatch):
-    seen = _spy_on_walk(monkeypatch)
+    walks = _spy_on_walk(monkeypatch)
     counts = []
     for inst in _pruning_families():
+        walks.clear()
         t, mu, value = optimal_translation(inst)
         ref_t, ref_value, full = _full_scan(inst)
         assert (t, value) == (ref_t, ref_value)
         assert sorted(e.b for e in mu) == list(range(inst.k))
         assert len({e.a for e in mu}) == inst.k
         assert max(t.dist2(inst.anchor(e)) for e in mu) == value
-        # the pruned walk ran on the same arrangement; its labels are
-        # bottleneck-optimal, though tied optima may pick other matchings
-        assert seen["arr"].n_cells == full.arrangement.n_cells
-        for cid in seen["cells"]:
-            got, ref = seen["labels"][cid], full.cell_label(cid)
-            assert got.rank == ref.rank
-            assert inst.anchor(got.longest) == inst.anchor(ref.longest)
-        counts.append((len(seen["cells"]), seen["arr"].n_cells))
-    # labelling every cell would pass the checks above; it must not happen
-    assert counts[2][0] < counts[2][1] // 100
-    assert sum(c for c, _ in counts) < sum(n for _, n in counts) // 2
+        # the pruned walks ran on window arrangements; a labelled cell's
+        # sample inside a cell of the whole box gets that cell's rank and
+        # site, though tied optima may pick other matchings
+        whole = full.arrangement
+        x0, y0, x1, y1 = whole.box
+        for arr, cells, labels in walks:
+            for cid in cells:
+                got, sample = labels[cid], arr.cell_centroid(cid)
+                assert sample.dist2(inst.anchor(got.longest)) == eval_E(inst, sample)[0]
+                if not (x0 < sample.x < x1 and y0 < sample.y < y1):
+                    continue  # windows may reach past the whole box
+                ref = whole.locate(sample)
+                if ref.dim == 2:
+                    assert got.rank == full.cell_label(ref.index).rank
+                    assert inst.anchor(got.longest) == inst.anchor(full.cell_label(ref.index).longest)
+        counts.append(
+            (sum(len(c) for _, c, _ in walks), sum(a.n_cells for a, _, _ in walks), whole.n_cells)
+        )
+    # labelling every cell would pass the checks above; it must not happen,
+    # neither of the whole box nor, thanks to the float filter, of the windows
+    assert counts[2][0] < counts[2][2] // 100
+    assert sum(c for c, _, _ in counts) < sum(w for _, _, w in counts) // 2
+    assert sum(c for c, _, _ in counts) < sum(n for _, n, _ in counts)
+
+
+def _align_instances():
+    """The two instances of the benchmark's `align` workload at seed 0."""
+    rng = random.Random(1010)
+    for _ in range(2):
+        pts: set[tuple[int, int]] = set()
+        while len(pts) < 11:
+            pts.add((rng.randint(-15, 15), rng.randint(-15, 15)))
+        flat = sorted(pts)
+        yield _mk(flat[:8], flat[8:])
+
+
+def _on_window_side(t, windows):
+    return any(
+        x0 <= t.x <= x1 and y0 <= t.y <= y1 and (t.x in (x0, x1) or t.y in (y0, y1))
+        for x0, y0, x1, y1 in windows
+    )
+
+
+def test_optimal_translation_equals_whole_box_reference(monkeypatch):
+    merges = []
+    real = applications._merged
+
+    def spy(boxes):
+        out = real(boxes)
+        merges.append(len(out) < len(boxes))
+        return out
+
+    monkeypatch.setattr(applications, "_merged", spy)
+    on_side = 0
+    for inst in [*_pruning_families(), *_align_instances()]:
+        t, mu, value = optimal_translation(inst)
+        ref_t, _ref_mu, ref_value = reference_translation(inst)
+        assert (t, value) == (ref_t, ref_value)
+        assert max(t.dist2(inst.anchor(e)) for e in mu) == value
+        upper = min(eval_E(inst, inst.anchor(e))[0] for e in inst.edges())
+        on_side += _on_window_side(t, applications._optimizer_windows(inst, upper))
+    # optima on a window side, and windows merged from several boxes, occur
+    assert on_side >= 1 and any(merges)
+
+
+def test_windows_hold_every_optimizer_and_meet_nowhere():
+    rng = random.Random(1_3001)
+    for inst in _pruning_families():
+        upper = min(eval_E(inst, inst.anchor(e))[0] for e in inst.edges())
+        windows = applications._optimizer_windows(inst, upper)
+        t, _mu, value = optimal_translation(inst)
+        assert sum(x0 <= t.x <= x1 and y0 <= t.y <= y1 for x0, y0, x1, y1 in windows) == 1
+        assert windows == sorted(windows)
+        for a in windows:
+            for b in windows:
+                if a is not b:
+                    assert a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1]
+        # every translation at most the incumbent is in some window
+        for _ in range(200):
+            p = _random_t(rng, den=4, lim=60)
+            if eval_E(inst, p)[0] <= upper:
+                assert any(x0 <= p.x <= x1 and y0 <= p.y <= y1 for x0, y0, x1, y1 in windows)
+
+
+def test_merged_boxes_and_rounded_windows():
+    merge = applications._merged
+    assert merge([(0, 0, 1, 1), (3, 3, 4, 4)]) == [(0, 0, 1, 1), (3, 3, 4, 4)]
+    assert merge([(2, 2, 4, 4), (0, 0, 2, 2)]) == [(0, 0, 4, 4)]  # corners touch
+    # the hull of the last two reaches the first, which meets neither
+    assert merge([(3, 3, 5, 5), (0, 0, 1, 4), (1, 0, 4, 1)]) == [(0, 0, 5, 5)]
+    assert applications._window(Fraction(-1, 2), 3, Fraction(-1, 2), Fraction(7, 2)) == (-1, 3, 0, 4)
+
+
+def test_optimal_translation_on_windows_no_line_crosses():
+    # The incumbent is 0: each window is the unit box at an anchor, which no
+    # bisector crosses, and both optima sit on window corners.
+    inst = _mk([(0, 0), (10, 0)], [(0, 0)])
+    assert applications._optimizer_windows(inst, Fraction(0)) == [(0, 0, 1, 1), (10, 0, 11, 1)]
+    for window in [(0, 0, 1, 1), (10, 0, 11, 1)]:
+        bis, arr = reduced_arrangement(inst, window=window)
+        assert bis == [] and arr.n_cells == 1
+    assert optimal_translation(inst) == (point(0, 0), (EdgeRef(0, 0),), 0)
+
+
+def test_queries_build_no_whole_box_arrangement(monkeypatch):
+    rng = random.Random(1_3002)
+    instances = [_random_instance(rng, span=4) for _ in range(6)]
+    expected = [reference_translation(inst) for inst in instances]
+    real = diagram.build_arrangement
+
+    def windowed_only(lines, must_contain=(), window=None):
+        if window is None:
+            raise AssertionError("a whole-box arrangement was built")
+        return real(lines, must_contain, window)
+
+    monkeypatch.setattr(diagram, "build_arrangement", windowed_only)
+    Q = convex_polygon([(-6, -6), (6, -6), (6, 6), (-6, 6)])
+    for inst, (t, _mu, value) in zip(instances, expected):
+        got_t, _got_mu, got_value = optimal_translation(inst)
+        assert (got_t, got_value) == (t, value)
+        res = cover_radius(inst, Q)
+        assert res is Empty or eval_E(inst, res.witness)[0] == res.value
 
 
 # -- bottleneck path --------------------------------------------------------------
@@ -250,8 +364,8 @@ def _paths_and_boxes(inst, t0, t1):
     boxes = []
     real = diagram.build_arrangement
 
-    def spy(lines, must_contain=()):
-        arr = real(lines, must_contain)
+    def spy(lines, must_contain=(), window=None):
+        arr = real(lines, must_contain, window)
         boxes.append(arr.box)
         return arr
 

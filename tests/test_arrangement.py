@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as _np
 import pytest
 
 import botmatch
@@ -164,11 +165,31 @@ def test_used_is_subset_preserving_order():
         assert set(id(b) for b in used) <= set(id(b) for b in bis)
 
 
-def _fraction_supports_change(inst, line, e1, e2, kind):
+def _fraction_chord(line, window):
+    """The closed interval of lam with some_point + lam * direction in ``window``."""
+    base, d = line.some_point(), line.direction()
+    x0, y0, x1, y1 = window
+    lo, hi = [], []
+    for b, dv, v0, v1 in ((base.x, d.x, x0, x1), (base.y, d.y, y0, y1)):
+        if dv:
+            ends = sorted(((v0 - b) / dv, (v1 - b) / dv))
+            lo.append(ends[0])
+            hi.append(ends[1])
+    return max(lo), min(hi)
+
+
+def _crosses_open_window(line, window):
+    x0, y0, x1, y1 = window
+    sides = [line.side(point(x, y)) for x in (x0, x1) for y in (y0, y1)]
+    return min(sides) < 0 < max(sides)
+
+
+def _fraction_supports_change(inst, line, e1, e2, kind, window=None):
     """The reduction's per-pair test written directly in Fractions.
 
     A translation t on the line counts a site s when |t - s|^2 < |t - p|^2;
-    the pair survives when that count drops to the threshold somewhere.
+    the pair survives when that count drops to the threshold somewhere, or
+    somewhere on the line's chord in the closed ``window``.
     """
     base, d = line.some_point(), line.direction()
     p, q = inst.anchor(e1), inst.anchor(e2)
@@ -188,8 +209,13 @@ def _fraction_supports_change(inst, line, e1, e2, kind):
         else:
             cuts.append((-const / coef, coef > 0))
     thetas = sorted({th for th, _ in cuts})
-    probes = [thetas[0] - 1, thetas[-1] + 1] if thetas else [Fraction(0)]
-    probes += thetas + [(x + y) / 2 for x, y in zip(thetas, thetas[1:])]
+    if window is not None:
+        lo, hi = _fraction_chord(line, window)
+        thetas = sorted({lo, hi} | {th for th in thetas if lo <= th <= hi})
+        probes = thetas + [(x + y) / 2 for x, y in zip(thetas, thetas[1:])]
+    else:
+        probes = [thetas[0] - 1, thetas[-1] + 1] if thetas else [Fraction(0)]
+        probes += thetas + [(x + y) / 2 for x, y in zip(thetas, thetas[1:])]
     count = min(
         always + sum(1 for th, lt in cuts if (lam < th if lt else lam > th))
         for lam in probes
@@ -197,25 +223,29 @@ def _fraction_supports_change(inst, line, e1, e2, kind):
     return count <= threshold
 
 
-def test_used_bisectors_match_fraction_definition():
+def _rational_instance(rng):
     # rational coordinates, so the integer frame has to clear denominators
+    n = rng.randint(2, 6)
+    k = rng.randint(1, min(3, n))
+    pts: set[Point] = set()
+    while len(pts) < n + k:
+        den = rng.choice([1, 1, 2, 3])
+        pts.add(
+            Point(
+                Fraction(rng.randint(-5 * den, 5 * den), den),
+                Fraction(rng.randint(-5 * den, 5 * den), den),
+            )
+        )
+    flat = sorted(pts)
+    rng.shuffle(flat)
+    return Instance(tuple(flat[:n]), tuple(flat[n:]))
+
+
+def test_used_bisectors_match_fraction_definition():
     rng = random.Random(89)
     dropped = 0
     for _ in range(25):
-        n = rng.randint(2, 6)
-        k = rng.randint(1, min(3, n))
-        pts: set[Point] = set()
-        while len(pts) < n + k:
-            den = rng.choice([1, 1, 2, 3])
-            pts.add(
-                Point(
-                    Fraction(rng.randint(-5 * den, 5 * den), den),
-                    Fraction(rng.randint(-5 * den, 5 * den), den),
-                )
-            )
-        flat = sorted(pts)
-        rng.shuffle(flat)
-        inst = Instance(tuple(flat[:n]), tuple(flat[n:]))
+        inst = _rational_instance(rng)
         bis = all_bisectors(inst)
         want = [
             b
@@ -228,6 +258,46 @@ def test_used_bisectors_match_fraction_definition():
         assert used_bisectors(inst, bis) == want
         dropped += len(bis) - len(want)
     assert dropped > 0, "no line was ever dropped"
+
+
+def test_windowed_used_bisectors_match_fraction_definition():
+    rng = random.Random(1_3101)
+    dropped = 0
+    for _ in range(20):
+        inst = _rational_instance(rng)
+        bis = all_bisectors(inst)
+        everywhere = set(used_bisectors(inst, bis))
+        for _ in range(4):
+            x0, y0 = rng.randint(-9, 7), rng.randint(-9, 7)
+            window = (x0, y0, x0 + rng.randint(1, 6), y0 + rng.randint(1, 6))
+            want = [
+                b
+                for b in bis
+                if _crosses_open_window(b.line, window)
+                and any(
+                    _fraction_supports_change(inst, b.line, e1, e2, kind, window)
+                    for e1, e2, kind in b.edge_pairs
+                )
+            ]
+            got = used_bisectors(inst, bis, window=window)
+            assert got == want
+            assert set(got) <= everywhere
+            dropped += sum(
+                b not in got and _crosses_open_window(b.line, window) for b in everywhere
+            )
+    assert dropped > 0, "the window never dropped a line kept on the whole line"
+
+
+def test_windowed_reduction_keeps_only_lines_crossing_the_open_window():
+    inst = _mk([(0, 0), (2, 0), (4, 0), (0, 2)], [(0, 0)])
+    bis = all_bisectors(inst)
+    for window in [(0, 0, 1, 1), (1, -1, 3, 1), (-3, -3, 5, 5), (1, 1, 2, 2)]:
+        got = used_bisectors(inst, bis, window=window)
+        assert all(_crosses_open_window(b.line, window) for b in got)
+    # x = 1 lies on a side of the second window, y = x touches its corner (1, 1)
+    missing = {make_line(1, 0, 1), make_line(1, -1, 0)}
+    assert missing <= {b.line for b in used_bisectors(inst, bis)}
+    assert not {b.line for b in used_bisectors(inst, bis, window=(1, -1, 3, 1))} & missing
 
 
 def test_k1_used_matches_delaunay_neighbors():
@@ -389,6 +459,62 @@ def test_dual_graph_edges_are_interior_and_symmetric():
     assert len(seen) == len(set((a, b) for a, b, _ in seen))
 
 
+# --- windows ----------------------------------------------------------------
+
+
+def _window_vertices(lines, window):
+    """Every crossing of the lines and the window sides inside the closed window."""
+    x0, y0, x1, y1 = window
+    sides = [make_line(1, 0, x0), make_line(1, 0, x1), make_line(0, 1, y0), make_line(0, 1, y1)]
+    pts = set()
+    for l1, l2 in combinations(list(lines) + sides, 2):
+        p = line_intersection(l1, l2)
+        if p is not None and x0 <= p.x <= x1 and y0 <= p.y <= y1:
+            pts.add(p)
+    return pts
+
+
+def test_window_is_the_box_and_drops_outside_crossings():
+    window = (-5, -5, 7, 7)  # x + y = 3 and 2x + y = -2 cross at (-5, 8), outside
+    arr = build_arrangement(_GENERAL_LINES, window=window)
+    assert arr.box == window
+    assert {arr.vertex_point(v) for v in range(arr.n_vertices)} == _window_vertices(
+        _GENERAL_LINES, window
+    )
+    assert point(-5, 8) not in _window_vertices(_GENERAL_LINES, window)
+    assert arr.euler_characteristic() == 2
+    for cid in range(arr.n_cells):
+        assert arr.locate(arr.cell_centroid(cid)) == FaceRef(2, cid)
+
+
+def test_window_crossings_on_its_sides_and_corners():
+    # x = 0 and y = 0 cross at the corner (0, 0); x + y = 2 and x - y = 0
+    # cross at (1, 1) on the side x = 1 of the second window
+    lines = [make_line(1, 1, 2), make_line(1, -1, 0), make_line(0, 1, 1)]
+    for window in [(0, 0, 3, 3), (-1, 0, 1, 3)]:
+        arr = build_arrangement(lines, window=window)
+        assert {arr.vertex_point(v) for v in range(arr.n_vertices)} == _window_vertices(lines, window)
+        assert arr.euler_characteristic() == 2
+
+
+def test_window_no_line_crosses_is_one_cell():
+    arr = build_arrangement([], window=(2, 3, 4, 5))
+    assert arr.box == (2, 3, 4, 5)
+    assert arr.n_cells == 1 and arr.n_vertices == 4
+
+
+def test_window_refuses_bad_boxes_and_lines():
+    with pytest.raises(ValueError):
+        build_arrangement([make_line(1, 0, 0)], window=(0, -1, 1, 1))  # a side is a line
+    with pytest.raises(ValueError):
+        build_arrangement([], window=(0, 0, 0, 1))
+    with pytest.raises(ValueError):
+        build_arrangement([], must_contain=[point(0, 0)], window=(-1, -1, 1, 1))
+    for line in [make_line(1, 0, 5), make_line(1, 1, 2)]:  # misses, touches a corner
+        with pytest.raises(botmatch.geom.ContractViolation):
+            build_arrangement([line], window=(0, 0, 1, 1))
+
+
 # --- locate -----------------------------------------------------------------
 
 
@@ -458,11 +584,11 @@ def test_huge_coefficients_use_exact_fallback():
     assert arr.n_cells == 7
 
 
-def _build_python_ints(monkeypatch, lines, must_contain=()):
+def _build_python_ints(monkeypatch, lines, must_contain=(), window=None):
     """The same arrangement with every coordinate held as a Python int."""
     with monkeypatch.context() as m:
         m.setattr(arrangement, "_COEF_LIMIT", 0)
-        return build_arrangement(lines, must_contain=must_contain)
+        return build_arrangement(lines, must_contain=must_contain, window=window)
 
 
 def _same_arrangement(a, b):
@@ -506,6 +632,22 @@ def test_int64_and_python_int_geometry_agree(monkeypatch, must_contain):
     for p in must_contain:
         assert arr.locate(p).dim == 2
         assert arr.box[2] - 1 >= p.x
+
+
+@pytest.mark.parametrize(
+    "window", [(-5, -5, 7, 7), (-5, -5, 10**19, 7)], ids=["small-window", "box-past-int64"]
+)
+def test_int64_and_python_int_geometry_agree_on_a_window(monkeypatch, window):
+    arr = build_arrangement(_GENERAL_LINES, window=window)
+    wide = _build_python_ints(monkeypatch, _GENERAL_LINES, window=window)
+    assert arr._uniq.dtype == (object if window[2] > 10**18 else "int64")
+    assert wide._uniq.dtype == object
+    _same_arrangement(arr, wide)
+    assert arr.box == window and arr.euler_characteristic() == 2
+    assert {arr.vertex_point(v) for v in range(arr.n_vertices)} == _window_vertices(
+        _GENERAL_LINES, window
+    )
+    assert arr.locate(point(window[2] - 1, 6)).dim == 2
 
 
 def _assert_face_samples_equal_per_face(arr):
@@ -608,3 +750,59 @@ def test_library_reads_no_private_arrangement_field():
             if isinstance(node, ast.Attribute) and node.attr in private:
                 hits.append(f"{path.name}:{node.lineno} reads .{node.attr}")
     assert not hits, hits
+
+
+# --- face cycles --------------------------------------------------------------
+
+
+def _faces_by_walk(nxt):
+    """Reference face numbering: walk each ``nxt`` cycle from its first half-edge.
+
+    This is the Python loop that ``_assemble`` ran before it numbered the
+    cycles by pointer jumping.
+    """
+    nxt_list = nxt.tolist()
+    face_list = [-1] * len(nxt_list)
+    starts: list[int] = []
+    fid = 0
+    for h0 in range(len(nxt_list)):
+        if face_list[h0] >= 0:
+            continue
+        h = h0
+        while face_list[h] < 0:
+            face_list[h] = fid
+            h = nxt_list[h]
+        assert h == h0, "half-edge cycles must close at their start"
+        starts.append(h0)
+        fid += 1
+    return face_list, starts
+
+
+def _assert_faces_match_walk(arr):
+    face, starts = _faces_by_walk(arr._nxt)
+    assert arr._face.tolist() == face
+    cof = arr._cell_of_face.tolist()
+    assert arr._cell_start_he.tolist() == [h for f, h in enumerate(starts) if cof[f] >= 0]
+
+
+def test_face_cycles_match_the_walk(monkeypatch):
+    rng = random.Random(1_3201)
+    built = [
+        build_arrangement([]),
+        build_arrangement([make_line(1, 0, 0), make_line(1, 0, 2)]),  # parallel
+        # four lines through one point, plus one more
+        build_arrangement(
+            [make_line(1, 0, 0), make_line(0, 1, 0), make_line(1, 1, 0), make_line(1, -1, 0), make_line(1, 2, 3)]
+        ),
+        build_arrangement(_GENERAL_LINES, window=(-5, -5, 7, 7)),
+        build_arrangement(_GENERAL_LINES, must_contain=[point(10**19, 5)]),
+    ]
+    for _ in range(4):
+        lines = [b.line for b in all_bisectors(_random_instance(rng))]
+        built.append(build_arrangement(lines))
+        built.append(_build_python_ints(monkeypatch, lines))
+    lattice = _mk([(x, y) for x in range(3) for y in range(3)], [(0, 0), (1, 0), (0, 1)])
+    built.append(build_arrangement([b.line for b in all_bisectors(lattice)]))
+    assert {a._uniq.dtype for a in built} == {_np.dtype("int64"), _np.dtype(object)}
+    for arr in built:
+        _assert_faces_match_walk(arr)

@@ -648,3 +648,25 @@ def test_library_modules_use_every_import():
                 continue
             hits += [f"{path.name}:{node.lineno} {n}" for n in names if n not in used]
     assert not hits, hits
+
+
+def test_windowed_labels_hold_on_their_closed_cells():
+    # A window keeps a bisector only where its tie can matter inside the
+    # window. Had it dropped a line it needs, some cell would hold points
+    # where the label's site misses the bottleneck value.
+    rng = random.Random(1_3301)
+    cells = 0
+    for _ in range(16):
+        inst = _random_instance(rng, n_max=6, span=5)
+        s = inst.anchor(rng.choice(list(inst.edges())))
+        x0, y0 = int(s.x) - rng.randint(0, 4), int(s.y) - rng.randint(0, 4)
+        window = (x0, y0, x0 + rng.randint(1, 8), y0 + rng.randint(1, 8))
+        bis, arr = reduced_arrangement(inst, window=window)
+        assert arr.box == window
+        for cid, label in enumerate(label_cells_incremental(inst, arr, bis).cells):
+            site = inst.anchor(label.longest)
+            ring = [arr.vertex_point(v) for v in arr.cell_cycle(cid)]
+            for p in ring + [arr.cell_centroid(cid)]:
+                assert eval_E(inst, p)[0] == p.dist2(site)
+            cells += 1
+    assert cells >= 100

@@ -6,7 +6,7 @@ import pytest
 
 from botmatch import diagram, matching
 from botmatch.diagram import build_diagram
-from botmatch.geom import EdgeRef, Instance, Point, point, squared_edge_length
+from botmatch.geom import ContractViolation, EdgeRef, Instance, Point, point, squared_edge_length
 from botmatch.matching import (
     DIFF_B,
     SAME_B,
@@ -489,6 +489,45 @@ def test_update_sequences_match_recompute():
             matching_map(mu)
             steps += 1
     assert steps >= 250
+
+
+def _assert_level_index(G):
+    G.check_invariants()
+    for i, level in enumerate(G.levels):
+        for key in level:
+            assert G.level_of(key) == i
+    assert len(G._level_index) == sum(map(len, G.levels))
+
+
+def test_level_index_follows_every_crossing():
+    # Each crossing works on a clone: the graph it starts from keeps its
+    # levels and its index, and the clone's index follows the inserted,
+    # removed and swapped levels.
+    rng = random.Random(1_3401)
+    crossings = 0
+    renamed = 0  # crossings that inserted one class's level and removed another's
+    for _ in range(8):
+        inst = _random_instance(rng, n_max=5)
+        bis, arr = diagram.reduced_arrangement(inst)
+        if arr.n_cells < 2:
+            continue
+        G = prune_candidates(inst, arr.cell_centroid(0))
+        mu, _ = bottleneck_matching(G)
+        cid = 0
+        for _ in range(50):
+            nbr, eid = rng.choice(arr.cell_neighbors(cid))
+            before = [list(level) for level in G.levels]
+            G2, mu = cross_bisector(G, mu, bis[arr.edge_line(eid)].edge_pairs)
+            assert G.levels == before
+            _assert_level_index(G)
+            _assert_level_index(G2)
+            renamed += set(G2._level_index) != set(G._level_index)
+            G, cid = G2, nbr
+            crossings += 1
+    assert crossings >= 200 and renamed >= 10
+    G._level_index[G.levels[0][0]] = 1
+    with pytest.raises(ContractViolation):
+        G.check_invariants()
 
 
 def test_touching_is_empty_exactly_when_a_crossing_changes_nothing():

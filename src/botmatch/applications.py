@@ -239,23 +239,29 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
 def bottleneck_path(inst: Instance, t0: Point, t1: Point) -> PathResult:
     """Path between placements minimizing the worst bottleneck value en route.
 
-    The working box is inflated so that the sublevel set of a straight-line
-    upper bound lies inside: the optimal path never needs to leave it, which
-    makes the bounding box a harmless artifact. Crossing one arrangement edge
-    costs the minimum of the bottleneck value along it (the incident cell's
-    label envelope, valid on the closed cell); a minimax Dijkstra over the
-    dual graph then yields the optimum, walked back through the per-edge
-    minimizers. Only the cells Dijkstra settles are labelled: a seed from a
-    recompute at its sample, any other cell by ``_crossed`` from the state of
-    the parent that set its distance. Parent states live on the frontier only.
+    The matching at t0 bounds the value along the straight segment by
+    v_straight, so an optimal path stays in the sublevel set {E <= v_straight}.
+    ``_optimizer_windows`` covers that set with disjoint closed boxes, and a
+    connected set inside them lies in one: the window that holds t0 holds the
+    segment, t1 and every optimal path, and the arrangement is built there.
+    Crossing one arrangement edge costs the minimum of the bottleneck value
+    along it (the incident cell's label envelope, valid on the closed cell);
+    a minimax Dijkstra over the dual graph then yields the optimum, walked
+    back through the per-edge minimizers. Only the cells Dijkstra settles are
+    labelled: a seed from a recompute at its sample, any other cell by
+    ``_crossed`` from the state of the parent that set its distance. Parent
+    states live on the frontier only.
     """
     e0, mu0 = eval_E(inst, t0)
     v_straight = max(e0, max(t1.dist2(inst.anchor(e)) for e in mu0))
-    r = math.isqrt(int(v_straight)) + 1
-    sites = [inst.anchor(e) for e in inst.edges()]
-    xs, ys = [s.x for s in sites], [s.y for s in sites]
-    corners = [Point(min(xs) - r, min(ys) - r), Point(max(xs) + r, max(ys) + r)]
-    bis, arr = reduced_arrangement(inst, must_contain=[t0, t1, *corners])
+    windows = [
+        w
+        for w in _optimizer_windows(inst, v_straight)
+        if all(w[0] <= t.x <= w[2] and w[1] <= t.y <= w[3] for t in (t0, t1))
+    ]
+    if len(windows) != 1:
+        raise ContractViolation("one window must hold both placements")
+    bis, arr = reduced_arrangement(inst, window=windows[0])
 
     seeds = arr.face_cells(arr.locate(t0))
     targets = set(arr.face_cells(arr.locate(t1)))

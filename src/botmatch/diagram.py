@@ -411,43 +411,40 @@ def label_faces_lex(
 def reduced_arrangement(
     inst: Instance,
     *,
-    must_contain: Sequence[Point] = (),
     window: tuple[int, int, int, int] | None = None,
     bisectors: Sequence[Bisector] | None = None,
 ) -> tuple[list[Bisector], Arrangement]:
     """Reduced bisectors and their arrangement.
 
     Without ``window`` the bounding box contains every pairwise crossing and
-    every anchor a - b (so the global bottleneck optimum is inside) plus any
-    extra query points supplied. An integer ``window`` (x0, y0, x1, y1) is
-    the box itself, and the bisectors are reduced to their chords in it;
-    the labels inside the window are the same. ``bisectors`` is
-    ``all_bisectors(inst)``, for a caller that reduces it for several windows.
+    every anchor a - b, so the global bottleneck optimum is inside. An
+    integer ``window`` (x0, y0, x1, y1) is the box itself, and the bisectors
+    are reduced to their chords in it; the labels inside the window are the
+    same. ``bisectors`` is ``all_bisectors(inst)``, for a caller that reduces
+    it for several windows.
     """
     if bisectors is None:
         bisectors = all_bisectors(inst)
     bis = used_bisectors(inst, bisectors, window=window)
-    if window is None:
-        must_contain = [inst.anchor(e) for e in inst.edges()] + list(must_contain)
-    arr = build_arrangement([b.line for b in bis], must_contain=must_contain, window=window)
+    anchors = [inst.anchor(e) for e in inst.edges()] if window is None else []
+    arr = build_arrangement([b.line for b in bis], must_contain=anchors, window=window)
     return bis, arr
 
 
 def build_diagram(
     inst: Instance,
     *,
-    must_contain: Sequence[Point] = (),
     window: tuple[int, int, int, int] | None = None,
     lex: bool = False,
 ) -> LabeledDiagram:
     """Full pipeline: bisectors, reduction, arrangement, labels.
 
-    ``must_contain`` and ``window`` go to ``reduced_arrangement``. With
-    ``lex`` every face gets its lex label from ``label_faces_lex``, and the
-    cells keep the lex labels, which are bottleneck-optimal too. Otherwise
+    ``window`` goes to ``reduced_arrangement``. With ``lex`` every face gets
+    its lex label from ``label_faces_lex``, and the cells keep the lex
+    labels, which are bottleneck-optimal too. Otherwise
     ``label_cells_incremental`` labels the cells when they are first read.
     """
-    bis, arr = reduced_arrangement(inst, must_contain=must_contain, window=window)
+    bis, arr = reduced_arrangement(inst, window=window)
     if lex:
         return label_faces_lex(inst, arr, bis)
     return LabeledDiagram(inst, tuple(bis), arr)

@@ -1,10 +1,14 @@
-"""Whole-box reference for ``applications.bottleneck_path``.
+"""Reference for ``applications.bottleneck_path``.
 
 ``bottleneck_path`` labels a cell only when its Dijkstra settles it, deriving
-the label from the parent that set the cell's distance. This is the version it
-replaced: it labels every cell of the path's box through
-``build_diagram(...).cells`` and caches each edge's weight, so the differential
-tests compare against code that shares no step of the on-demand labelling.
+the label from the parent that set the cell's distance, and builds its
+arrangement in the window of ``_optimizer_windows`` that holds both
+placements. This is the version it replaced: it labels every cell of its box
+through ``label_cells_incremental`` and caches each edge's weight, so the
+differential tests compare against code that shares no step of the on-demand
+labelling. Without ``window`` its box is the whole box, inflated to hold the
+straight-line bound's sublevel set, which shares no window with the library;
+with ``window`` it runs on that box.
 
 ``unreduced`` runs a query on the unreduced pipeline, with every bisector kept.
 """
@@ -18,28 +22,37 @@ import pytest
 
 from botmatch import diagram
 from botmatch.applications import PathResult
-from botmatch.diagram import build_diagram, eval_E
+from botmatch.arrangement import _chord, all_bisectors, build_arrangement, used_bisectors
+from botmatch.diagram import eval_E, label_cells_incremental
 from botmatch.geom import ContractViolation, Instance, Point, Scalar, _min_envelope_on_triples
 
 
+def _every_bisector(inst, bisectors, window=None):
+    """Every bisector, or with ``window`` every one whose chord crosses the open window."""
+    if window is None:
+        return bisectors
+    M = inst.int_anchors[0]
+    return [b for b in bisectors if _chord(b.line.primitive_triple(), M, window) is not None]
+
+
 def unreduced(query, *args):
-    """``query(*args)`` with ``used_bisectors`` patched to keep every bisector."""
+    """``query(*args)`` with ``used_bisectors`` patched to keep every bisector it may see."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(diagram, "used_bisectors", lambda inst, bisectors, window=None: bisectors)
+        mp.setattr(diagram, "used_bisectors", _every_bisector)
         return query(*args)
 
 
-def bottleneck_path(inst: Instance, t0: Point, t1: Point) -> PathResult:
-    """Path between placements minimizing the worst bottleneck value en route.
+def reference_arrangement(inst: Instance, t0: Point, t1: Point, window=None):
+    """The reduced bisectors and the arrangement ``bottleneck_path`` runs on.
 
-    The working box is inflated so that the sublevel set of a straight-line
-    upper bound lies inside: the optimal path never needs to leave it, which
-    makes the bounding box a harmless artifact. Crossing one arrangement edge
-    costs the minimum of the bottleneck value along it (the incident cell's
-    label envelope, valid on the closed cell); a minimax Dijkstra over the
-    dual graph then yields the optimum, walked back through the per-edge
-    minimizers.
+    Without ``window`` the box is inflated so that the sublevel set of the
+    straight-line upper bound lies inside: the optimal path never needs to
+    leave it.
     """
+    bis = used_bisectors(inst, all_bisectors(inst), window=window)
+    lines = [b.line for b in bis]
+    if window is not None:
+        return bis, build_arrangement(lines, window=window)
     e0, mu0 = eval_E(inst, t0)
     v_straight = max(e0, max(t1.dist2(inst.anchor(e)) for e in mu0))
     radius = math.isqrt(int(v_straight)) + 1
@@ -49,8 +62,21 @@ def bottleneck_path(inst: Instance, t0: Point, t1: Point) -> PathResult:
         site = inst.anchor(e)
         musts.append(site - shift)
         musts.append(site + shift)
-    diag = build_diagram(inst, must_contain=musts)
-    arr = diag.arrangement
+    return bis, build_arrangement(lines, must_contain=musts)
+
+
+def bottleneck_path(inst: Instance, t0: Point, t1: Point, window=None) -> PathResult:
+    """Path between placements minimizing the worst bottleneck value en route.
+
+    The path runs on ``reference_arrangement(inst, t0, t1, window)``.
+    Crossing one arrangement edge costs the minimum of the bottleneck value
+    along it (the incident cell's label envelope, valid on the closed cell);
+    a minimax Dijkstra over the dual graph then yields the optimum, walked
+    back through the per-edge minimizers.
+    """
+    e0, _ = eval_E(inst, t0)
+    bis, arr = reference_arrangement(inst, t0, t1, window)
+    diag = label_cells_incremental(inst, arr, bis)
 
     seeds = arr.face_cells(arr.locate(t0))
     targets = set(arr.face_cells(arr.locate(t1)))

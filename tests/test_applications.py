@@ -23,7 +23,7 @@ from botmatch.geom import (
 )
 from botmatch.oracle import grid_cover_radius, oracle_optimal_translation
 from path_reference import bottleneck_path as reference_path
-from path_reference import unreduced
+from path_reference import reference_arrangement, unreduced
 from translation_reference import optimal_translation as reference_translation
 
 
@@ -297,7 +297,9 @@ def test_optimal_translation_on_windows_no_line_crosses():
 def test_queries_build_no_whole_box_arrangement(monkeypatch):
     rng = random.Random(1_3002)
     instances = [_random_instance(rng, span=4) for _ in range(6)]
+    ends = [(_random_t(rng, den=2, lim=12), _random_t(rng, den=2, lim=12)) for _ in instances]
     expected = [reference_translation(inst) for inst in instances]
+    paths = [reference_path(inst, t0, t1).value for inst, (t0, t1) in zip(instances, ends)]
     real = diagram.build_arrangement
 
     def windowed_only(lines, must_contain=(), window=None):
@@ -307,11 +309,23 @@ def test_queries_build_no_whole_box_arrangement(monkeypatch):
 
     monkeypatch.setattr(diagram, "build_arrangement", windowed_only)
     Q = convex_polygon([(-6, -6), (6, -6), (6, 6), (-6, 6)])
-    for inst, (t, _mu, value) in zip(instances, expected):
+    for inst, (t, _mu, value), (t0, t1), path_value in zip(instances, expected, ends, paths):
         got_t, _got_mu, got_value = optimal_translation(inst)
         assert (got_t, got_value) == (t, value)
         res = cover_radius(inst, Q)
         assert res is Empty or eval_E(inst, res.witness)[0] == res.value
+        assert bottleneck_path(inst, t0, t1).value == path_value
+
+
+def test_windowed_queries_equal_their_unreduced_runs():
+    # the unreduced runs keep every bisector crossing each open window
+    Q = convex_polygon([(-6, -6), (6, -6), (6, 6), (-6, 6)])
+    for inst in [*_pruning_families(), *_align_instances()]:
+        t, mu, value = optimal_translation(inst)
+        full_t, _full_mu, full_value = unreduced(optimal_translation, inst)
+        assert (t, value) == (full_t, full_value)
+        assert max(t.dist2(inst.anchor(e)) for e in mu) == value
+        assert cover_radius(inst, Q) == unreduced(cover_radius, inst, Q)
 
 
 # -- bottleneck path --------------------------------------------------------------
@@ -359,21 +373,36 @@ def test_path_reduction_independent_and_bounded():
         assert max(res.vertex_values) == res.value
 
 
-def _paths_and_boxes(inst, t0, t1):
-    """The library's and the reference's path, and each one's arrangement box."""
-    boxes = []
+def _path_and_window(inst, t0, t1):
+    """The library's path and the window of the one arrangement it builds."""
+    windows = []
     real = diagram.build_arrangement
 
     def spy(lines, must_contain=(), window=None):
-        arr = real(lines, must_contain, window)
-        boxes.append(arr.box)
-        return arr
+        windows.append(window)
+        return real(lines, must_contain, window)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(diagram, "build_arrangement", spy)
         got = bottleneck_path(inst, t0, t1)
-        ref = reference_path(inst, t0, t1)
-    return got, ref, boxes
+    [window] = windows
+    assert window is not None
+    return got, window
+
+
+def _check_path(inst, t0, t1):
+    """Compare the library's path with the references.
+
+    On the library's window the reference gives the same path. On the whole
+    box it gives the same value, though the polyline may differ: the window's
+    reduction may drop a line the whole box's keeps.
+    """
+    got, window = _path_and_window(inst, t0, t1)
+    assert got == reference_path(inst, t0, t1, window)  # polyline, value and vertex values
+    ref = reference_path(inst, t0, t1)
+    assert got.value == ref.value
+    x0, y0, x1, y1 = reference_arrangement(inst, t0, t1)[1].box
+    assert x0 <= window[0] and y0 <= window[1] and window[2] <= x1 and window[3] <= y1
 
 
 def _on_lines(inst, rng):
@@ -407,9 +436,7 @@ def test_path_equals_whole_box_reference():
         if len(on_lines) == 2:
             pairs.append(tuple(on_lines))
         for t0, t1 in pairs:
-            got, ref, boxes = _paths_and_boxes(inst, t0, t1)
-            assert got == ref  # polyline, value and vertex values
-            assert len(boxes) == 2 and boxes[0] == boxes[1]
+            _check_path(inst, t0, t1)
     assert placed >= 30
 
 
@@ -432,9 +459,59 @@ def test_path_labels_only_the_cells_it_settles(monkeypatch):
     real = applications.reduced_arrangement
     monkeypatch.setattr(applications, "reduced_arrangement", counted(real, arrs))
     res = bottleneck_path(inst, point(-7, -3), point(-5, 3))
-    assert res == reference_path(inst, point(-7, -3), point(-5, 3))
     [(_bis, arr)] = arrs
-    assert 0 < len(calls) < arr.n_cells  # 27 of 694 cells
+    assert res == reference_path(inst, point(-7, -3), point(-5, 3), arr.box)
+    assert 0 < len(calls) < arr.n_cells  # 27 of 558 cells
+
+
+_LATTICE = _mk([(x, y) for x in range(-1, 2) for y in range(-1, 2)], [(0, 0), (1, 0), (0, 1)])
+
+
+def test_path_between_equal_placements_at_an_anchor():
+    single = _mk([(0, 0), (10, 0)], [(0, 0)])
+    for inst in (single, _LATTICE):
+        t = inst.anchor(EdgeRef(1, 0))
+        res, window = _path_and_window(inst, t, t)
+        assert res.polyline == (t, t) and res.value == eval_E(inst, t)[0]
+        if inst is single:
+            assert window == (10, 0, 11, 1)  # at value 0 the anchor is a window corner
+        _check_path(inst, t, t)
+
+
+def test_path_from_a_window_side():
+    t0, t1 = point(-3, -1), point(-1, 1)
+    res, window = _path_and_window(_LATTICE, t0, t1)
+    assert window[0] == t0.x and len(res.polyline) > 2
+    _check_path(_LATTICE, t0, t1)
+
+
+def test_path_window_joins_boxes_only_after_merging(monkeypatch):
+    inst = _mk([(-4, -5), (4, 5), (4, -3), (-1, 1)], [(1, -1)])
+    t0, t1 = point(5, 0), point(-3, -2)
+    _check_path(inst, t0, t1)
+    merges = []
+    real = applications._merged
+
+    def spy(boxes):
+        out = real(boxes)
+        merges.append((boxes, out))
+        return out
+
+    monkeypatch.setattr(applications, "_merged", spy)
+    res, window = _path_and_window(inst, t0, t1)
+    [(boxes, windows)] = merges  # k = 1: one b0
+
+    def inside(box, t):
+        return box[0] <= t.x <= box[2] and box[1] <= t.y <= box[3]
+
+    # the window merges several boxes, and on every box holding both
+    # placements the best path is worse: only the merged window holds an optimum
+    assert window in windows
+    joined = [b for b in boxes if inside(window, point(b[0], b[1]))]
+    both = [b for b in joined if inside(b, t0) and inside(b, t1)]
+    assert len(joined) > len(both) > 0
+    for box in both:
+        assert reference_path(inst, t0, t1, box).value > res.value
 
 
 def test_path_not_beaten_by_random_polylines():
@@ -452,8 +529,9 @@ def test_path_interior_vertices_on_bisectors():
     rng = random.Random(613)
     inst = _random_instance(rng, span=4)
     t0, t1 = _random_t(rng), _random_t(rng)
-    res = bottleneck_path(inst, t0, t1)
-    bis, _arr = reduced_arrangement(inst, must_contain=[t0, t1])
+    res, window = _path_and_window(inst, t0, t1)
+    assert len(res.polyline) > 2
+    bis, _arr = reduced_arrangement(inst, window=window)
     lines = [b.line for b in bis]
     for p in res.polyline[1:-1]:
         assert any(ln.side(p) == 0 for ln in lines)

@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from botmatch.applications import Empty, bottleneck_path, cover_radius, optimal_translation
-from botmatch.diagram import build_diagram, eval_E
+from botmatch.arrangement import all_bisectors, build_arrangement, used_bisectors
+from botmatch.diagram import eval_E
 from botmatch.geom import Instance, Point, convex_polygon, erode_polygon, point
 from botmatch.oracle import grid_cover_radius, oracle_optimal_translation
 from fraction_geometry import _halfplane_clip
@@ -122,13 +123,17 @@ def test_cover_radius_properties(inst, Q):
 def _cover_reference(inst, Q):
     """The cover radius clipped in Fractions: each cell's ConvexPolygon cuts the region.
 
-    Cells whose float bounding box misses the region's (with a margin) are
-    skipped, as ``cover_radius`` skips them.
+    The arrangement is the whole box, grown to hold the region, so it shares
+    no window with ``cover_radius``. Cells whose float bounding box misses
+    the region's by more than a margin meet no region point, and are skipped
+    to keep the Fraction clipping fast.
     """
     region = erode_polygon(Q, inst.B)
     if region is None:
         return Empty
-    arr = build_diagram(inst, must_contain=region.vertices).arrangement
+    lines = [b.line for b in used_bisectors(inst, all_bisectors(inst))]
+    anchors = [inst.anchor(e) for e in inst.edges()]
+    arr = build_arrangement(lines, must_contain=anchors + list(region.vertices))
     bounds = arr.cell_bounds_float()
     pad = 1e-7 * (float(np.abs(bounds).max()) + 1.0)
     qx = [float(v.x) for v in region.vertices]

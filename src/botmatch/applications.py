@@ -303,12 +303,16 @@ def bottleneck_path(inst: Instance, t0: Point, t1: Point) -> PathResult:
     if end_cell < 0:
         raise ContractViolation("dual cell graph is not connected")
 
-    crossings: list[Point] = []
+    walked: list[Point] = []
     c = end_cell
     while parent_cell[c] >= 0:
-        crossings.append(crossing[c])
+        walked.append(crossing[c])
         c = parent_cell[c]
-    crossings.reverse()
+    # consecutive crossed edges can share their minimizer at a common vertex
+    crossings: list[Point] = []
+    for p in reversed(walked):
+        if p != (crossings[-1] if crossings else t0) and p != t1:
+            crossings.append(p)
     polyline = (t0, *crossings, t1)
     e1, _ = eval_E(inst, t1)
     value = max(e0, e1, dist[end_cell])

@@ -264,7 +264,7 @@ def used_bisectors(
 _COEF_LIMIT = 1 << 20
 _SAMPLE_LIMIT = 1 << 62  # largest bound on face-sample arithmetic kept in int64
 
-_LEFT, _RIGHT, _BOTTOM, _TOP = 0, 1, 2, 3
+_BOTTOM = 2  # box sides follow the input lines: left, right, bottom, top
 
 
 class FaceRef(NamedTuple):
@@ -293,26 +293,6 @@ def _angular_ranks(dirs: list[tuple[int, int]]) -> dict[tuple[int, int], int]:
 
     distinct = sorted(set(dirs), key=functools.cmp_to_key(cmp))
     return {d: i for i, d in enumerate(distinct)}
-
-
-def _reduced_triple(x: int, y: int, w: int) -> tuple[int, int, int]:
-    g = math.gcd(math.gcd(x, y), w)
-    return x // g, y // g, w // g
-
-
-def _cross_triples(t1: tuple[int, int, int], t2: tuple[int, int, int]):
-    """Homogeneous intersection of two lines a*x + b*y = c given as triples."""
-    a1, b1, g1 = t1
-    a2, b2, g2 = t2
-    x = g1 * b2 - g2 * b1
-    y = g2 * a1 - g1 * a2
-    w = a1 * b2 - a2 * b1
-    if w == 0:
-        return None
-    if w < 0:
-        x, y, w = -x, -y, -w
-    g = math.gcd(math.gcd(abs(x), abs(y)), w)
-    return x // g, y // g, w // g
 
 
 def _box_from_candidates(
@@ -355,37 +335,45 @@ def _box_from_candidates(
     return x0, y0, x1, y1
 
 
-def _boundary_rows(
-    trips: list[tuple[int, int, int]],
-    sides: list[tuple[int, int, int]],
-    box: tuple[int, int, int, int],
-) -> list[tuple[int, tuple[int, int, int]]]:
-    """(line_id, vertex triple) rows for chord endpoints, side hits, corners."""
-    L = len(trips)
+def _side_triples(box: tuple[int, int, int, int]) -> list[tuple[int, int, int]]:
+    """The box sides as line triples, in line order: left, right, bottom, top."""
     x0, y0, x1, y1 = box
-    rows: list[tuple[int, tuple[int, int, int]]] = []
-    for i, t in enumerate(trips):
-        found: dict[tuple[int, int, int], list[int]] = {}
-        for s, st in enumerate(sides):
-            c = _cross_triples(t, st)
-            if c is None:
-                continue
-            x, y, w = c
-            if x0 * w <= x <= x1 * w and y0 * w <= y <= y1 * w:
-                found.setdefault(c, []).append(s)
-        if len(found) != 2:
-            raise ContractViolation("every input line must cross the box in a chord")
-        for c, ss in found.items():
-            rows.append((i, c))
-            for s in ss:
-                rows.append((L + s, c))
-    for s1, s2 in ((_LEFT, _BOTTOM), (_LEFT, _TOP), (_RIGHT, _BOTTOM), (_RIGHT, _TOP)):
-        c = _cross_triples(sides[s1], sides[s2])
-        if c is None:
-            raise ContractViolation("box sides must cross at the corners")
-        rows.append((L + s1, c))
-        rows.append((L + s2, c))
-    return rows
+    return [(1, 0, x0), (1, 0, x1), (0, 1, y0), (0, 1, y1)]
+
+
+def _crossings(al, be, ga, I, J):
+    """Reduced homogeneous crossings (x, y, w), w > 0, of lines I[k] and J[k].
+
+    Lines are a*x + b*y = c with coefficient arrays (al, be, ga); parallel
+    pairs are dropped. Returns x, y, w, I, J.
+    """
+    x = ga[I] * be[J] - ga[J] * be[I]
+    y = ga[J] * al[I] - ga[I] * al[J]
+    w = al[I] * be[J] - al[J] * be[I]
+    m = w != 0
+    x, y, w, I, J = x[m], y[m], w[m], I[m], J[m]
+    neg = w < 0
+    x = _np.where(neg, -x, x)
+    y = _np.where(neg, -y, y)
+    w = _np.where(neg, -w, w)
+    if x.size:
+        g = _np.gcd(_np.gcd(_np.abs(x), _np.abs(y)), w)
+        x //= g
+        y //= g
+        w //= g
+    return x, y, w, I, J
+
+
+def _floor_ceil(x, y, w):
+    """Floor and ceiling of x / w and y / w, which cannot overflow."""
+    return x // w, -((-x) // w), y // w, -((-y) // w)
+
+
+def _in_box(box, x, y, w, I, J):
+    """The crossings inside the closed box."""
+    fx, cx, fy, cy = _floor_ceil(x, y, w)
+    m = (fx >= box[0]) & (cx <= box[2]) & (fy >= box[1]) & (cy <= box[3])
+    return x[m], y[m], w[m], I[m], J[m]
 
 
 def _int_dtype(coef: int):
@@ -401,9 +389,12 @@ def _geometry(
 ):
     """Exact vertices and per-line vertex order of the clipped arrangement.
 
-    The box is ``window`` when given, and the crossings outside the closed
-    window are dropped; otherwise it is the box of ``_box_from_candidates``
-    around every crossing and the ``extras``.
+    The box is ``window`` when given; otherwise it is the box of
+    ``_box_from_candidates`` around every crossing and the ``extras``. The
+    four box sides then join the input lines as primitive triples, and every
+    vertex, whether two lines, a line and a side, or two sides cross there,
+    comes from ``_crossings`` and is kept by ``_in_box`` inside the closed
+    box. Each input line must keep two box points, the ends of its chord.
 
     One code path for both integer widths: the numpy statements run on int64
     arrays while the coefficients stay within ``_COEF_LIMIT`` and the box
@@ -420,7 +411,7 @@ def _geometry(
     On int64, ``_COEF_LIMIT`` keeps the crossing coordinates below 2**53,
     where the conversion to float is exact and the same argument holds.
 
-    Returns (vertices, row_line, row_vid, line_ptr, box): the distinct
+    Returns (vertices, row_line, row_vid, box): the distinct
     vertex triples sorted by (x, y, w), and the line-major rows of
     (line id, vertex id) in order along each line, box sides after the
     input lines.
@@ -428,58 +419,35 @@ def _geometry(
     L = len(trips)
     coef = max((abs(v) for t in trips for v in t), default=0)
     dtype = _int_dtype(coef)
-    al = _np.array([t[0] for t in trips], dtype=dtype)
-    be = _np.array([t[1] for t in trips], dtype=dtype)
-    ga = _np.array([t[2] for t in trips], dtype=dtype)
-    I, J = _np.triu_indices(L, 1)
-    x = ga[I] * be[J] - ga[J] * be[I]
-    y = ga[J] * al[I] - ga[I] * al[J]
-    w = al[I] * be[J] - al[J] * be[I]
-    m = w != 0
-    x, y, w, I, J = x[m], y[m], w[m], I[m], J[m]
-    neg = w < 0
-    x = _np.where(neg, -x, x)
-    y = _np.where(neg, -y, y)
-    w = _np.where(neg, -w, w)
-    if x.size:
-        g = _np.gcd(_np.gcd(_np.abs(x), _np.abs(y)), w)
-        x //= g
-        y //= g
-        w //= g
-    # floor and ceiling of each coordinate, which cannot overflow
-    fx, cx, fy, cy = x // w, -((-x) // w), y // w, -((-y) // w)
+    coefs = _np.array(trips, dtype=dtype).reshape(-1, 3)
+    x, y, w, I, J = _crossings(*coefs.T, *_np.triu_indices(L, 1))
     if window is not None:
         box = window
-        m = (fx >= box[0]) & (cx <= box[2]) & (fy >= box[1]) & (cy <= box[3])
-        x, y, w, I, J = x[m], y[m], w[m], I[m], J[m]
     else:
+        fx, cx, fy, cy = _floor_ceil(x, y, w)
         bounds = (int(fx.min()), int(cx.max()), int(fy.min()), int(cy.max())) if x.size else None
         box = _box_from_candidates(bounds, extras, set(trips))
+    lines = _in_box(box, x, y, w, I, J)
     if max(abs(v) for v in box) * max(1, coef) >= 1 << 61:
         dtype = object  # side crossings would overflow int64
-        x, y, w = x.astype(object), y.astype(object), w.astype(object)
-    # sides order: left, right, bottom, top
-    sides = [(1, 0, box[0]), (1, 0, box[2]), (0, 1, box[1]), (0, 1, box[3])]
-    extra_rows = _boundary_rows(trips, sides, box)
-    ni = x.size
-    allt = _np.concatenate(
-        [
-            _np.stack([x, y, w], axis=1),
-            _np.array([c for _, c in extra_rows], dtype=dtype).reshape(-1, 3),
-        ]
-    )
+    # the box sides are four more lines: every pair with a side gives the
+    # chord ends and the corners
+    coefs = _np.concatenate([coefs.astype(dtype), _np.array(_side_triples(box), dtype=dtype)])
+    I, s = _np.nonzero(_np.arange(L + 4)[:, None] < L + _np.arange(4))
+    sides = _in_box(box, *_crossings(*coefs.T, I, L + s))
+    # on object sides, concatenate turns the int64 crossings into Python ints
+    x, y, w, I, J = (_np.concatenate(pair) for pair in zip(lines, sides))
+    allt = _np.stack([x, y, w], axis=1)
     # distinct rows in (x, y, w) order; np.unique(axis=0) refuses object arrays
-    by_xyw = _np.lexsort((allt[:, 2], allt[:, 1], allt[:, 0]))
+    by_xyw = _np.lexsort((w, y, x))
     rows = allt[by_xyw]
     first = _np.ones(len(rows), dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     uniq = rows[first]
     inv = _np.empty(len(rows), dtype=_np.int64)
     inv[by_xyw] = _np.cumsum(first) - 1
-    row_line = _np.concatenate(
-        [I, J, _np.array([l for l, _ in extra_rows], dtype=_np.int64)]
-    )
-    row_vid = _np.concatenate([inv[:ni], inv[:ni], inv[ni:]])
+    row_line = _np.concatenate([I, J])
+    row_vid = _np.concatenate([inv, inv])
     fx = _np.asarray(uniq[:, 0] / uniq[:, 2], dtype=_np.float64)
     fy = _np.asarray(uniq[:, 1] / uniq[:, 2], dtype=_np.float64)
     dxf = _np.array([d[0] for d in dirs_all], dtype=float)
@@ -509,8 +477,9 @@ def _geometry(
     keep[1:][dup] = False
     row_line = row_line[keep]
     row_vid = row_vid[keep]
-    line_ptr = _np.searchsorted(row_line, _np.arange(L + 5))
-    return uniq, row_line, row_vid, line_ptr, box
+    if (_np.bincount(row_line, minlength=L + 4) < 2).any():
+        raise ContractViolation("every line must cross the box in a chord")
+    return uniq, row_line, row_vid, box
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -587,12 +556,6 @@ class Arrangement:
     def is_boundary_edge(self, eid: int) -> bool:
         return int(self._eline[eid]) >= self.n_lines
 
-    def edge_midpoint_triple(self, eid: int) -> tuple[int, int, int]:
-        u, v = self.edge_endpoints(eid)
-        xu, yu, wu = self.vertex_triple(u)
-        xv, yv, wv = self.vertex_triple(v)
-        return _reduced_triple(xu * wv + xv * wu, yu * wv + yv * wu, 2 * wu * wv)
-
     # --- cells ----------------------------------------------------------
 
     def _cell_hes(self, cid: int) -> list[int]:
@@ -605,7 +568,7 @@ class Arrangement:
         return out
 
     def cell_cycle(self, cid: int) -> list[int]:
-        """Vertex ids around the cell, ccw, collinear vertices included."""
+        """Vertex ids around the cell, ccw; the cell turns strictly at each."""
         return [int(self._he_origin(h)) for h in self._cell_hes(cid)]
 
     def _he_origin(self, h: int) -> int:
@@ -618,7 +581,7 @@ class Arrangement:
     def cell_polygon(self, cid: int) -> ConvexPolygon:
         """The cell's corners, ccw from its lex-min vertex.
 
-        The cycle is already a weakly convex ccw ring of exact homogeneous
+        The cycle is already a strictly convex ccw ring of exact homogeneous
         triples, which ``geom`` turns into its corners.
         """
         poly = self._poly_cache.get(cid)
@@ -630,63 +593,39 @@ class Arrangement:
         return poly
 
     def cell_centroid(self, cid: int) -> Point:
-        """``cell_sample_triple`` as a Point: interior, though not the centroid."""
-        return _as_point(self.cell_sample_triple(cid))
-
-    def cell_sample_triple(self, cid: int) -> tuple[int, int, int]:
-        """Interior rational point with a small denominator, homogeneous.
-
-        Midpoint of (edge midpoint, third non-collinear cycle vertex): lands
-        strictly inside the triangle they span, hence inside the convex cell,
-        while keeping the denominator near the product of three vertex w's
-        instead of the lcm over the whole cycle.
-        """
-        h0 = int(self._cell_start_he[cid])
-        e0 = h0 >> 1
-        t0 = self.vertex_triple(int(self._eu[e0]))
-        t1 = self.vertex_triple(int(self._ev[e0]))
-        x0, y0, w0 = t0
-        x1, y1, w1 = t1
-        h = int(self._nxt[int(self._nxt[h0])])
-        while True:
-            t2 = self.vertex_triple(self._he_origin(h))
-            x2, y2, w2 = t2
-            cross = (x1 * w0 - x0 * w1) * (y2 * w0 - y0 * w2) - (
-                y1 * w0 - y0 * w1
-            ) * (x2 * w0 - x0 * w2)
-            if cross != 0:
-                break
-            h = int(self._nxt[h])
-            if h == h0:
-                raise ContractViolation("cell cycle is degenerate")
-        mx, my, mw = x0 * w1 + x1 * w0, y0 * w1 + y1 * w0, 2 * w0 * w1
-        return _reduced_triple(mx * w2 + x2 * mw, my * w2 + y2 * mw, 2 * mw * w2)
+        """The cell's sample as a Point: interior, though not the centroid."""
+        return self.face_sample(FaceRef(2, cid))
 
     def face_sample_triple(self, ref: FaceRef) -> tuple[int, int, int]:
-        """Exact relative-interior sample as a homogeneous integer triple."""
-        if ref.dim == 2:
-            return self.cell_sample_triple(ref.index)
-        if ref.dim == 1:
-            return self.edge_midpoint_triple(ref.index)
-        return self.vertex_triple(ref.index)
+        """Exact relative-interior sample as a homogeneous integer triple.
+
+        It is the face's row of ``face_samples()``.
+        """
+        first = (self.n_cells + self.n_edges, self.n_cells, 0)[ref.dim]
+        return tuple(self.face_samples()[first + ref.index].tolist())
 
     def face_samples(self) -> _np.ndarray:
-        """``face_sample_triple`` of every face as one (F, 3) array, ``iter_faces`` order.
+        """Every face's sample as one read-only (F, 3) array, ``iter_faces`` order.
 
-        Vertices are their triples, edges their reduced midpoints, and cells
-        follow ``cell_sample_triple``: every cell whose third vertex is still
-        collinear steps to the next one together. With X, Y and W the largest
-        |x|, |y| and w of a vertex, no value passes max(8 X Y, 4 max(X, Y, W))
-        * W^2, so the arithmetic runs on int64 while that fits and on Python
-        ints otherwise.
+        Computed once per arrangement. Vertices are their triples and edges
+        their reduced midpoints. A cell's sample is the reduced midpoint of
+        its first edge's midpoint and the vertex after that edge: strictly
+        inside the triangle of those three vertices, which are not collinear
+        because bounded cells turn strictly at every vertex (``_assemble``
+        checks it), hence inside the convex cell, with a denominator near the
+        product of three vertex w's instead of the lcm over the whole cycle.
         """
+        return self._samples
+
+    @functools.cached_property
+    def _samples(self) -> _np.ndarray:
+        # With X, Y and W the largest |x|, |y| and w of a vertex, no value
+        # passes max(8 X Y, 4 max(X, Y, W)) * W^2, so the arithmetic runs on
+        # int64 while that fits and on Python ints otherwise.
         sx, sy, sw = (int(abs(self._uniq[:, j]).max()) for j in range(3))
         bound = max(8 * sx * sy, 4 * max(sx, sy, sw)) * sw * sw
         vt = self._uniq.astype(_np.int64 if bound <= _SAMPLE_LIMIT else object)
         eu, ev, nxt = self._eu, self._ev, self._nxt
-
-        def origin(h):
-            return vt[_np.where(h & 1, ev[h >> 1], eu[h >> 1])].T
 
         def mid(p, q):  # midpoint of homogeneous triples, not reduced
             (xp, yp, wp), (xq, yq, wq) = p, q
@@ -697,21 +636,13 @@ class Arrangement:
             return _np.stack([x // g, y // g, w // g], axis=1)
 
         h0 = self._cell_start_he
-        x0, y0, w0 = t0 = vt[eu[h0 >> 1]].T
-        x1, y1, w1 = t1 = vt[ev[h0 >> 1]].T
-        dx, dy = x1 * w0 - x0 * w1, y1 * w0 - y0 * w1
-        h = nxt[nxt[h0]]
-        c = _np.arange(len(h0))  # the cells whose third vertex may be collinear
-        while c.size:
-            x2, y2, w2 = origin(h[c])
-            cross = dx[c] * (y2 * w0[c] - y0[c] * w2) - dy[c] * (x2 * w0[c] - x0[c] * w2)
-            c = c[cross == 0]
-            h[c] = nxt[h[c]]
-            if (h[c] == h0[c]).any():
-                raise ContractViolation("cell cycle is degenerate")
-        cells = reduced(*mid(mid(t0, t1), origin(h)))
+        h2 = nxt[nxt[h0]]
+        third = vt[_np.where(h2 & 1, ev[h2 >> 1], eu[h2 >> 1])].T
+        cells = reduced(*mid(mid(vt[eu[h0 >> 1]].T, vt[ev[h0 >> 1]].T), third))
         edges = reduced(*mid(vt[eu].T, vt[ev].T))
-        return _np.concatenate([cells, edges, vt])
+        samples = _np.concatenate([cells, edges, vt])
+        samples.flags.writeable = False
+        return samples
 
     def cell_bounds_float(self) -> _np.ndarray:
         """(n_cells, 4) float array [min x, min y, max x, max y] per cell."""
@@ -853,7 +784,7 @@ def build_arrangement(
         x0, y0, x1, y1 = window
         if must_contain or not (x0 < x1 and y0 < y1):
             raise ValueError("a window is a nonempty box and replaces must_contain")
-        if {(1, 0, x0), (1, 0, x1), (0, 1, y0), (0, 1, y1)} & set(trips):
+        if set(_side_triples(window)) & set(trips):
             raise ValueError("a window side lies on an input line")
     extras = [] if window is not None else list(must_contain) + [ln.some_point() for ln in lines]
     # box sides, in line order after the input lines: x = x0, x = x1, y = y0, y = y1
@@ -869,12 +800,9 @@ def _assemble(
     geo: tuple,
 ) -> Arrangement:
     L = len(trips)
-    uniq, row_line, row_vid, line_ptr, box = geo
-    x0, y0, x1, y1 = box
-    trips_all = trips + [(1, 0, x0), (1, 0, x1), (0, 1, y0), (0, 1, y1)]
+    uniq, row_line, row_vid, box = geo
+    trips_all = trips + _side_triples(box)
     V = len(uniq)
-    if not ((line_ptr[1:] - line_ptr[:-1]) >= 2).all():
-        raise ContractViolation("every line needs at least one segment inside the box")
 
     # edges: consecutive vertices along each line
     same = row_line[1:] == row_line[:-1]
@@ -946,7 +874,8 @@ def _assemble(
     if V - E + (n_cells + 1) != 2:
         raise ContractViolation("Euler relation")
 
-    # convexity of bounded faces via integer turn tests
+    # bounded faces turn strictly at every vertex, by integer turn tests: a
+    # second line crosses there, and it would cut a face that went straight on
     dtype = _int_dtype(max(abs(c) for d in dirs_all for c in d))
     dxl = _np.array([d[0] for d in dirs_all], dtype=dtype)
     dyl = _np.array([d[1] for d in dirs_all], dtype=dtype)
@@ -956,8 +885,8 @@ def _assemble(
     dhy = dyl[he_line_arr] * sgn
     cross = dhx * dhy[nxt] - dhy * dhx[nxt]
     bounded = cell_of_face[face] >= 0
-    if not (cross[bounded] >= 0).all():
-        raise ContractViolation("bounded faces are convex")
+    if not (cross[bounded] > 0).all():
+        raise ContractViolation("bounded faces are strictly convex")
 
     # dual adjacency over interior edges (both sides bounded)
     f_even = face[0::2]

@@ -120,15 +120,6 @@ def eval_E(inst: Instance, t: Point) -> tuple[Scalar, Matching]:
     return Fraction(max(nums[e.b][e.a] for e in mu), den), mu
 
 
-def _label_at(inst: Instance, t: Point) -> CellLabel:
-    G = prune_candidates(inst, t)
-    mu, rank = bottleneck_matching(G)
-    longest = G.longest_of(mu)
-    if G.w(longest) != rank:
-        raise ContractViolation("longest edge is not at the bottleneck rank")
-    return CellLabel(mu, longest, rank)
-
-
 def _check_alignment(arr: Arrangement, bisectors: Sequence[Bisector]) -> None:
     if len(bisectors) != arr.n_lines:
         raise ValueError("one bisector per arrangement line required")
@@ -140,13 +131,14 @@ def _check_alignment(arr: Arrangement, bisectors: Sequence[Bisector]) -> None:
 def label_cells_recompute(
     inst: Instance, arr: Arrangement, bisectors: Sequence[Bisector] = ()
 ) -> LabeledDiagram:
-    """Independent per-cell labeling: prune + bottleneck at each cell sample."""
+    """Independent per-cell labeling: ``_start_state`` at every cell's sample.
+
+    No state is carried across a bisector, so the walk's labels can be
+    checked against these.
+    """
     if bisectors:
         _check_alignment(arr, bisectors)
-    cells = [
-        _label_at(inst, arr.face_sample(FaceRef(2, cid)))
-        for cid in range(arr.n_cells)
-    ]
+    cells = [_start_state(inst, arr, cid).cell_label() for cid in range(arr.n_cells)]
     return _labeled(inst, arr, bisectors, cells)
 
 
@@ -358,7 +350,7 @@ def label_faces_lex(
     sq = max(x * x + y * y for row in rows for x, y in row)
     lin = max(abs(x) + abs(y) for row in rows for x, y in row)
     dtype = _np.int64 if span * (sq + 2 * M * lin + 1) <= _INT64_LIMIT else object
-    samples = samples.astype(dtype)
+    samples = samples.astype(dtype, copy=False)
     Ax, Ay = _np.moveaxis(_np.array(rows, dtype=dtype), 2, 0)  # (k, n) each
     key_dtype = _np.min_scalar_type(k * n + 1)
 

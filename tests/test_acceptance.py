@@ -90,8 +90,7 @@ def _interior_samples(arr, cid, count):
     The arrangement's own sample triple avoids the lcm blowup a vertex
     centroid would have; the rest sit strictly between it and one vertex.
     """
-    x, y, w = arr.cell_sample_triple(cid)
-    s = Point(Fraction(x, w), Fraction(y, w))
+    s = arr.cell_centroid(cid)
     out = [s]
     verts = arr.cell_polygon(cid).vertices
     j = 1

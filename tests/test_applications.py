@@ -390,15 +390,34 @@ def _path_and_window(inst, t0, t1):
     return got, window
 
 
+def _collapsed(res):
+    """``res`` without the crossings that equal the point kept before them or t1.
+
+    The reference keeps every crossing it walks back through, so two crossed
+    edges whose minimizers meet at their shared vertex give a repeated point.
+    """
+    points = res.polyline
+    keep = [0]
+    for i in range(1, len(points) - 1):
+        if points[i] != points[keep[-1]] and points[i] != points[-1]:
+            keep.append(i)
+    keep.append(len(points) - 1)
+    return PathResult(
+        tuple(points[i] for i in keep), res.value, tuple(res.vertex_values[i] for i in keep)
+    )
+
+
 def _check_path(inst, t0, t1):
     """Compare the library's path with the references.
 
-    On the library's window the reference gives the same path. On the whole
-    box it gives the same value, though the polyline may differ: the window's
-    reduction may drop a line the whole box's keeps.
+    On the library's window the reference gives the same path once its
+    repeated points are collapsed. On the whole box it gives the same value,
+    though the polyline may differ: the window's reduction may drop a line
+    the whole box's keeps.
     """
     got, window = _path_and_window(inst, t0, t1)
-    assert got == reference_path(inst, t0, t1, window)  # polyline, value and vertex values
+    # polyline, value and vertex values
+    assert got == _collapsed(reference_path(inst, t0, t1, window))
     ref = reference_path(inst, t0, t1)
     assert got.value == ref.value
     x0, y0, x1, y1 = reference_arrangement(inst, t0, t1)[1].box
@@ -460,8 +479,23 @@ def test_path_labels_only_the_cells_it_settles(monkeypatch):
     monkeypatch.setattr(applications, "reduced_arrangement", counted(real, arrs))
     res = bottleneck_path(inst, point(-7, -3), point(-5, 3))
     [(_bis, arr)] = arrs
-    assert res == reference_path(inst, point(-7, -3), point(-5, 3), arr.box)
+    assert res == _collapsed(reference_path(inst, point(-7, -3), point(-5, 3), arr.box))
     assert 0 < len(calls) < arr.n_cells  # 27 of 558 cells
+
+
+def test_path_polyline_repeats_no_point():
+    # two consecutive crossed edges have their minimizers at the vertex they
+    # share four times on this path; the reference lists each such point twice
+    inst = _mk([(-4, -3), (5, 0), (-4, 3), (4, 3), (-3, 4)], [(5, 0), (-3, 4)])
+    t0, t1 = point(-2, -9), point(4, 0)
+    res, window = _path_and_window(inst, t0, t1)
+    ref = reference_path(inst, t0, t1, window)
+    assert len(ref.polyline) - len(set(ref.polyline)) == 4
+    assert res.value == ref.value == 85
+    assert all(p != q for p, q in zip(res.polyline, res.polyline[1:]))
+    assert point(0, -5) in res.polyline and len(res.polyline) == len(ref.polyline) - 4
+    assert res == _collapsed(ref)
+    assert res.vertex_values == tuple(eval_E(inst, p)[0] for p in res.polyline)
 
 
 _LATTICE = _mk([(x, y) for x in range(-1, 2) for y in range(-1, 2)], [(0, 0), (1, 0), (0, 1)])

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import pathlib
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from botmatch.geom import (
     Point,
     line_intersection,
     make_line,
+    orientation,
     point,
     squared_edge_length,
 )
@@ -29,6 +31,7 @@ from botmatch.arrangement import (
 )
 from botmatch.matching import DIFF_B, SAME_B
 from fraction_geometry import canonical_convex
+from sample_reference import face_sample_triple as reference_sample
 
 E = EdgeRef
 
@@ -652,9 +655,12 @@ def test_int64_and_python_int_geometry_agree_on_a_window(monkeypatch, window):
 
 def _assert_face_samples_equal_per_face(arr):
     samples = arr.face_samples()
+    assert samples is arr.face_samples() and not samples.flags.writeable
     refs = list(arr.iter_faces())
     assert samples.shape == (len(refs), 3)
-    assert [tuple(row) for row in samples.tolist()] == [arr.face_sample_triple(r) for r in refs]
+    want = [reference_sample(arr, r) for r in refs]
+    assert [tuple(row) for row in samples.tolist()] == want
+    assert [arr.face_sample_triple(r) for r in refs] == want
     return samples
 
 
@@ -672,7 +678,10 @@ def test_face_samples_equal_face_sample_triple(monkeypatch, must_contain, dtype)
     assert _assert_face_samples_equal_per_face(wide).tolist() == arr.face_samples().tolist()
     with monkeypatch.context() as m:
         m.setattr(arrangement, "_SAMPLE_LIMIT", 0)
-        assert _assert_face_samples_equal_per_face(arr).dtype == object
+        # samples are computed once per arrangement, so build a new one
+        fresh = build_arrangement(_GENERAL_LINES, must_contain=must_contain)
+        assert _assert_face_samples_equal_per_face(fresh).dtype == object
+        assert fresh.face_samples().tolist() == arr.face_samples().tolist()
 
 
 def test_face_samples_equal_face_sample_triple_on_random_and_degenerate_instances():
@@ -682,6 +691,105 @@ def test_face_samples_equal_face_sample_triple_on_random_and_degenerate_instance
     instances.append(_mk([(x, y) for x in range(0, 6, 2) for y in range(0, 4, 2)], [(0, 0), (1, 0), (0, 1)]))
     for inst in instances:
         _assert_face_samples_equal_per_face(build_arrangement([b.line for b in all_bisectors(inst)]))
+
+
+# --- one crossing routine, strictly convex cells, pinned arrays -----------------
+
+
+_LATTICE_INST = _mk([(x, y) for x in range(3) for y in range(3)], [(0, 0), (1, 0), (0, 1)])
+_COLLINEAR_INST = _mk([(x, 0) for x in range(5)], [(0, 0), (1, 0), (3, 0)])
+
+
+def _windowed(inst, window):
+    """The arrangement of the bisectors that cross the open window, on it."""
+    return build_arrangement(
+        [b.line for b in used_bisectors(inst, all_bisectors(inst), window=window)], window=window
+    )
+
+
+def _family_arrangements(monkeypatch):
+    """Whole boxes, windows with crossings on sides and corners, Python-int boxes."""
+    rng = random.Random(1_5001)
+    built = [build_arrangement([b.line for b in all_bisectors(_random_instance(rng))]) for _ in range(4)]
+    built += [
+        build_arrangement([b.line for b in all_bisectors(inst)]) for inst in (_COLLINEAR_INST, _LATTICE_INST)
+    ]
+    # lattice bisectors cross at integer and half-integer points: on these
+    # windows some crossings fall on a side, some on a corner
+    built += [_windowed(_LATTICE_INST, w) for w in [(-1, -1, 1, 1), (0, 0, 2, 1), (-2, -1, 1, 2)]]
+    corner_lines = [make_line(1, 1, 2), make_line(1, -1, 0), make_line(0, 1, 1)]
+    built += [build_arrangement(corner_lines, window=w) for w in [(0, 0, 3, 3), (-1, 0, 1, 3)]]
+    built.append(build_arrangement(_GENERAL_LINES, must_contain=[point(10**19, 5)]))
+    built.append(build_arrangement(_GENERAL_LINES, window=(-5, -5, 10**19, 7)))
+    built.append(_build_python_ints(monkeypatch, [b.line for b in all_bisectors(_random_instance(rng))]))
+    built.append(_build_python_ints(monkeypatch, corner_lines, window=(0, 0, 3, 3)))
+    assert {a._uniq.dtype for a in built} == {_np.dtype("int64"), _np.dtype(object)}
+    return built
+
+
+def test_vertices_are_the_fraction_crossings_in_the_closed_box(monkeypatch):
+    at_corner = 0
+    for arr in _family_arrangements(monkeypatch):
+        x0, y0, x1, y1 = arr.box
+        want = _window_vertices(arr.lines, arr.box)
+        assert {arr.vertex_point(v) for v in range(arr.n_vertices)} == want
+        assert arr.n_vertices == len(want)
+        sides = [make_line(1, 0, x0), make_line(1, 0, x1), make_line(0, 1, y0), make_line(0, 1, y1)]
+        for ln in arr.lines:
+            ends = {line_intersection(ln, side) for side in sides} & want
+            assert len(ends) == 2  # each input line meets the box in a chord
+            at_corner += any(p.x in (x0, x1) and p.y in (y0, y1) for p in ends)
+    assert at_corner  # some line ends at a corner
+
+
+def test_bounded_cells_turn_strictly_at_every_vertex(monkeypatch):
+    for arr in _family_arrangements(monkeypatch):
+        for cid in range(arr.n_cells):
+            ring = [arr.vertex_triple(v) for v in arr.cell_cycle(cid)]
+            assert len(ring) >= 3
+            assert all(orientation(ring[i - 2], ring[i - 1], ring[i]) > 0 for i in range(len(ring)))
+
+
+_DCEL_FIELDS = (
+    "_uniq", "_eu", "_ev", "_eline", "_nxt", "_face", "_cell_start_he", "_cell_of_face",
+    "_adj_ptr", "_adj_nbr", "_adj_eid",
+)
+
+
+def _dcel_sha256(arr):
+    h = hashlib.sha256(repr((arr.box, str(arr._uniq.dtype))).encode())
+    for name in _DCEL_FIELDS:
+        h.update(repr((name, getattr(arr, name).tolist())).encode())
+    return h.hexdigest()
+
+
+# sha256 of the DCEL arrays on fixed inputs: any rewrite of `_geometry` or
+# `_assemble` must leave every array, and the int64 or Python-int width, as is
+DCEL_GOLDEN = {
+    "int64-whole-box": "3d7122adc53f7dc875a7162b92d2e8b862efa0476831a33ba20abb4d743907fa",
+    "window": "aeb8c2c77f26fc822770427d151e270320ed68b95188f4a5cf30967fe0de7de4",
+    "box-past-int64": "1e1bf9394a85e9bff21d4abbf89e417b7137146cc661604fc3ad62609949e91a",
+    "python-ints": "bb2a82bbe4358b4ae959a6ae020b96862432c12186371cbd4c32d9de8b115c9d",
+}
+
+
+def _pinned_arrangement(monkeypatch, name):
+    inst = _mk([(0, 0), (3, 1), (1, 4), (-2, 2), (4, -1)], [(0, 0), (1, 1), (2, -1)])
+    lines = [b.line for b in all_bisectors(inst)]
+    if name == "int64-whole-box":
+        return build_arrangement(lines)
+    if name == "window":
+        return _windowed(_LATTICE_INST, (-2, -1, 1, 2))
+    if name == "box-past-int64":
+        return build_arrangement(_GENERAL_LINES, must_contain=[point(10**19, 5)])
+    return _build_python_ints(monkeypatch, lines)
+
+
+@pytest.mark.parametrize("name", sorted(DCEL_GOLDEN))
+def test_arrangement_arrays_are_pinned(monkeypatch, name):
+    arr = _pinned_arrangement(monkeypatch, name)
+    assert arr._uniq.dtype == (object if name in ("box-past-int64", "python-ints") else "int64")
+    assert _dcel_sha256(arr) == DCEL_GOLDEN[name]
 
 
 def _canonical_cell_vertices(arr, c):

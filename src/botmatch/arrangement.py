@@ -376,6 +376,18 @@ def _in_box(box, x, y, w, I, J):
     return x[m], y[m], w[m], I[m], J[m]
 
 
+def _midpoint(p, q):
+    """Midpoints of homogeneous triples given as (x, y, w) columns, not reduced."""
+    (xp, yp, wp), (xq, yq, wq) = p, q
+    return xp * wq + xq * wp, yp * wq + yq * wp, 2 * wp * wq
+
+
+def _reduced_rows(x, y, w):
+    """(x, y, w) columns as rows of triples in lowest terms."""
+    g = _np.gcd(_np.gcd(x, y), w)
+    return _np.stack([x // g, y // g, w // g], axis=1)
+
+
 def _int_dtype(coef: int):
     """int64 for coefficients within ``_COEF_LIMIT``, else Python ints."""
     return _np.int64 if coef <= _COEF_LIMIT else object
@@ -599,9 +611,13 @@ class Arrangement:
     def face_sample_triple(self, ref: FaceRef) -> tuple[int, int, int]:
         """Exact relative-interior sample as a homogeneous integer triple.
 
-        It is the face's row of ``face_samples()``.
+        It is the face's row of ``face_samples()``. A cell's row is read from
+        the cell block alone, so a caller that samples only cells never pays
+        for the edge and vertex rows.
         """
-        first = (self.n_cells + self.n_edges, self.n_cells, 0)[ref.dim]
+        if ref.dim == 2:
+            return tuple(self._cell_samples[ref.index].tolist())
+        first = (self.n_cells + self.n_edges, self.n_cells)[ref.dim]
         return tuple(self.face_samples()[first + ref.index].tolist())
 
     def face_samples(self) -> _np.ndarray:
@@ -618,29 +634,33 @@ class Arrangement:
         return self._samples
 
     @functools.cached_property
-    def _samples(self) -> _np.ndarray:
-        # With X, Y and W the largest |x|, |y| and w of a vertex, no value
-        # passes max(8 X Y, 4 max(X, Y, W)) * W^2, so the arithmetic runs on
-        # int64 while that fits and on Python ints otherwise.
+    def _sample_dtype(self):
+        """int64 while every sample value fits, else object (Python ints).
+
+        With X, Y and W the largest |x|, |y| and w of a vertex, no value
+        passes max(8 X Y, 4 max(X, Y, W)) * W^2.
+        """
         sx, sy, sw = (int(abs(self._uniq[:, j]).max()) for j in range(3))
         bound = max(8 * sx * sy, 4 * max(sx, sy, sw)) * sw * sw
-        vt = self._uniq.astype(_np.int64 if bound <= _SAMPLE_LIMIT else object)
+        return _np.int64 if bound <= _SAMPLE_LIMIT else object
+
+    @functools.cached_property
+    def _cell_samples(self) -> _np.ndarray:
+        """The cell rows of ``face_samples()``, cached on their own."""
+        vt = self._uniq.astype(self._sample_dtype, copy=False)
         eu, ev, nxt = self._eu, self._ev, self._nxt
-
-        def mid(p, q):  # midpoint of homogeneous triples, not reduced
-            (xp, yp, wp), (xq, yq, wq) = p, q
-            return xp * wq + xq * wp, yp * wq + yq * wp, 2 * wp * wq
-
-        def reduced(x, y, w):
-            g = _np.gcd(_np.gcd(x, y), w)
-            return _np.stack([x // g, y // g, w // g], axis=1)
-
         h0 = self._cell_start_he
         h2 = nxt[nxt[h0]]
         third = vt[_np.where(h2 & 1, ev[h2 >> 1], eu[h2 >> 1])].T
-        cells = reduced(*mid(mid(vt[eu[h0 >> 1]].T, vt[ev[h0 >> 1]].T), third))
-        edges = reduced(*mid(vt[eu].T, vt[ev].T))
-        samples = _np.concatenate([cells, edges, vt])
+        cells = _reduced_rows(*_midpoint(_midpoint(vt[eu[h0 >> 1]].T, vt[ev[h0 >> 1]].T), third))
+        cells.flags.writeable = False
+        return cells
+
+    @functools.cached_property
+    def _samples(self) -> _np.ndarray:
+        vt = self._uniq.astype(self._sample_dtype, copy=False)
+        edges = _reduced_rows(*_midpoint(vt[self._eu].T, vt[self._ev].T))
+        samples = _np.concatenate([self._cell_samples, edges, vt])
         samples.flags.writeable = False
         return samples
 

@@ -30,9 +30,9 @@ from .geom import EdgeRef, Instance, Point, Scalar, squared_length_nums
 from .matching import (
     ContractViolation,
     Matching,
+    bottleneck_from_nums,
     bottleneck_matching,
     canonical_complete_matching,
-    candidates_from_nums,
     cross_bisector,
     lex_assignments,
     matching_from_map,
@@ -114,9 +114,13 @@ def _labeled(
 
 
 def eval_E(inst: Instance, t: Point) -> tuple[Scalar, Matching]:
-    """Exact bottleneck value at translation t, with a witness matching."""
+    """Exact bottleneck value at translation t, with a witness matching.
+
+    The witness is ``bottleneck_matching(prune_candidates(inst, t))``'s,
+    found by ``bottleneck_from_nums`` without building the candidate graph.
+    """
     nums, den = squared_length_nums(inst, t)
-    mu, _rank = bottleneck_matching(candidates_from_nums(inst, nums))
+    mu, _rank = bottleneck_from_nums(nums)
     return Fraction(max(nums[e.b][e.a] for e in mu), den), mu
 
 

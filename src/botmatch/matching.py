@@ -7,11 +7,23 @@ inside it. Edge weights are dense ranks over the distinct squared lengths;
 edges of equal length share a rank. Crossing a bisector in translation space
 changes the graph by one of two local moves, and the matching follows with
 one augmentation or one thresholded rematch; see ``update_on_swap``.
+
+The bottleneck search runs on the candidate edges in rank order, whether
+they come from a graph (``bottleneck_matching``) or straight from the length
+numerators of one translation (``bottleneck_from_nums``, what ``eval_E``
+calls). No cap below the floor, the first rank at which every b has an edge,
+can match every b, and the answer nearly always sits at the floor or just
+above it. So the floor is probed first, the probes gallop up from it while
+they fail, and the last gap is bisected. Each probe is a verified maximum
+matching; the witness is the one at the least feasible rank.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as _np
@@ -197,25 +209,12 @@ def prune_candidates(inst: Instance, t: Point) -> CandidateGraph:
     shared positive denominator, which orders them exactly as the lengths.
     """
     nums, _den = squared_length_nums(inst, t)
-    return candidates_from_nums(inst, nums)
-
-
-def candidates_from_nums(inst: Instance, nums: list[list[int]]) -> CandidateGraph:
-    """``prune_candidates`` from lengths already known as numerators.
-
-    ``nums[b][a]`` are the squared lengths at one translation over a shared
-    positive denominator, as ``squared_length_nums`` returns them.
-    """
     k = inst.k
     _M, anchors = inst.int_anchors
     # equal anchors a - b mean equal difference vectors: one class each
     classes: dict[tuple[int, int], tuple[int, list[EdgeRef]]] = {}
     for b in range(k):
-        incident = sorted((value, a) for a, value in enumerate(nums[b]))
-        threshold = incident[k - 1][0]
-        for value, a in incident:
-            if value > threshold:
-                break
+        for value, a in _k_shortest(nums[b], k):
             classes.setdefault(anchors[b][a], (value, []))[1].append(EdgeRef(a, b))
 
     distinct = sorted({value for value, _ in classes.values()})
@@ -226,6 +225,15 @@ def candidates_from_nums(inst: Instance, nums: list[list[int]]) -> CandidateGrap
     for anchor in sorted(classes, reverse=True):
         levels[index[classes[anchor][0]]].append(anchor)
     return CandidateGraph(k, levels, members, class_key=lambda e: anchors[e.b][e.a])
+
+
+def _k_shortest(row: Sequence[int], k: int) -> list[tuple[int, int]]:
+    """``(value, a)`` of b's candidate edges, ascending: the k shortest, ties kept.
+
+    ``row[a]`` is the length numerator of edge (a, b).
+    """
+    threshold = sorted(row)[k - 1]
+    return sorted((value, a) for a, value in enumerate(row) if value <= threshold)
 
 
 # -- maximum matching ---------------------------------------------------------
@@ -344,41 +352,88 @@ def _verified_max_matching(adj: dict[int, list[int]], k: int) -> Matching:
 def bottleneck_matching(G: CandidateGraph) -> tuple[Matching, int]:
     """Complete matching minimizing the maximum edge rank, plus that rank.
 
-    Binary search over ranks; feasibility is monotone in the rank cap and is
-    asserted to be so across all probes of the search. The edges are put in
-    rank order once; each probe takes a prefix of that order.
+    The edges are put in rank order once; ``_bottleneck_search`` probes
+    prefixes of that order.
     """
-    for b in range(G.k):
-        if not G.by_b[b]:
-            raise NoCompleteMatching(f"b index {b} has no candidate edges")
     pairs, ends = _edges_by_rank(G, G.rank_count)
-    probes: dict[int, bool] = {}
+    return _bottleneck_search(G.k, pairs, ends)
 
-    def feasible(r: int) -> tuple[bool, Matching]:
-        mu = _verified_max_matching(_adjacency_of(G.k, pairs[: ends[r]]), G.k)
-        ok = len(mu) == G.k
-        probes[r] = ok
-        return ok, mu
 
-    lo, hi = 1, G.rank_count
-    ok, best = feasible(hi)
-    if not ok:
-        raise NoCompleteMatching("no complete matching in the candidate graph")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        ok, mu = feasible(mid)
-        if ok:
-            hi, best = mid, mu
+def bottleneck_from_nums(nums: Sequence[Sequence[int]]) -> tuple[Matching, int]:
+    """``bottleneck_matching(prune_candidates(inst, t))``, without the graph.
+
+    ``nums`` are the squared lengths at ``t`` as ``squared_length_nums``
+    returns them: ``nums[b][a]`` over a shared positive denominator. The
+    candidate edges are those of ``prune_candidates`` and their ranks are its
+    dense ranks over the distinct values, so the search sees the same edges
+    at every cap and returns the same matching and rank.
+    """
+    k = len(nums)
+    edges = sorted((value, b, a) for b, row in enumerate(nums) for value, a in _k_shortest(row, k))
+    pairs: list[tuple[int, int]] = []
+    ends = [0]
+    for _value, level in groupby(edges, key=itemgetter(0)):
+        pairs.extend((b, a) for _v, b, a in level)
+        ends.append(len(pairs))
+    return _bottleneck_search(k, pairs, ends)
+
+
+def _rank_floor(k: int, pairs: Sequence[tuple[int, int]], ends: Sequence[int]) -> int:
+    """The first rank at which every b has an edge; no lower cap matches every b."""
+    seen: set[int] = set()
+    for i, (b, _a) in enumerate(pairs):
+        seen.add(b)
+        if len(seen) == k:
+            return bisect_right(ends, i)
+    raise NoCompleteMatching("some b index has no candidate edges")
+
+
+def _bottleneck_search(
+    k: int, pairs: Sequence[tuple[int, int]], ends: Sequence[int]
+) -> tuple[Matching, int]:
+    """The least rank r at which ``pairs[: ends[r]]`` match every b, and that matching.
+
+    ``pairs`` are the edges as ``(b, a)``, lowest rank first, and ``ends[r]``
+    is the number of edges of rank <= r. The floor (``_rank_floor``) is
+    probed first. While a probe fails, the next one gallops up by 1, 2, 4, ...
+    ranks, capped at the top rank; then the gap between the last failing and
+    the first feasible probe is bisected. Each probe is one verified maximum
+    matching, and the witness is the one at the least feasible rank, so it
+    does not depend on the probe order.
+
+    Two self-checks run on every call, neither trusting the floor. The rank
+    below the answer must not match every b: if it was not probed, some b
+    must lack a pair there, or else it is probed. Feasibility must be
+    monotone over the probes made.
+    """
+    top = len(ends) - 1
+    probes: dict[int, Matching] = {}
+
+    def feasible(r: int) -> bool:
+        probes[r] = _verified_max_matching(_adjacency_of(k, pairs[: ends[r]]), k)
+        return len(probes[r]) == k
+
+    r = _rank_floor(k, pairs, ends)
+    failed, step = r - 1, 1
+    while not feasible(r):
+        if r == top:
+            raise NoCompleteMatching("no complete matching in the candidate graph")
+        failed, r, step = r, min(r + step, top), 2 * step
+    while r - failed > 1:
+        mid = (failed + r) // 2
+        if feasible(mid):
+            r = mid
         else:
-            lo = mid + 1
-    # the search settles on lo > 1 only after probing lo - 1 infeasible
-    if lo > 1 and probes.get(lo - 1, True):
+            failed = mid
+    below = r - 1
+    if below >= 1 and below not in probes and len({b for b, _a in pairs[: ends[below]]}) == k:
+        feasible(below)
+    if len(probes.get(below, ())) == k:
         raise ContractViolation("bottleneck rank not minimal")
-    if any(
-        r1 < r2 and probes[r1] and not probes[r2] for r1 in probes for r2 in probes
-    ):
+    ok = {cap: len(mu) == k for cap, mu in probes.items()}
+    if any(r1 < r2 and ok[r1] and not ok[r2] for r1 in ok for r2 in ok):
         raise ContractViolation("matching feasibility not monotone in rank cap")
-    return best, lo
+    return probes[r], r
 
 
 def canonical_complete_matching(G: CandidateGraph, rank_cap: int) -> Matching:

@@ -684,6 +684,21 @@ def test_face_samples_equal_face_sample_triple(monkeypatch, must_contain, dtype)
         assert fresh.face_samples().tolist() == arr.face_samples().tolist()
 
 
+@pytest.mark.parametrize(
+    "must_contain", [(), (point(10**12, -(10**12)),)], ids=["small-box", "samples-past-int64"]
+)
+def test_cell_samples_come_without_the_edge_and_vertex_rows(must_contain):
+    arr = build_arrangement(_GENERAL_LINES, must_contain=must_contain)
+    cells = [arr.face_sample_triple(FaceRef(2, c)) for c in range(arr.n_cells)]
+    assert "_samples" not in vars(arr)
+    assert cells == [reference_sample(arr, FaceRef(2, c)) for c in range(arr.n_cells)]
+    block = arr._cell_samples
+    assert not block.flags.writeable
+    samples = arr.face_samples()
+    assert block.dtype == samples.dtype
+    assert [tuple(row) for row in samples[: arr.n_cells].tolist()] == cells
+
+
 def test_face_samples_equal_face_sample_triple_on_random_and_degenerate_instances():
     rng = random.Random(4132)
     instances = [_random_instance(rng) for _ in range(6)]

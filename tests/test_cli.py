@@ -431,6 +431,87 @@ def test_path_answers_without_labelling_the_diagram(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().out == expected
 
 
+# Full `eval` and `match` stdout. Each `eval` instance but the last has
+# several optimal matchings at its t, and each `match` instance has several
+# at its optimum, so the witness rule shows in the text. The last `eval`
+# instance is solved above the first rank at which every b has an edge. The
+# texts were recorded before the bottleneck search probed from that rank
+# up; the search must reproduce them byte for byte. They are written here as
+# the documents the CLI prints with `json.dumps(indent=2, sort_keys=True)`.
+EVAL_MATCH_GOLDEN = [
+    (
+        "eval",
+        {"A": [[0, 0], [2, 0], [0, 2], [2, 2], [1, 1]], "B": [[0, 0], [1, 1], [2, 0]]},
+        ["--t", "1/2,1/2"],
+        {"approx": 0.5, "matching": [[0, 0], [1, 2], [3, 1]], "t": ["1/2", "1/2"], "value": "1/2"},
+    ),
+    (
+        "eval",
+        {"A": [[0, 0], [3, 0], [6, 0], [9, 0]], "B": [[0, 0], [3, 0], [6, 0]]},
+        ["--t", "3/2,0"],
+        {"approx": 2.25, "matching": [[0, 0], [1, 1], [2, 2]], "t": ["3/2", "0"], "value": "9/4"},
+    ),
+    (
+        "eval",
+        {"A": [[1, 0], [0, 1], [-1, 0], [0, -1], [3, 4]], "B": [[0, 0], [5, 5]]},
+        ["--t", "0,0"],
+        {"approx": 5.0, "matching": [[0, 0], [4, 1]], "t": ["0", "0"], "value": "5"},
+    ),
+    (
+        "eval",
+        {"A": [[0, 0], [5, 0], [-5, 0]], "B": [[0, 0], [1, 0]]},
+        ["--t", "0,0"],
+        {"approx": 16.0, "matching": [[0, 0], [1, 1]], "t": ["0", "0"], "value": "16"},
+    ),
+    (
+        "match",
+        {"A": [[-3, 0], [-2, -3], [-1, -3], [-1, -2]], "B": [[-1, 2], [0, -2], [0, -1]]},
+        [],
+        {
+            "approx": 0.5,
+            "matching": [[0, 0], [1, 1], [2, 2]],
+            "t": ["-3/2", "-3/2"],
+            "t_approx": [-1.5, -1.5],
+            "value": "1/2",
+        },
+    ),
+    (
+        "match",
+        {"A": [[-3, 3], [-2, 2], [-1, 2]], "B": [[0, 0], [2, -1], [2, 2]]},
+        [],
+        {
+            "approx": 2.5,
+            "matching": [[0, 0], [1, 2], [2, 1]],
+            "t": ["-7/2", "3/2"],
+            "t_approx": [-3.5, 1.5],
+            "value": "5/2",
+        },
+    ),
+    (
+        "match",
+        {"A": [[-3, -3], [-2, -3], [-2, -2], [-2, -1], [-2, 1]], "B": [[0, -1], [2, 0], [3, 3]]},
+        [],
+        {
+            "approx": 1.0,
+            "matching": [[0, 0], [1, 1], [4, 2]],
+            "t": ["-4", "-2"],
+            "t_approx": [-4.0, -2.0],
+            "value": "1",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cmd, doc, extra, printed",
+    EVAL_MATCH_GOLDEN,
+    ids=[f"{g[0]}{i}" for i, g in enumerate(EVAL_MATCH_GOLDEN)],
+)
+def test_eval_and_match_stdout_is_pinned(tmp_path, capsys, cmd, doc, extra, printed):
+    assert run([cmd, _write(tmp_path, "in.json", doc), *extra]) == EXIT_OK
+    assert capsys.readouterr().out == json.dumps(printed, indent=2, sort_keys=True) + "\n"
+
+
 def test_diagram_summary(tmp_path, capsys):
     inst = _write(tmp_path, "in.json", {"A": [[0, 0], [6, 0], [0, 6]], "B": [[0, 0]]})
     assert run(["diagram", inst]) == EXIT_OK

@@ -186,6 +186,20 @@ def test_no_complete_matching():
         lex_bottleneck_matching(shared_a)
 
 
+def _least_rank_by_scan(G):
+    """Reference search: every cap from 1 up, the witness at the first complete one."""
+    for r in range(1, G.rank_count + 1):
+        mu = max_matching(G, r)
+        if len(mu) == G.k:
+            return mu, r
+    raise NoCompleteMatching("no complete matching at any cap")
+
+
+def _floor_of(G):
+    """The first rank at which every b has a candidate edge, from the graph."""
+    return max(min(G.w(e) for e in G.by_b[b]) for b in range(G.k))
+
+
 def test_bottleneck_matches_brute_force():
     rng = random.Random(11)
     for _ in range(40):
@@ -197,35 +211,26 @@ def test_bottleneck_matches_brute_force():
         ref_value, _ = brute_force_E(inst, t)
         assert value == ref_value
         assert rank == max(G.w(e) for e in mu)
+        assert (mu, rank) == _least_rank_by_scan(G)
         matching_map(mu)  # validates injectivity
-
-
-class _CapLog(list):
-    """The ``ends`` list of ``_edges_by_rank``, recording every cap it is read at."""
-
-    def __getitem__(self, r):
-        self.caps.add(r)
-        return super().__getitem__(r)
 
 
 def test_bottleneck_runs_one_max_matching_per_distinct_cap(monkeypatch):
     from botmatch import matching
 
-    runs = []
+    sizes = []  # edges in each probe's adjacency: the probe's prefix of the rank order
     logs = []
     verified = matching._verified_max_matching
     edges_by_rank = matching._edges_by_rank
 
     def counting_verified(adj, k):
-        runs.append(k)
+        sizes.append(sum(map(len, adj.values())))
         return verified(adj, k)
 
     def logging_edges_by_rank(G, rank_cap):
         pairs, ends = edges_by_rank(G, rank_cap)
-        log = _CapLog(ends)
-        log.caps = set()
-        logs.append(log)
-        return pairs, log
+        logs.append(ends)
+        return pairs, ends
 
     monkeypatch.setattr(matching, "_verified_max_matching", counting_verified)
     monkeypatch.setattr(matching, "_edges_by_rank", logging_edges_by_rank)
@@ -234,13 +239,103 @@ def test_bottleneck_runs_one_max_matching_per_distinct_cap(monkeypatch):
     for _ in range(40):
         inst = _random_instance(rng)
         G = prune_candidates(inst, _random_t(rng))
-        runs.clear()
+        sizes.clear()
         logs.clear()
         _mu, rank = bottleneck_matching(G)
         assert len(logs) == 1
-        assert len(runs) == len(logs[0].caps)
+        # levels are never empty, so distinct caps have distinct prefixes
+        assert len(sizes) == len(set(sizes))
+        assert set(sizes) <= set(logs[0][1:])
         above_one += rank > 1
     assert above_one >= 10
+
+
+# b2 has only a0, b1 reaches a1 at rank 7 and b0 has a new a at every rank
+# up to 6: every b has an edge at rank 1, but nothing below 7 matches all three.
+_GALLOP_GRAPH = {E(0, 0): 1, E(0, 1): 1, E(0, 2): 1, E(1, 1): 7}
+_GALLOP_GRAPH.update({E(a, 0): a - 1 for a in range(3, 8)})
+
+
+def test_bottleneck_gallops_up_from_a_failing_floor(monkeypatch):
+    caps = []
+    verified = matching._verified_max_matching
+
+    def logging_verified(adj, k):
+        caps.append(sum(map(len, adj.values())))
+        return verified(adj, k)
+
+    G = CandidateGraph.from_ranks(3, _GALLOP_GRAPH)
+    ends = matching._edges_by_rank(G, G.rank_count)[1]
+    expected = _least_rank_by_scan(G)
+    monkeypatch.setattr(matching, "_verified_max_matching", logging_verified)
+    assert bottleneck_matching(G) == expected
+    # the floor 1 fails, the gallop fails at 2 and 4 and holds at the top 7,
+    # and the bisection of (4, 7] fails at 5 and 6
+    assert [ends.index(size) for size in caps] == [1, 2, 4, 7, 5, 6]
+
+
+@pytest.mark.parametrize("raise_by", [1, 2])
+def test_a_floor_set_too_high_is_caught(monkeypatch, raise_by):
+    # rank 2 matches both b and is their floor, below the top rank 4
+    G = CandidateGraph.from_ranks(2, {E(0, 0): 1, E(1, 1): 2, E(1, 0): 3, E(0, 1): 4})
+    assert bottleneck_matching(G) == ((E(0, 0), E(1, 1)), 2)
+    inst = _mk([(0, 0), (5, 0), (-5, 0), (10, 1)], [(0, 0), (10, 0)])
+    t = point(1, 0)
+    at_t = prune_candidates(inst, t)
+    assert bottleneck_matching(at_t)[1] == _floor_of(at_t) == 2 < at_t.rank_count
+    floor = matching._rank_floor
+    monkeypatch.setattr(matching, "_rank_floor", lambda k, p, e: floor(k, p, e) + raise_by)
+    with pytest.raises(ContractViolation, match="bottleneck rank not minimal"):
+        bottleneck_matching(G)
+    with pytest.raises(ContractViolation, match="bottleneck rank not minimal"):
+        diagram.eval_E(inst, t)
+
+
+def _tie_heavy_instances(rng):
+    """Lattice, collinear and co-circular point sets, k = 1, k = n and between."""
+    lattice = [(x, y) for x in range(4) for y in range(4)]
+    collinear = [(x, 2 * x - 3) for x in range(-4, 6)]
+    circle = [(3, 4), (4, 3), (5, 0), (0, 5), (-3, 4), (-4, 3), (-5, 0), (0, -5), (3, -4), (-4, -3)]
+    for family in (lattice, collinear, circle):
+        for _ in range(12):
+            n = rng.randint(1, 6)
+            k = rng.choice([1, n, rng.randint(1, n)])
+            A = rng.sample(family, n)
+            B = rng.sample(family, k)
+            yield A, B
+            yield [(x * 10**9, y * 10**9) for x, y in A], [(x * 10**9, y * 10**9) for x, y in B]
+
+
+def _tie_heavy_points(rng, inst):
+    """Anchors, points on bisectors of two anchors, and a random rational point."""
+    sites = sorted({inst.anchor(e) for e in inst.edges()})
+    scale = max(max(abs(p.x), abs(p.y)) for p in sites) or 1
+    yield rng.choice(sites)
+    for _ in range(3):
+        p, q = rng.choice(sites), rng.choice(sites)
+        mid = Point((p.x + q.x) / 2, (p.y + q.y) / 2)
+        s = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        # mid + s * perp(q - p) is equidistant from p and q
+        yield Point(mid.x - s * (q.y - p.y), mid.y + s * (q.x - p.x))
+    yield Point(scale * Fraction(rng.randint(-40, 40), 7), scale * Fraction(rng.randint(-40, 40), 9))
+
+
+def test_eval_E_equals_the_graph_search_and_the_oracle_on_tie_heavy_points():
+    rng = random.Random(16)
+    above_floor = big = 0
+    for A, B in _tie_heavy_instances(rng):
+        inst = _mk(A, B)
+        for t in _tie_heavy_points(rng, inst):
+            value, mu = diagram.eval_E(inst, t)
+            G = prune_candidates(inst, t)
+            graph_mu, rank = bottleneck_matching(G)
+            assert mu == graph_mu
+            assert (graph_mu, rank) == _least_rank_by_scan(G)
+            assert value == brute_force_E(inst, t)[0]
+            assert value == max(squared_edge_length(inst, e, t) for e in mu)
+            above_floor += rank > _floor_of(G)
+            big += value > 2**64
+    assert above_floor >= 20 and big >= 50
 
 
 # -- lexicographic bottleneck -------------------------------------------------

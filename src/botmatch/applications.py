@@ -18,8 +18,9 @@ import numpy as _np
 from .arrangement import all_bisectors
 from .diagram import (
     _crossed,
+    _lex_cell_labels,
     _start_state,
-    _walk_labels,
+    _walk_label_of,
     build_diagram,
     eval_E,
     reduced_arrangement,
@@ -172,15 +173,19 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
     The best value at any anchor is an upper bound U on the optimum, so every
     optimizer lies in the windows of ``_optimizer_windows`` for U; each
     window gets its own reduced arrangement. Within one closed cell the
-    bottleneck value is the squared distance to the label's longest-edge
-    site a - b, so the cell's best candidate is that site or its projection
-    onto the cell. Only cells that can hold an optimum are labelled: the
-    max-min bound max_b min_a |t - (a - b)|^2 never exceeds the bottleneck
-    value, so a cell whose bounding box keeps that bound above U holds no
-    optimizer. The labelled cells are scanned in order of a certified lower
-    bound (site distance to the cell's bounding box) and the scan stops as
-    soon as the bound exceeds the incumbent; exact ties are never pruned,
-    and the smallest (x, y) optimizer over all windows wins.
+    bottleneck value is the squared distance to the cell's site a - b, so the
+    cell's best candidate is that site or its projection onto the cell. Only
+    cells that can hold an optimum get a site: the max-min bound max_b min_a
+    |t - (a - b)|^2 never exceeds the bottleneck value, so a cell whose
+    bounding box keeps that bound above U holds no optimizer. The lex core
+    (``_lex_cell_labels``) gives the surviving cells their sites at once, as
+    the longest edge of a lex-bottleneck matching at each cell's sample. The
+    cells are scanned in order of a certified lower bound (site distance to
+    the cell's bounding box) and the scan stops as soon as the bound exceeds
+    the incumbent; exact ties are never pruned, and the smallest (x, y)
+    optimizer over all windows wins. The returned matching is the walk's
+    label of the winning cell (``_walk_labels`` over the window's surviving
+    cells), folded along that cell's tree path alone (``_walk_label_of``).
     """
     value_at_anchors = min(eval_E(inst, inst.anchor(e))[0] for e in inst.edges())
     upper = _certified_upper(value_at_anchors)
@@ -188,7 +193,7 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
     M, anchors = inst.int_anchors
     best_val: Scalar | None = None
     best_t: Point | None = None
-    best_mu: Matching | None = None
+    best_cell = None  # (arrangement, bisectors, surviving cells, cell) of best_t
     best_hi = math.inf
     every = all_bisectors(inst)
     for window in _optimizer_windows(inst, value_at_anchors):
@@ -206,9 +211,7 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
                 _np.minimum(nearest, _box_dist2(kept, axm / M, aym / M), out=nearest)
             alive = alive[_certified_lower(nearest) <= upper]
         cells = alive.tolist()
-        labels, _parts = _walk_labels(inst, arr, bis, cells)
-
-        longest = [labels[cid].longest for cid in cells]
+        longest = [label.longest for label in _lex_cell_labels(inst, arr, alive)]
         ax = _np.array([anchors[e.b][e.a][0] / M for e in longest])
         ay = _np.array([anchors[e.b][e.a][1] / M for e in longest])
         lower = _certified_lower(_box_dist2(tuple(side[alive] for side in boxes), ax, ay))
@@ -224,10 +227,11 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
                 or val < best_val
                 or (val == best_val and (t.x, t.y) < (best_t.x, best_t.y))
             ):
-                best_val, best_t, best_mu = val, t, labels[cid].matching
+                best_val, best_t, best_cell = val, t, (arr, bis, cells, cid)
                 best_hi = _certified_upper(val)
-    if best_val is None or best_t is None or best_mu is None:
+    if best_val is None or best_t is None or best_cell is None:
         raise ContractViolation("no cell can hold the optimum")
+    best_mu = _walk_label_of(inst, *best_cell).matching
     if max(best_t.dist2(inst.anchor(e)) for e in best_mu) != best_val:
         raise ContractViolation("the cell's matching does not attain its value")
     return best_t, best_mu, best_val

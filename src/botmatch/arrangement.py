@@ -616,7 +616,7 @@ class Arrangement:
         for the edge and vertex rows.
         """
         if ref.dim == 2:
-            return tuple(self._cell_samples[ref.index].tolist())
+            return tuple(self.cell_samples()[ref.index].tolist())
         first = (self.n_cells + self.n_edges, self.n_cells)[ref.dim]
         return tuple(self.face_samples()[first + ref.index].tolist())
 
@@ -633,6 +633,14 @@ class Arrangement:
         """
         return self._samples
 
+    def cell_samples(self) -> _np.ndarray:
+        """The cell rows of ``face_samples()`` as one read-only (n_cells, 3) array.
+
+        Computed on their own until ``face_samples()`` is built, and from then
+        on a view of its first rows, so the rows are never stored twice.
+        """
+        return self._cell_samples
+
     @functools.cached_property
     def _sample_dtype(self):
         """int64 while every sample value fits, else object (Python ints).
@@ -646,7 +654,6 @@ class Arrangement:
 
     @functools.cached_property
     def _cell_samples(self) -> _np.ndarray:
-        """The cell rows of ``face_samples()``, cached on their own."""
         vt = self._uniq.astype(self._sample_dtype, copy=False)
         eu, ev, nxt = self._eu, self._ev, self._nxt
         h0 = self._cell_start_he
@@ -662,6 +669,8 @@ class Arrangement:
         edges = _reduced_rows(*_midpoint(vt[self._eu].T, vt[self._ev].T))
         samples = _np.concatenate([self._cell_samples, edges, vt])
         samples.flags.writeable = False
+        # cached_property stores in the instance dict, which frozen allows
+        self.__dict__["_cell_samples"] = samples[: self.n_cells]
         return samples
 
     def cell_bounds_float(self) -> _np.ndarray:

@@ -26,7 +26,7 @@ from .arrangement import (
     build_arrangement,
     used_bisectors,
 )
-from .geom import EdgeRef, Instance, Point, Scalar, squared_length_nums
+from .geom import EdgeRef, Instance, Point, Scalar, _as_point, squared_length_nums
 from .matching import (
     ContractViolation,
     Matching,
@@ -196,7 +196,40 @@ def label_cells_incremental(
     return _labeled(inst, arr, bisectors, cells)
 
 
-_OUTSIDE = object()  # walk marker: a cell the walk must not enter
+def _walk_tree(
+    arr: Arrangement, cells: Sequence[int], until: int = -1
+) -> tuple[list[tuple[int, int, int]], int]:
+    """Breadth-first forest of the dual subgraph that ``cells`` induce.
+
+    Each component starts at its first cell in ``cells`` order, and a cell's
+    neighbours are taken in ``cell_neighbors`` order. The forest depends on
+    the dual graph alone, never on a label. Returns the cells in discovery
+    order as (cell, parent cell, shared edge id), the parent -1 at a
+    component's start, and the number of components so far. The walk stops
+    when it comes to ``until``, whose path is complete by then.
+    """
+    seen = bytearray(arr.n_cells)  # 0 outside cells, 1 not reached yet, 2 reached
+    for c in cells:
+        seen[c] = 1
+    tree: list[tuple[int, int, int]] = []
+    parts = 0
+    for start in cells:
+        if seen[start] != 1:
+            continue
+        parts += 1
+        seen[start] = 2
+        head = len(tree)
+        tree.append((start, -1, -1))
+        while head < len(tree):
+            c = tree[head][0]
+            if c == until:
+                return tree, parts
+            head += 1
+            for nbr, eid in arr.cell_neighbors(c):
+                if seen[nbr] == 1:
+                    seen[nbr] = 2
+                    tree.append((nbr, c, eid))
+    return tree, parts
 
 
 def _walk_labels(
@@ -207,33 +240,61 @@ def _walk_labels(
 ) -> tuple[list[CellLabel | None], int]:
     """Labels of ``cells`` by walking the dual subgraph they induce.
 
-    Each connected component of that subgraph starts from ``_start_state`` at
-    the sample of its first cell in ``cells`` order and is walked
-    breadth-first, each neighbour's state coming from ``_crossed``, the one
-    home of the walk rule. Returns the labels indexed by cell id (None outside
-    ``cells``) and the number of components.
+    ``_fold_walk`` over the whole of ``_walk_tree``. Returns the labels
+    indexed by cell id (None outside ``cells``) and the number of components.
+    """
+    tree, parts = _walk_tree(arr, cells)
+    return _fold_walk(inst, arr, bisectors, tree), parts
+
+
+def _walk_label_of(
+    inst: Instance,
+    arr: Arrangement,
+    bisectors: Sequence[Bisector],
+    cells: Sequence[int],
+    cid: int,
+) -> CellLabel:
+    """``_walk_labels(inst, arr, bisectors, cells)[0][cid]``, folded along one path.
+
+    ``_fold_walk`` runs only over the tree path from ``cid``'s component
+    start down to ``cid``, so the label is the same and costs the depth of
+    ``cid`` in crossings.
+    """
+    tree, _parts = _walk_tree(arr, cells, until=cid)
+    entry = {e[0]: e for e in tree}
+    path = [entry[cid]]
+    while path[-1][1] >= 0:
+        path.append(entry[path[-1][1]])
+    return _fold_walk(inst, arr, bisectors, path[::-1])[cid]
+
+
+def _fold_walk(
+    inst: Instance,
+    arr: Arrangement,
+    bisectors: Sequence[Bisector],
+    tree: Sequence[tuple[int, int, int]],
+) -> list[CellLabel | None]:
+    """Labels from ``_walk_tree`` entries, given in tree order.
+
+    A component's start gets ``_start_state`` at its sample, and every other
+    cell ``_crossed``, the one home of the walk rule, from its parent's state
+    across the shared edge's bisector.
     """
     _check_alignment(arr, bisectors)
-    states: list[object] = [_OUTSIDE] * arr.n_cells
-    for c in cells:
-        states[c] = None
-    parts = 0
-    for start in cells:
-        if states[start] is not None:
-            continue
-        parts += 1
-        states[start] = _start_state(inst, arr, start)
-        queue = deque([start])
-        while queue:
-            c = queue.popleft()
-            st = states[c]
-            for nbr, eid in arr.cell_neighbors(c):
-                if states[nbr] is not None:
-                    continue
-                states[nbr] = _crossed(st, bisectors[arr.edge_line(eid)])
-                queue.append(nbr)
-            states[c] = st.cell_label()
-    return [None if s is _OUTSIDE else s for s in states], parts
+    labels: list[CellLabel | None] = [None] * arr.n_cells
+    # (cell, state) in tree order; parents come in tree order too, so a cell
+    # before the current parent has no child left and its state is dropped
+    live: deque = deque()
+    for c, parent, eid in tree:
+        if parent < 0:
+            st = _start_state(inst, arr, c)
+        else:
+            while live[0][0] != parent:
+                live.popleft()
+            st = _crossed(live[0][1], bisectors[arr.edge_line(eid)])
+        live.append((c, st))
+        labels[c] = st.cell_label()
+    return labels
 
 
 # -- lex labeling --------------------------------------------------------------
@@ -329,28 +390,29 @@ def _solve_keys(
     return _np.column_stack([assign, mid, cid])
 
 
-def label_faces_lex(
-    inst: Instance, arr: Arrangement, bisectors: Sequence[Bisector] = ()
-) -> LabeledDiagram:
-    """Lex-bottleneck label for every face (cells, edges, vertices).
+def _lex_rows(
+    inst: Instance, samples: _np.ndarray
+) -> tuple[_np.ndarray, list[Matching], list[CellLabel], _np.ndarray, _np.ndarray]:
+    """The lex core: a lex-bottleneck matching at each row of a (P, 3) sample array.
 
-    At a face's exact sample (X/W, Y/W), W > 0, edge (a, b) with anchor s
+    At a sample (X/W, Y/W), W > 0, edge (a, b) with anchor s
     (``Instance.int_anchors``) has squared length (M^2 (X^2 + Y^2) + W Q) /
-    (W M)^2, Q = W |s|^2 - 2 M (X s_x + Y s_y). So Q orders a face's edges
-    exactly, on fewer bits; numpy computes it over chunks of faces, on int64
+    (W M)^2, Q = W |s|^2 - 2 M (X s_x + Y s_y). So Q orders a row's edges
+    exactly, on fewer bits; numpy computes it over chunks of rows, on int64
     within ``_INT64_LIMIT`` and on Python ints beyond. Per b the edges up to
     the k-th smallest Q (ties included) are candidates. Their dense ranks
-    form the face's key; ``lex_assignments`` solves a chunk's distinct keys
-    at once. Python objects are made only per distinct matching and per
-    distinct cell label.
+    form the row's key; ``lex_assignments`` solves a chunk's distinct keys at
+    once. Python objects are made only per distinct matching and per distinct
+    cell label.
+
+    Returns the samples in the dtype used, the distinct matchings and cell
+    labels, per row their ids as a (P, 2) array (matching id, cell label id),
+    and per row the matched Q values in decreasing order.
     """
-    if bisectors:
-        _check_alignment(arr, bisectors)
     k, n = inst.k, inst.n
     M, rows = inst.int_anchors
-    samples = arr.face_samples()
-    F = len(samples)
-    span = int(abs(samples).max())  # bounds |X|, |Y| and W
+    P = len(samples)
+    span = int(abs(samples).max(initial=0))  # bounds |X|, |Y| and W
     sq = max(x * x + y * y for row in rows for x, y in row)
     lin = max(abs(x) + abs(y) for row in rows for x, y in row)
     dtype = _np.int64 if span * (sq + 2 * M * lin + 1) <= _INT64_LIMIT else object
@@ -362,12 +424,12 @@ def label_faces_lex(
     known = _np.empty((0, k + 2), dtype=_np.int64)  # per known key: *assign, mid, cid
     matching_ids: dict[Matching, int] = {}
     cell_ids: dict[CellLabel, int] = {}
-    ids = _np.empty((F, 2), dtype=_np.int64)  # matching id, cell label id
-    matched = _np.empty((F, k), dtype=dtype)
+    ids = _np.empty((P, 2), dtype=_np.int64)  # matching id, cell label id
+    matched = _np.empty((P, k), dtype=dtype)
     step = max(1, _LEX_CHUNK // (k * n))
-    for lo in range(0, F, step):
+    for lo in range(0, P, step):
         X, Y, W = (samples[lo : lo + step, j, None, None] for j in range(3))
-        Q = W * (Ax * Ax + Ay * Ay) - (2 * M) * (X * Ax + Y * Ay)  # (faces, k, n)
+        Q = W * (Ax * Ax + Ay * Ay) - (2 * M) * (X * Ax + Y * Ay)  # (rows, k, n)
         thr = _np.partition(Q, k - 1, axis=2)[:, :, k - 1 : k]
         kept = (Q <= thr).reshape(len(Q), k * n)
         flat = _np.where(kept, Q.reshape(kept.shape), thr.max() + 1)
@@ -391,14 +453,45 @@ def label_faces_lex(
         per_key[~old] = _solve_keys(ranks[~old].reshape(-1, k, n), matching_ids, cell_ids)
         known_keys = _np.insert(known_keys, pos[~old], kb[~old])
         known = _np.insert(known, pos[~old], per_key[~old], axis=0)
-        per_face = per_key[inv]
-        got = _np.take_along_axis(Q, per_face[:, :k, None], axis=2)[:, :, 0]
+        per_row = per_key[inv]
+        got = _np.take_along_axis(Q, per_row[:, :k, None], axis=2)[:, :, 0]
         matched[lo : lo + step] = _np.sort(got, axis=1)[:, ::-1]
-        ids[lo : lo + step] = per_face[:, k:]
-    cell_table = list(cell_ids)
+        ids[lo : lo + step] = per_row[:, k:]
+    return samples, list(matching_ids), list(cell_ids), ids, matched
+
+
+def label_faces_lex(
+    inst: Instance, arr: Arrangement, bisectors: Sequence[Bisector] = ()
+) -> LabeledDiagram:
+    """Lex-bottleneck label for every face (cells, edges, vertices).
+
+    The lex core ``_lex_rows`` on ``face_samples()``.
+    """
+    if bisectors:
+        _check_alignment(arr, bisectors)
+    samples, matchings, cell_table, ids, matched = _lex_rows(inst, arr.face_samples())
     cells = [cell_table[i] for i in ids[: arr.n_cells, 1].tolist()]
-    faces = _LexFaces(arr, M, samples, list(matching_ids), ids[:, 0], matched)
+    faces = _LexFaces(arr, inst.int_anchors[0], samples, matchings, ids[:, 0], matched)
     return _labeled(inst, arr, bisectors, cells, faces)
+
+
+def _lex_cell_labels(inst: Instance, arr: Arrangement, cells: Sequence[int]) -> list[CellLabel]:
+    """The lex core's labels of ``cells``, at their samples, in ``cells`` order.
+
+    A label's longest edge gives its cell's site: on a cell the bottleneck
+    value is |t - s|^2 for one site s. Two matched edges with different
+    anchors that tie for the longest at a cell sample would put the sample on
+    their bisector, a kept line, so that raises ``ContractViolation``.
+    """
+    samples, _matchings, table, ids, matched = _lex_rows(inst, arr.cell_samples()[cells])
+    labels = [table[i] for i in ids[:, 1].tolist()]
+    if inst.k > 1:
+        for row in _np.flatnonzero(matched[:, 0] == matched[:, 1]).tolist():
+            t, label = _as_point(tuple(samples[row].tolist())), labels[row]
+            top = t.dist2(inst.anchor(label.longest))
+            if len({inst.anchor(e) for e in label.matching if t.dist2(inst.anchor(e)) == top}) > 1:
+                raise ContractViolation("two sites tie for the longest edge at a cell sample")
+    return labels
 
 
 # -- orchestration --------------------------------------------------------------

@@ -401,10 +401,12 @@ def _bottleneck_search(
     matching, and the witness is the one at the least feasible rank, so it
     does not depend on the probe order.
 
-    Two self-checks run on every call, neither trusting the floor. The rank
-    below the answer must not match every b: if it was not probed, some b
-    must lack a pair there, or else it is probed. Feasibility must be
-    monotone over the probes made.
+    A self-check runs on every call without trusting the floor: the rank
+    below the answer must not match every b. If it was not probed, some b
+    must lack a pair there, or else it is probed. Feasibility is monotone in
+    the cap because a larger cap only adds edges, and the probes never test
+    it again: the gallop stops at its first feasible probe, and the
+    bisection probes only between the last failure and the current answer.
     """
     top = len(ends) - 1
     probes: dict[int, Matching] = {}
@@ -430,9 +432,6 @@ def _bottleneck_search(
         feasible(below)
     if len(probes.get(below, ())) == k:
         raise ContractViolation("bottleneck rank not minimal")
-    ok = {cap: len(mu) == k for cap, mu in probes.items()}
-    if any(r1 < r2 and ok[r1] and not ok[r2] for r1 in ok for r2 in ok):
-        raise ContractViolation("matching feasibility not monotone in rank cap")
     return probes[r], r
 
 

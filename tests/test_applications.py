@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -12,8 +13,10 @@ from botmatch.applications import (
     cover_radius,
     optimal_translation,
 )
+from botmatch.arrangement import Arrangement
 from botmatch.diagram import eval_E, label_cells_incremental, reduced_arrangement
 from botmatch.geom import (
+    ContractViolation,
     EdgeRef,
     Instance,
     Point,
@@ -25,6 +28,7 @@ from botmatch.oracle import grid_cover_radius, oracle_optimal_translation
 from path_reference import bottleneck_path as reference_path
 from path_reference import reference_arrangement, unreduced
 from translation_reference import optimal_translation as reference_translation
+from translation_reference import walk_labels as reference_walk_labels
 
 
 def _pts(coords):
@@ -134,17 +138,18 @@ def _full_scan(inst):
     return Point(x, y), value, full
 
 
-def _spy_on_walk(monkeypatch):
+def _spy_on_cell_labels(monkeypatch):
     """Record, per window, the cells optimal_translation labels and their labels."""
     walks = []
-    real = applications._walk_labels
+    real = applications._lex_cell_labels
 
-    def spy(inst, arr, bisectors, cells):
-        labels, parts = real(inst, arr, bisectors, cells)
-        walks.append((arr, list(cells), labels))
-        return labels, parts
+    def spy(inst, arr, cells):
+        labels = real(inst, arr, cells)
+        cells = [int(c) for c in cells]
+        walks.append((arr, cells, dict(zip(cells, labels))))
+        return labels
 
-    monkeypatch.setattr(applications, "_walk_labels", spy)
+    monkeypatch.setattr(applications, "_lex_cell_labels", spy)
     return walks
 
 
@@ -180,7 +185,7 @@ def _pruning_families():
 
 
 def test_pruned_optimal_translation_equals_full_scan(monkeypatch):
-    walks = _spy_on_walk(monkeypatch)
+    walks = _spy_on_cell_labels(monkeypatch)
     counts = []
     for inst in _pruning_families():
         walks.clear()
@@ -190,7 +195,7 @@ def test_pruned_optimal_translation_equals_full_scan(monkeypatch):
         assert sorted(e.b for e in mu) == list(range(inst.k))
         assert len({e.a for e in mu}) == inst.k
         assert max(t.dist2(inst.anchor(e)) for e in mu) == value
-        # the pruned walks ran on window arrangements; a labelled cell's
+        # the cells were labelled on window arrangements; a labelled cell's
         # sample inside a cell of the whole box gets that cell's rank and
         # site, though tied optima may pick other matchings
         whole = full.arrangement
@@ -224,6 +229,134 @@ def _align_instances():
             pts.add((rng.randint(-15, 15), rng.randint(-15, 15)))
         flat = sorted(pts)
         yield _mk(flat[:8], flat[8:])
+
+
+def _in_three_frames(inst):
+    """The instance as given and in two seeded congruent frames with shuffled points."""
+    yield inst
+    for seed, (a, b, c, d), sA, sB in ((1, (0, -1, 1, 0), (3, -2), (-1, 4)), (2, (1, 0, 0, -1), (-5, 1), (2, 2))):
+        rng = random.Random(seed)
+        A = [point(a * p.x + b * p.y + sA[0], c * p.x + d * p.y + sA[1]) for p in inst.A]
+        B = [point(a * p.x + b * p.y + sB[0], c * p.x + d * p.y + sB[1]) for p in inst.B]
+        rng.shuffle(A)
+        rng.shuffle(B)
+        yield Instance(tuple(A), tuple(B))
+
+
+def _walk_depth(arr, cells, cid):
+    """Depth of ``cid`` in any breadth-first forest of the walk over ``cells``.
+
+    The component's start is its first cell in ``cells`` order, and a
+    breadth-first tree puts every cell at its distance from the start.
+    """
+    inside = set(cells)
+    dist = {cid: 0}
+    queue = [cid]
+    for c in queue:
+        for nbr, _eid in arr.cell_neighbors(c):
+            if nbr in inside and nbr not in dist:
+                dist[nbr] = dist[c] + 1
+                queue.append(nbr)
+    start = next(c for c in cells if c in dist)
+    return dist[start]
+
+
+def test_returned_matching_is_the_walk_label_of_the_winning_cell(monkeypatch):
+    winners, crossings = [], []
+    label_of, crossed = applications._walk_label_of, diagram._crossed
+
+    def spy_label_of(inst, arr, bisectors, cells, cid):
+        winners.append((arr, bisectors, list(cells), cid))
+        return label_of(inst, arr, bisectors, cells, cid)
+
+    def counting_crossed(state, bisector):
+        crossings.append(bisector)
+        return crossed(state, bisector)
+
+    monkeypatch.setattr(applications, "_walk_label_of", spy_label_of)
+    monkeypatch.setattr(diagram, "_crossed", counting_crossed)
+    deep = 0
+    for base in [*_pruning_families(), *_align_instances()]:
+        for inst in _in_three_frames(base):
+            winners.clear()
+            crossings.clear()
+            t, mu, value = optimal_translation(inst)
+            calls = len(crossings)
+            [(arr, bis, cells, cid)] = winners
+            # _crossed runs only along the winner's tree path
+            depth = _walk_depth(arr, cells, cid)
+            assert calls == depth
+            deep += depth > 1
+            full, _parts = diagram._walk_labels(inst, arr, bis, cells)
+            ref, _parts = reference_walk_labels(inst, arr, bis, cells)
+            assert mu == full[cid].matching == ref[cid].matching
+            assert arr.cell_polygon(cid).contains(t)
+            assert max(t.dist2(inst.anchor(e)) for e in mu) == value
+    assert deep >= 10
+
+
+# sha256 over the repr of every optimal_translation answer (t, matching, value)
+# on the families above in three frames: any change of t, of the value or of
+# the returned matching among tied optima shows here
+_PINNED_ANSWERS = "4ebb2b09177982a3a61e9e0eb0b5551ab5fcfb1078c7d684b941b218fa86becc"
+
+
+def _answers_digest(instances):
+    digest = hashlib.sha256()
+    for inst in instances:
+        digest.update(repr(optimal_translation(inst)).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_optimal_translation_answers_are_pinned():
+    frames = [f for base in [*_pruning_families(), *_align_instances()] for f in _in_three_frames(base)]
+    assert _answers_digest(frames) == _PINNED_ANSWERS
+
+
+def test_a_cell_sample_where_two_sites_tie_for_the_top_is_refused(monkeypatch):
+    # the optimal matching {a0 b0, a1 b1} has the anchors (0, 0) and (3, 0),
+    # which tie on the kept line x = 3/2 that holds the optimum
+    inst = _mk([(0, 0), (4, 0)], [(0, 0), (1, 0)])
+    t = point(Fraction(3, 2), 0)
+    assert optimal_translation(inst) == (t, (EdgeRef(0, 0), EdgeRef(1, 1)), Fraction(9, 4))
+    real = Arrangement.cell_samples
+    moved = []
+
+    def one_on_the_bisector(arr):
+        rows = real(arr)
+        x0, y0, x1, y1 = arr.box
+        if not (x0 <= t.x <= x1 and y0 <= t.y <= y1):
+            return rows
+        rows = rows.copy()
+        cid = arr.face_cells(arr.locate(t))[0]  # t is on an edge of this cell
+        rows[cid] = (3, 0, 2)
+        rows.flags.writeable = False
+        moved.append(cid)
+        return rows
+
+    monkeypatch.setattr(Arrangement, "cell_samples", one_on_the_bisector)
+    with pytest.raises(ContractViolation, match="two sites tie"):
+        optimal_translation(inst)
+    assert len(moved) == 1
+
+
+def test_optimal_translation_scaled_past_int64_runs_on_python_ints(monkeypatch):
+    dtypes = []
+    real = diagram._lex_rows
+
+    def spy(inst, samples):
+        out = real(inst, samples)
+        dtypes.append(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(diagram, "_lex_rows", spy)
+    S = 10**9
+    for inst in [*_pruning_families(), *_align_instances()]:
+        t, mu, value = optimal_translation(inst)
+        big = _mk([(p.x * S, p.y * S) for p in inst.A], [(p.x * S, p.y * S) for p in inst.B])
+        dtypes.clear()
+        assert optimal_translation(big) == (point(t.x * S, t.y * S), mu, value * S * S)
+        assert dtypes and all(dt == object for dt in dtypes)
 
 
 def _on_window_side(t, windows):

@@ -692,11 +692,18 @@ def test_cell_samples_come_without_the_edge_and_vertex_rows(must_contain):
     cells = [arr.face_sample_triple(FaceRef(2, c)) for c in range(arr.n_cells)]
     assert "_samples" not in vars(arr)
     assert cells == [reference_sample(arr, FaceRef(2, c)) for c in range(arr.n_cells)]
-    block = arr._cell_samples
+    block = arr.cell_samples()
     assert not block.flags.writeable
     samples = arr.face_samples()
     assert block.dtype == samples.dtype
     assert [tuple(row) for row in samples[: arr.n_cells].tolist()] == cells
+    # once the full array is built, the cell rows are a view of it, not a copy
+    view = arr.cell_samples()
+    assert _np.shares_memory(view, samples) and not _np.shares_memory(view, block)
+    assert view.base is samples and len(view) == arr.n_cells
+    assert view.dtype == block.dtype and not view.flags.writeable
+    assert view.tolist() == block.tolist()
+    assert arr.face_sample_triple(FaceRef(2, arr.n_cells - 1)) == cells[-1]
 
 
 def test_face_samples_equal_face_sample_triple_on_random_and_degenerate_instances():

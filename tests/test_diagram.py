@@ -30,6 +30,7 @@ from botmatch.geom import EdgeRef, Instance, Point, point
 from botmatch.matching import ContractViolation, lex_assignments
 from botmatch.oracle import brute_force_E, brute_force_lex, brute_force_lex_matchings
 from lex_reference import reference_lex_labels
+from translation_reference import walk_labels as reference_walk_labels
 
 E = EdgeRef
 
@@ -294,6 +295,32 @@ def test_walk_on_a_subset_labels_only_its_cells():
             assert inst.anchor(got.longest) == inst.anchor(ref.longest)
             t = arr.cell_centroid(cid)
             assert _value_at(inst, got.matching, t) == _value_at(inst, ref.matching, t)
+
+
+def test_walk_tree_and_fold_equal_the_interleaved_walk():
+    # The reference walks breadth-first and labels as it goes; the library
+    # builds the tree first and folds _crossed over it, or along one path.
+    # At n = 5, k = 2 the whole box has tied optima whose labels depend on
+    # the walk's order: taking neighbours in reverse changes 5-77 of the
+    # 499-766 labels of each of these whole boxes.
+    rng = random.Random(84)
+    for _ in range(6):
+        pts: set[tuple[int, int]] = set()
+        while len(pts) < 7:
+            pts.add((rng.randint(-5, 5), rng.randint(-5, 5)))
+        flat = sorted(pts)
+        rng.shuffle(flat)
+        inst = _mk(flat[:5], flat[5:])
+        bis, arr = reduced_arrangement(inst)
+        subset = [c for c in range(arr.n_cells) if rng.random() < 0.6]
+        for cells in (range(arr.n_cells), subset):
+            ref, ref_parts = reference_walk_labels(inst, arr, bis, cells)
+            labels, parts = _walk_labels(inst, arr, bis, cells)
+            assert (labels, parts) == (ref, ref_parts)
+            tree, tree_parts = diagram._walk_tree(arr, cells)
+            assert tree_parts == parts and sorted(c for c, _p, _e in tree) == sorted(cells)
+        for cid in rng.sample(subset, min(8, len(subset))):
+            assert diagram._walk_label_of(inst, arr, bis, subset, cid) == ref[cid]
 
 
 def test_walk_counts_components():

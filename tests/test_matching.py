@@ -338,6 +338,22 @@ def test_eval_E_equals_the_graph_search_and_the_oracle_on_tie_heavy_points():
     assert above_floor >= 20 and big >= 50
 
 
+def test_feasibility_is_monotone_in_the_cap_on_tie_heavy_points():
+    # every cap is probed, so a larger cap that loses a complete matching
+    # would show here; the least feasible cap is the search's answer
+    rng = random.Random(17)
+    caps = 0
+    for A, B in _tie_heavy_instances(rng):
+        inst = _mk(A, B)
+        for t in _tie_heavy_points(rng, inst):
+            G = prune_candidates(inst, t)
+            ok = [len(max_matching(G, r)) == G.k for r in range(1, G.rank_count + 1)]
+            assert ok == sorted(ok) and ok[-1]
+            assert ok.index(True) + 1 == bottleneck_matching(G)[1]
+            caps += len(ok)
+    assert caps >= 1000
+
+
 # -- lexicographic bottleneck -------------------------------------------------
 
 

@@ -4,14 +4,17 @@
 hold an optimizer. This is the version it replaced, moved here unchanged: it
 builds the reduced arrangement of the whole box, which holds every pairwise
 crossing and every anchor, so the differential tests compare against code
-that shares no window.
+that shares no window. It labels its cells with ``walk_labels``, the walk
+that interleaves the breadth-first search with the labels, so it shares no
+walk tree with the library either.
 """
 
 import math
+from collections import deque
 
 import numpy as _np
 
-from botmatch.diagram import _walk_labels, eval_E, reduced_arrangement
+from botmatch.diagram import _crossed, _start_state, eval_E, reduced_arrangement
 from botmatch.geom import ContractViolation, Instance, Point, Scalar, closest_point_in_polygon
 from botmatch.matching import Matching
 
@@ -35,6 +38,40 @@ def _box_dist2(boxes: tuple[_np.ndarray, ...], x, y) -> _np.ndarray:
     dy *= dy
     dx += dy
     return dx
+
+
+_OUTSIDE = object()  # walk marker: a cell the walk must not enter
+
+
+def walk_labels(inst, arr, bisectors, cells):
+    """Labels of ``cells`` by walking the dual subgraph they induce.
+
+    Each connected component of that subgraph starts from ``_start_state`` at
+    the sample of its first cell in ``cells`` order and is walked
+    breadth-first, each neighbour's state coming from ``_crossed``. Returns
+    the labels indexed by cell id (None outside ``cells``) and the number of
+    components.
+    """
+    states = [_OUTSIDE] * arr.n_cells
+    for c in cells:
+        states[c] = None
+    parts = 0
+    for start in cells:
+        if states[start] is not None:
+            continue
+        parts += 1
+        states[start] = _start_state(inst, arr, start)
+        queue = deque([start])
+        while queue:
+            c = queue.popleft()
+            st = states[c]
+            for nbr, eid in arr.cell_neighbors(c):
+                if states[nbr] is not None:
+                    continue
+                states[nbr] = _crossed(st, bisectors[arr.edge_line(eid)])
+                queue.append(nbr)
+            states[c] = st.cell_label()
+    return [None if s is _OUTSIDE else s for s in states], parts
 
 
 def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
@@ -69,7 +106,7 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
             _np.minimum(nearest, _box_dist2(kept, axm / M, aym / M), out=nearest)
         alive = alive[_certified_lower(nearest) <= upper]
     cells = alive.tolist()
-    labels, _parts = _walk_labels(inst, arr, bis, cells)
+    labels, _parts = walk_labels(inst, arr, bis, cells)
 
     longest = [labels[cid].longest for cid in cells]
     ax = _np.array([anchors[e.b][e.a][0] / M for e in longest])

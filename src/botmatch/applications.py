@@ -17,9 +17,7 @@ import numpy as _np
 
 from .arrangement import all_bisectors
 from .diagram import (
-    _crossed,
     _lex_cell_labels,
-    _start_state,
     _walk_label_of,
     build_diagram,
     eval_E,
@@ -248,13 +246,13 @@ def bottleneck_path(inst: Instance, t0: Point, t1: Point) -> PathResult:
     ``_optimizer_windows`` covers that set with disjoint closed boxes, and a
     connected set inside them lies in one: the window that holds t0 holds the
     segment, t1 and every optimal path, and the arrangement is built there.
-    Crossing one arrangement edge costs the minimum of the bottleneck value
-    along it (the incident cell's label envelope, valid on the closed cell);
-    a minimax Dijkstra over the dual graph then yields the optimum, walked
-    back through the per-edge minimizers. Only the cells Dijkstra settles are
-    labelled: a seed from a recompute at its sample, any other cell by
-    ``_crossed`` from the state of the parent that set its distance. Parent
-    states live on the frontier only.
+    One lex-core call (``_lex_cell_labels``) gives every window cell its site
+    s, and on the closed cell the bottleneck value is |t - s|^2. Crossing an
+    edge out of a cell costs the minimum of that along the edge; it is
+    strictly convex on the edge, so its minimizer is unique. A minimax
+    Dijkstra over the dual graph then yields the optimum, walked back through
+    the per-edge minimizers. Each crossing lies in the closed cell it left,
+    so its ``eval_E`` value must equal its edge's cost.
     """
     e0, mu0 = eval_E(inst, t0)
     v_straight = max(e0, max(t1.dist2(inst.anchor(e)) for e in mu0))
@@ -265,16 +263,15 @@ def bottleneck_path(inst: Instance, t0: Point, t1: Point) -> PathResult:
     ]
     if len(windows) != 1:
         raise ContractViolation("one window must hold both placements")
-    bis, arr = reduced_arrangement(inst, window=windows[0])
+    arr = reduced_arrangement(inst, window=windows[0])[1]
+    sites = [label.longest for label in _lex_cell_labels(inst, arr, range(arr.n_cells))]
 
     seeds = arr.face_cells(arr.locate(t0))
     targets = set(arr.face_cells(arr.locate(t1)))
 
     zero = Fraction(0)
     dist: list[Scalar | None] = [None] * arr.n_cells
-    parent_cell = [-1] * arr.n_cells
-    crossing: list[Point | None] = [None] * arr.n_cells
-    frontier = {}  # unsettled cell -> (state of its parent, bisector to cross)
+    came: list[tuple[int, Point, Scalar] | None] = [None] * arr.n_cells  # parent, minimizer, cost
     tick = count()
     heap = []
     for c in seeds:
@@ -290,40 +287,36 @@ def bottleneck_path(inst: Instance, t0: Point, t1: Point) -> PathResult:
         if c in targets:
             end_cell = c
             break
-        got = frontier.pop(c, None)
-        state = _start_state(inst, arr, c) if got is None else _crossed(*got)
+        site = (sites[c],)
         for nbr, eid in arr.cell_neighbors(c):
             if settled[nbr]:
                 continue
             ends = map(arr.vertex_triple, arr.edge_endpoints(eid))
-            p, w = _min_envelope_on_triples(inst, state.mu, *ends)
+            p, w = _min_envelope_on_triples(inst, site, *ends)
             nd = d if d >= w else w
             if dist[nbr] is None or nd < dist[nbr]:
                 dist[nbr] = nd
-                parent_cell[nbr] = c
-                crossing[nbr] = p
-                frontier[nbr] = (state, bis[arr.edge_line(eid)])
+                came[nbr] = (c, p, w)
                 heapq.heappush(heap, (nd, next(tick), nbr))
     if end_cell < 0:
         raise ContractViolation("dual cell graph is not connected")
 
-    walked: list[Point] = []
+    walked: list[tuple[Point, Scalar]] = []
     c = end_cell
-    while parent_cell[c] >= 0:
-        walked.append(crossing[c])
-        c = parent_cell[c]
+    while came[c] is not None:
+        c, p, w = came[c]
+        walked.append((p, w))
     # consecutive crossed edges can share their minimizer at a common vertex
     crossings: list[Point] = []
-    for p in reversed(walked):
+    for p, _w in reversed(walked):
         if p != (crossings[-1] if crossings else t0) and p != t1:
             crossings.append(p)
     polyline = (t0, *crossings, t1)
-    e1, _ = eval_E(inst, t1)
-    value = max(e0, e1, dist[end_cell])
-    vertex_values = (e0, *(eval_E(inst, p)[0] for p in crossings), e1)
-    if max(vertex_values) != value:
-        raise ContractViolation("path value is not its largest vertex value")
-    return PathResult(polyline, value, vertex_values)
+    vertex_values = (e0, *(eval_E(inst, p)[0] for p in crossings), eval_E(inst, t1)[0])
+    value_at = dict(zip(polyline, vertex_values))
+    if any(value_at[p] != w for p, w in walked):
+        raise ContractViolation("a crossing's value is not the cost of its edge")
+    return PathResult(polyline, max(vertex_values), vertex_values)
 
 
 # -- cover radius -----------------------------------------------------------------
@@ -348,11 +341,13 @@ def cover_radius(inst: Instance, Q: ConvexPolygon) -> CoverResult | _Empty:
     """Worst bottleneck value over all translations keeping B inside Q.
 
     The admissible region is the erosion of Q by B, and the arrangement is
-    built in the integer window around it. The bottleneck value is
-    |t - s|^2 on each cell, strictly convex along any segment, so every
-    maximizer over the region is a vertex of some cell-region overlay piece.
-    Each cell's vertex ring is clipped against the region on exact integer
-    triples and the value is evaluated at every clip vertex.
+    built in the integer window around it. The bottleneck value is |t - s|^2
+    on each closed cell, s its site from one ``_lex_cell_labels`` call, and
+    strictly convex along any segment, so every maximizer over the region is
+    a vertex of some cell-region overlay piece. Each cell's vertex ring is
+    clipped against the region on exact integer triples, and each piece
+    vertex is valued against its cell's site in integers. The largest value
+    wins, ties to the smallest (x, y); ``eval_E`` must confirm the witness.
     """
     region = erode_polygon(Q, inst.B)
     if region is None:
@@ -360,31 +355,34 @@ def cover_radius(inst: Instance, Q: ConvexPolygon) -> CoverResult | _Empty:
     xs = [v.x for v in region.vertices]
     ys = [v.y for v in region.vertices]
     window = _window(min(xs), min(ys), max(xs), max(ys))
-    # The cell labels are never read, so they are never computed.
+    # The diagram's walk labels are never read, so they are never computed.
     arr = build_diagram(inst, window=window).arrangement
 
     halfplanes = _region_halfplanes(region)
-    candidates: dict[tuple[int, int, int], None] = {}
+    pieces: dict[int, list[tuple[int, int, int]]] = {}
     for cid in range(arr.n_cells):
         piece = [arr.vertex_triple(v) for v in arr.cell_cycle(cid)]
         for halfplane in halfplanes:
             piece = _clip_ring(piece, halfplane)
             if not piece:
                 break
-        candidates.update(dict.fromkeys(piece))
-    if not candidates:
+        if piece:
+            pieces[cid] = piece
+    if not pieces:
         raise ContractViolation("region does not meet the arrangement")
 
-    best_val: Scalar | None = None
-    best_p: Point | None = None
-    for p in map(_as_point, candidates):
-        val, _ = eval_E(inst, p)
-        if (
-            best_val is None
-            or val > best_val
-            or (val == best_val and (p.x, p.y) < (best_p.x, best_p.y))
-        ):
-            best_val, best_p = val, p
-    if best_val is None or best_p is None:
-        raise ContractViolation("no cover candidate was evaluated")
-    return CoverResult(best_val, best_p, region)
+    # p = (X/W, Y/W) and s = s_M / M give |p - s|^2 = |p_M - s_M W|^2 / (W M)^2,
+    # p_M = (X M, Y M); values and points compare by cross-multiplication, W > 0
+    M, rows = inst.int_anchors
+    best = (-1, 1, 0, 0, 1)  # (num, den, X, Y, W): value num / den at (X/W, Y/W)
+    for piece, label in zip(pieces.values(), _lex_cell_labels(inst, arr, list(pieces))):
+        sx, sy = rows[label.longest.b][label.longest.a]
+        for X, Y, W in piece:
+            num, den = (X * M - sx * W) ** 2 + (Y * M - sy * W) ** 2, (W * M) ** 2
+            lhs, rhs = num * best[1], best[0] * den
+            if lhs > rhs or (lhs == rhs and (X * best[4], Y * best[4]) < (best[2] * W, best[3] * W)):
+                best = (num, den, X, Y, W)
+    value, witness = Fraction(best[0], best[1]), _as_point(best[2:])
+    if eval_E(inst, witness)[0] != value:
+        raise ContractViolation("the witness does not attain the cover value")
+    return CoverResult(value, witness, region)

@@ -1,12 +1,12 @@
 """Reference for ``applications.bottleneck_path``.
 
-``bottleneck_path`` labels a cell only when its Dijkstra settles it, deriving
-the label from the parent that set the cell's distance, and builds its
+``bottleneck_path`` gives every cell of its window its site from the lex
+core and costs each crossed edge from the settled cell's site alone, on the
 arrangement in the window of ``_optimizer_windows`` that holds both
-placements. This is the version it replaced: it labels every cell of its box
-through ``label_cells_incremental`` and caches each edge's weight, so the
-differential tests compare against code that shares no step of the on-demand
-labelling. Without ``window`` its box is the whole box, inflated to hold the
+placements. This reference labels every cell of its box through
+``label_cells_incremental`` and costs each edge from the whole walk
+matching's envelope, so the differential tests compare against code that
+shares neither the labeller nor the one-site edge cost. Without ``window`` its box is the whole box, inflated to hold the
 straight-line bound's sublevel set, which shares no window with the library;
 with ``window`` it runs on that box.
 

@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from botmatch import applications, diagram
+from botmatch import applications, diagram, matching
 from botmatch.applications import (
     CoverResult,
     Empty,
@@ -27,6 +28,7 @@ from botmatch.geom import (
 from botmatch.oracle import grid_cover_radius, oracle_optimal_translation
 from path_reference import bottleneck_path as reference_path
 from path_reference import reference_arrangement, unreduced
+from query_units import query_units
 from translation_reference import optimal_translation as reference_translation
 from translation_reference import walk_labels as reference_walk_labels
 
@@ -592,28 +594,145 @@ def test_path_equals_whole_box_reference():
     assert placed >= 30
 
 
-def test_path_labels_only_the_cells_it_settles(monkeypatch):
-    # the first path of the bench's `queries` workload at seed 0
-    inst = _mk([(-3, 4), (1, 6), (2, -6), (3, -2), (5, -1)], [(5, 4), (6, 5)])
+# the first path of the bench's `queries` workload at seed 0
+_FIRST_QUERY = _mk([(-3, 4), (1, 6), (2, -6), (3, -2), (5, -1)], [(5, 4), (6, 5)])
+
+
+def test_path_takes_its_sites_from_one_lex_core_call(monkeypatch):
+    inst = _FIRST_QUERY
     calls = []
     arrs = []
 
-    def counted(real, into):
-        def spy(*args, **kwargs):
+    def spy(module, name, into):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
             out = real(*args, **kwargs)
-            into.append(out)
+            into.append((name, args, out))
             return out
 
-        return spy
+        monkeypatch.setattr(module, name, counted)
 
-    for name in ("_start_state", "_crossed"):
-        monkeypatch.setattr(applications, name, counted(getattr(applications, name), calls))
-    real = applications.reduced_arrangement
-    monkeypatch.setattr(applications, "reduced_arrangement", counted(real, arrs))
+    spy(applications, "_lex_cell_labels", calls)
+    for name in ("_start_state", "_crossed", "cross_bisector"):
+        spy(diagram, name, calls)
+    spy(matching, "cross_bisector", calls)
+    spy(applications, "reduced_arrangement", arrs)
     res = bottleneck_path(inst, point(-7, -3), point(-5, 3))
-    [(_bis, arr)] = arrs
+    [(_name, _args, (_bis, arr))] = arrs
+    # one lex-core call over the window's cells, and no walk step at all
+    assert [(name, list(args[2])) for name, args, _out in calls] == [
+        ("_lex_cell_labels", list(range(arr.n_cells)))
+    ]
     assert res == _collapsed(reference_path(inst, point(-7, -3), point(-5, 3), arr.box))
-    assert 0 < len(calls) < arr.n_cells  # 27 of 558 cells
+
+
+def _off_site_labels(monkeypatch):
+    """Patch the labels so that each cell's site is another matched edge's anchor, when one differs."""
+    real = applications._lex_cell_labels
+    moved = []
+
+    def off_site(inst, arr, cells):
+        labels = real(inst, arr, cells)
+        out = []
+        for label in labels:
+            site = inst.anchor(label.longest)
+            other = [e for e in label.matching if inst.anchor(e) != site]
+            out.append(dataclasses.replace(label, longest=other[0]) if other else label)
+            moved.append(bool(other))
+        return out
+
+    monkeypatch.setattr(applications, "_lex_cell_labels", off_site)
+    return moved
+
+
+def test_path_refuses_a_crossing_whose_value_is_not_its_edge_cost(monkeypatch):
+    inst = _FIRST_QUERY
+    t0, t1 = point(-7, -3), point(-5, 3)
+    assert len(bottleneck_path(inst, t0, t1).polyline) > 2
+    moved = _off_site_labels(monkeypatch)
+    with pytest.raises(ContractViolation, match="crossing's value"):
+        bottleneck_path(inst, t0, t1)
+    assert any(moved)
+
+
+def test_cover_refuses_a_witness_that_does_not_attain_its_value(monkeypatch):
+    inst = _FIRST_QUERY
+    Q = convex_polygon([(-4, -4), (4, -4), (4, 4), (-4, 4)])
+    res = cover_radius(inst, Q)
+    assert eval_E(inst, res.witness)[0] == res.value
+    moved = _off_site_labels(monkeypatch)
+    with pytest.raises(ContractViolation, match="witness"):
+        cover_radius(inst, Q)
+    assert any(moved)
+
+
+# sha256 over the repr of the 192 path and cover answers on the `queries`
+# units of seeds 0-11 (polyline, value, vertex values; value, witness,
+# region): any change of a path's crossings or of a cover's witness among
+# tied maxima shows here
+_PINNED_QUERY_ANSWERS = "af2da14b4ff355b02532b04b7a04c346db8a450cfd39ddecb6a8d5a84c9517ab"
+
+
+def test_path_and_cover_answers_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for seed in range(12):
+        for kind, A, B, *args in query_units(seed):
+            inst = _mk(A, B)
+            if kind == "path":
+                got = bottleneck_path(inst, point(*args[0]), point(*args[1]))
+            else:
+                got = cover_radius(inst, convex_polygon(args[0]))
+            digest.update(repr(got).encode() + b"\n")
+            count += 1
+    assert count == 192
+    assert digest.hexdigest() == _PINNED_QUERY_ANSWERS
+
+
+def test_path_and_cover_scaled_past_int64_run_on_python_ints(monkeypatch):
+    dtypes = []
+    real = diagram._lex_rows
+
+    def spy(inst, samples):
+        out = real(inst, samples)
+        dtypes.append(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(diagram, "_lex_rows", spy)
+    S = 10**9
+    rng = random.Random(9_0018)
+
+    def scaled(p):
+        return point(p.x * S, p.y * S)
+
+    for inst in _pruning_families():
+        big = Instance(tuple(map(scaled, inst.A)), tuple(map(scaled, inst.B)))
+        t0, t1 = (point(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(2))
+        half = rng.randint(4, 9)
+        square = [(-half, -half), (half, -half), (half, half), (-half, half)]
+        path = bottleneck_path(inst, t0, t1)
+        cover = cover_radius(inst, convex_polygon(square))
+        dtypes.clear()
+        big_path, window = _path_and_window(big, scaled(t0), scaled(t1))
+        assert dtypes and all(dt == object for dt in dtypes)
+        # the scaled lines can have other primitive triples and sort in
+        # another order, so tied optimal paths may break differently: the
+        # value scales, every vertex value is the scaled value of the vertex
+        # scaled back, and the reference on the same window agrees
+        assert big_path.value == path.value * S * S
+        back = [point(p.x / S, p.y / S) for p in big_path.polyline]
+        assert big_path.vertex_values == tuple(eval_E(inst, p)[0] * S * S for p in back)
+        assert big_path == _collapsed(reference_path(big, scaled(t0), scaled(t1), window))
+        dtypes.clear()
+        big_cover = cover_radius(big, convex_polygon([(x * S, y * S) for x, y in square]))
+        if cover is Empty:
+            assert big_cover is Empty
+        else:
+            assert big_cover.witness == scaled(cover.witness)
+            assert big_cover.value == cover.value * S * S
+            assert big_cover.region.vertices == tuple(map(scaled, cover.region.vertices))
+            assert dtypes and all(dt == object for dt in dtypes)
 
 
 def test_path_polyline_repeats_no_point():

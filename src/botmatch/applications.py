@@ -7,11 +7,13 @@ over all placements keeping B inside a convex region.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from typing import Sequence
 
 import numpy as _np
 
@@ -26,6 +28,7 @@ from .diagram import (
 from .geom import (
     ContractViolation,
     ConvexPolygon,
+    EdgeRef,
     Instance,
     Point,
     Scalar,
@@ -238,6 +241,61 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
 # -- bottleneck path --------------------------------------------------------------
 
 
+def _segment_costs(
+    inst: Instance, sites: Sequence[EdgeRef], s0: _np.ndarray, s1: _np.ndarray
+) -> tuple[_np.ndarray, _np.ndarray]:
+    """Min over t on segment i of |t - anchor(sites[i])|^2, for every i at once.
+
+    ``s0`` and ``s1`` hold the segment ends as (E, 3) homogeneous triples,
+    W > 0. Returns exact values num / den, den > 0, as ``object`` arrays of
+    Python ints. With a = s0 - site and b = s1 - site, the minimum is |a|^2
+    when a.(b - a) >= 0, |b|^2 when b.(b - a) <= 0, and else the squared
+    distance to the segment's line, (a x b)^2 / |b - a|^2. Each of a and b is
+    scaled by M and its own W, and b - a by W0 W1 M.
+    """
+    M, rows = inst.int_anchors
+    px, py = _np.array([rows[e.b][e.a] for e in sites], dtype=object).reshape(-1, 2).T
+    (X0, Y0, W0), (X1, Y1, W1) = s0.astype(object).T, s1.astype(object).T
+    ax, ay = X0 * M - px * W0, Y0 * M - py * W0
+    bx, by = X1 * M - px * W1, Y1 * M - py * W1
+    dx, dy = bx * W0 - ax * W1, by * W0 - ay * W1
+    at0, at1 = ax * dx + ay * dy >= 0, bx * dx + by * dy <= 0
+    num = _np.where(at0, ax * ax + ay * ay, _np.where(at1, bx * bx + by * by, (ax * by - ay * bx) ** 2))
+    den = _np.where(at0, W0 * W0, _np.where(at1, W1 * W1, dx * dx + dy * dy)) * (M * M)
+    return num, den
+
+
+def _dense_ranks(num: _np.ndarray, den: _np.ndarray) -> _np.ndarray:
+    """Dense ranks of the exact values num / den, den > 0: equal values, equal ranks.
+
+    Python int / int is correctly rounded, so the float key is monotone in
+    the exact value and orders every two values it tells apart. Only runs of
+    equal keys are settled exactly: every member is checked against its
+    run's first in one vectorised step, and a run that does not tie
+    throughout is sorted by cross-multiplication.
+    """
+    key = (num / den).astype(_np.float64)
+    order = _np.argsort(key, kind="stable")
+    key = key[order]
+    new = _np.ones(len(key), dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    starts = _np.flatnonzero(new)
+    run_of = _np.cumsum(new) - 1
+    head = order[starts[run_of]]
+    tie = num[order] * den[head] == num[head] * den[order]
+    bounds = [*starts.tolist(), len(key)]
+    by_value = functools.cmp_to_key(lambda i, j: num[i] * den[j] - num[j] * den[i])
+    for r in sorted(set(run_of[~tie].tolist())):
+        a, b = bounds[r], bounds[r + 1]
+        run = sorted(order[a:b].tolist(), key=by_value)
+        order[a:b] = run
+        for pos, (i, j) in enumerate(zip(run, run[1:]), a + 1):
+            new[pos] = num[i] * den[j] != num[j] * den[i]
+    ranks = _np.empty(len(key), dtype=_np.int64)
+    ranks[order] = _np.cumsum(new) - 1
+    return ranks
+
+
 def bottleneck_path(inst: Instance, t0: Point, t1: Point) -> PathResult:
     """Path between placements minimizing the worst bottleneck value en route.
 
@@ -248,11 +306,20 @@ def bottleneck_path(inst: Instance, t0: Point, t1: Point) -> PathResult:
     segment, t1 and every optimal path, and the arrangement is built there.
     One lex-core call (``_lex_cell_labels``) gives every window cell its site
     s, and on the closed cell the bottleneck value is |t - s|^2. Crossing an
-    edge out of a cell costs the minimum of that along the edge; it is
-    strictly convex on the edge, so its minimizer is unique. A minimax
-    Dijkstra over the dual graph then yields the optimum, walked back through
-    the per-edge minimizers. Each crossing lies in the closed cell it left,
-    so its ``eval_E`` value must equal its edge's cost.
+    edge costs the minimum of that along the edge. E is continuous, so both
+    cells beside an edge give it the same cost, and one vectorised pass
+    (``_segment_costs``) costs every interior edge once, exactly.
+
+    A minimax path depends only on the order of the edge costs, so the
+    minimax Dijkstra over the dual graph (``Arrangement.dual_csr``) runs on
+    their dense ranks (``_dense_ranks``): equal costs share a rank, so every
+    comparison, and every tie broken by push order, is the one the exact
+    costs would give. The start cells' key lies below every rank, as the
+    value 0 does below or at every cost. Only the edges walked back get
+    their minimizer and value, from ``_min_envelope_on_triples`` on the site
+    of the cell left; each must equal the ranked cost. The cost is strictly
+    convex on the edge, so its minimizer is unique. Each crossing lies in the
+    closed cell it left, so its ``eval_E`` value must equal its edge's cost.
     """
     e0, mu0 = eval_E(inst, t0)
     v_straight = max(e0, max(t1.dist2(inst.anchor(e)) for e in mu0))
@@ -266,17 +333,28 @@ def bottleneck_path(inst: Instance, t0: Point, t1: Point) -> PathResult:
     arr = reduced_arrangement(inst, window=windows[0])[1]
     sites = [label.longest for label in _lex_cell_labels(inst, arr, range(arr.n_cells))]
 
+    # every interior edge once, from the lower cell id beside it
+    ptr, nbr, eid = arr.dual_csr()
+    src = _np.repeat(_np.arange(arr.n_cells), _np.diff(ptr))
+    below = src < nbr
+    inner, left = eid[below], src[below].tolist()
+    triples, (eu, ev) = arr.vertex_triples(), arr.edge_ends()
+    num, den = _segment_costs(inst, [sites[c] for c in left], triples[eu[inner]], triples[ev[inner]])
+    at = _np.zeros(arr.n_edges, dtype=_np.int64)  # interior edge -> its row of num, den
+    at[inner] = _np.arange(len(inner))
+    rank = memoryview(_dense_ranks(num, den)[at[eid]])  # per CSR entry
+    ptr, nbr, eid = map(memoryview, (ptr, nbr, eid))
+
     seeds = arr.face_cells(arr.locate(t0))
     targets = set(arr.face_cells(arr.locate(t1)))
 
-    zero = Fraction(0)
-    dist: list[Scalar | None] = [None] * arr.n_cells
-    came: list[tuple[int, Point, Scalar] | None] = [None] * arr.n_cells  # parent, minimizer, cost
+    dist: list[int | None] = [None] * arr.n_cells
+    came: list[tuple[int, int] | None] = [None] * arr.n_cells  # parent, edge
     tick = count()
     heap = []
     for c in seeds:
-        dist[c] = zero
-        heapq.heappush(heap, (zero, next(tick), c))
+        dist[c] = -1
+        heapq.heappush(heap, (-1, next(tick), c))
     end_cell = -1
     settled = [False] * arr.n_cells
     while heap:
@@ -287,24 +365,27 @@ def bottleneck_path(inst: Instance, t0: Point, t1: Point) -> PathResult:
         if c in targets:
             end_cell = c
             break
-        site = (sites[c],)
-        for nbr, eid in arr.cell_neighbors(c):
-            if settled[nbr]:
+        for i in range(ptr[c], ptr[c + 1]):
+            n = nbr[i]
+            if settled[n]:
                 continue
-            ends = map(arr.vertex_triple, arr.edge_endpoints(eid))
-            p, w = _min_envelope_on_triples(inst, site, *ends)
+            w = rank[i]
             nd = d if d >= w else w
-            if dist[nbr] is None or nd < dist[nbr]:
-                dist[nbr] = nd
-                came[nbr] = (c, p, w)
-                heapq.heappush(heap, (nd, next(tick), nbr))
+            if dist[n] is None or nd < dist[n]:
+                dist[n] = nd
+                came[n] = (c, eid[i])
+                heapq.heappush(heap, (nd, next(tick), n))
     if end_cell < 0:
         raise ContractViolation("dual cell graph is not connected")
 
     walked: list[tuple[Point, Scalar]] = []
     c = end_cell
     while came[c] is not None:
-        c, p, w = came[c]
+        c, e = came[c]
+        ends = map(arr.vertex_triple, arr.edge_endpoints(e))
+        p, w = _min_envelope_on_triples(inst, (sites[c],), *ends)
+        if w != Fraction(num[at[e]], den[at[e]]):
+            raise ContractViolation("a walked edge's value is not its ranked cost")
         walked.append((p, w))
     # consecutive crossed edges can share their minimizer at a common vertex
     crossings: list[Point] = []

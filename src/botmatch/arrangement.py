@@ -494,6 +494,13 @@ def _geometry(
     return uniq, row_line, row_vid, box
 
 
+def _readonly(a: _np.ndarray) -> _np.ndarray:
+    """A read-only view of ``a``: shares its memory, copies nothing."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Arrangement:
     """Immutable clipped line arrangement with dual cell graph.
@@ -548,6 +555,10 @@ class Arrangement:
     def vertex_triple(self, vid: int) -> tuple[int, int, int]:
         return tuple(self._uniq[vid].tolist())
 
+    def vertex_triples(self) -> _np.ndarray:
+        """Every vertex triple as one read-only (V, 3) view, int64 or object."""
+        return _readonly(self._uniq)
+
     def vertex_point(self, vid: int) -> Point:
         return _as_point(self.vertex_triple(vid))
 
@@ -560,6 +571,10 @@ class Arrangement:
 
     def edge_endpoints(self, eid: int) -> tuple[int, int]:
         return int(self._eu[eid]), int(self._ev[eid])
+
+    def edge_ends(self) -> tuple[_np.ndarray, _np.ndarray]:
+        """``edge_endpoints`` of every edge as two read-only views: start and end vertex ids."""
+        return _readonly(self._eu), _readonly(self._ev)
 
     def edge_line(self, eid: int) -> int:
         """Index of the edge's line; box sides come after the input lines."""
@@ -698,19 +713,26 @@ class Arrangement:
         bounds[:, 3] = _np.maximum.reduceat(hy[order], starts)
         return bounds
 
+    def dual_csr(self) -> tuple[_np.ndarray, _np.ndarray, _np.ndarray]:
+        """The dual graph over interior edges in CSR form, as read-only views.
+
+        Returns (ptr, nbr, eid): cell c's neighbours are ``nbr[ptr[c]:ptr[c + 1]]``,
+        sorted, across the edges ``eid`` at the same positions. Each interior
+        edge appears twice, once from each of its cells.
+        """
+        return _readonly(self._adj_ptr), _readonly(self._adj_nbr), _readonly(self._adj_eid)
+
     def cell_neighbors(self, cid: int) -> list[tuple[int, int]]:
-        """(neighbor cell, shared edge id) pairs, sorted."""
+        """(neighbor cell, shared edge id) pairs, sorted: cell ``cid``'s slice of ``dual_csr()``."""
         a, b = self._adj_ptr[cid : cid + 2].tolist()
         return list(zip(self._adj_nbr[a:b].tolist(), self._adj_eid[a:b].tolist()))
 
     def dual_edges(self) -> Iterator[tuple[int, int, int]]:
-        """Each interior edge as (cell, cell, edge id), cells ordered."""
-        cof = self._cell_of_face
-        for e in range(self.n_edges):
-            c0 = int(cof[self._face[2 * e]])
-            c1 = int(cof[self._face[2 * e + 1]])
-            if c0 >= 0 and c1 >= 0:
-                yield (min(c0, c1), max(c0, c1), e)
+        """Each interior edge as (cell, cell, edge id), cells ordered, in ``dual_csr()`` order."""
+        ptr, nbr, eid = self.dual_csr()
+        src = _np.repeat(_np.arange(self.n_cells), _np.diff(ptr))
+        keep = src < nbr
+        yield from zip(src[keep].tolist(), nbr[keep].tolist(), eid[keep].tolist())
 
     # --- faces ----------------------------------------------------------
 

@@ -202,12 +202,14 @@ def _walk_tree(
     """Breadth-first forest of the dual subgraph that ``cells`` induce.
 
     Each component starts at its first cell in ``cells`` order, and a cell's
-    neighbours are taken in ``cell_neighbors`` order. The forest depends on
+    neighbours are taken in ``cell_neighbors`` order, read from one
+    ``Arrangement.dual_csr`` call. The forest depends on
     the dual graph alone, never on a label. Returns the cells in discovery
     order as (cell, parent cell, shared edge id), the parent -1 at a
     component's start, and the number of components so far. The walk stops
     when it comes to ``until``, whose path is complete by then.
     """
+    ptr, nbr, eid = map(memoryview, arr.dual_csr())
     seen = bytearray(arr.n_cells)  # 0 outside cells, 1 not reached yet, 2 reached
     for c in cells:
         seen[c] = 1
@@ -225,10 +227,10 @@ def _walk_tree(
             if c == until:
                 return tree, parts
             head += 1
-            for nbr, eid in arr.cell_neighbors(c):
-                if seen[nbr] == 1:
-                    seen[nbr] = 2
-                    tree.append((nbr, c, eid))
+            for i in range(ptr[c], ptr[c + 1]):
+                if seen[nbr[i]] == 1:
+                    seen[nbr[i]] = 2
+                    tree.append((nbr[i], c, eid[i]))
     return tree, parts
 
 

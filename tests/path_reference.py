@@ -1,9 +1,9 @@
 """Reference for ``applications.bottleneck_path``.
 
 ``bottleneck_path`` gives every cell of its window its site from the lex
-core and costs each crossed edge from the settled cell's site alone, on the
-arrangement in the window of ``_optimizer_windows`` that holds both
-placements. This reference labels every cell of its box through
+core, costs every interior edge from one adjacent cell's site alone and
+searches on the costs' ranks, on the arrangement in the window of
+``_optimizer_windows`` that holds both placements. This reference labels every cell of its box through
 ``label_cells_incremental`` and costs each edge from the whole walk
 matching's envelope, so the differential tests compare against code that
 shares neither the labeller nor the one-site edge cost. Without ``window`` its box is the whole box, inflated to hold the

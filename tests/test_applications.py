@@ -3,6 +3,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as _np
 import pytest
 
 from botmatch import applications, diagram, matching
@@ -21,6 +22,7 @@ from botmatch.geom import (
     EdgeRef,
     Instance,
     Point,
+    _min_envelope_on_triples,
     closest_point_in_polygon,
     convex_polygon,
     point,
@@ -625,6 +627,144 @@ def test_path_takes_its_sites_from_one_lex_core_call(monkeypatch):
         ("_lex_cell_labels", list(range(arr.n_cells)))
     ]
     assert res == _collapsed(reference_path(inst, point(-7, -3), point(-5, 3), arr.box))
+
+
+def _spy_on_cost_pass(monkeypatch):
+    """Record every ``_segment_costs`` call as (inst, sites, s0, s1, num, den, ranks)."""
+    passes = []
+    real_costs, real_ranks = applications._segment_costs, applications._dense_ranks
+
+    def costs(inst, sites, s0, s1):
+        num, den = real_costs(inst, sites, s0, s1)
+        passes.append([inst, list(sites), s0, s1, num, den])
+        return num, den
+
+    def ranks(num, den):
+        out = real_ranks(num, den)
+        passes[-1].append(out)
+        return out
+
+    monkeypatch.setattr(applications, "_segment_costs", costs)
+    monkeypatch.setattr(applications, "_dense_ranks", ranks)
+    return passes
+
+
+def _exact_dense_ranks(values):
+    order = {v: r for r, v in enumerate(sorted(set(values)))}
+    return [order[v] for v in values]
+
+
+def test_edge_costs_and_ranks_equal_the_scalar_envelope(monkeypatch):
+    passes = _spy_on_cost_pass(monkeypatch)
+    rng = random.Random(1_9001)
+    S = 10**9
+    runs = []
+    for inst in _pruning_families():
+        runs.append((inst, *(point(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(2))))
+    for seed in range(4):
+        for kind, A, B, *args in query_units(seed):
+            if kind == "path":
+                runs.append((_mk(A, B), point(*args[0]), point(*args[1])))
+    for inst, t0, t1 in runs:
+        big = Instance(*(tuple(point(p.x * S, p.y * S) for p in ps) for ps in (inst.A, inst.B)))
+        bottleneck_path(inst, t0, t1)
+        bottleneck_path(big, point(t0.x * S, t0.y * S), point(t1.x * S, t1.y * S))
+    assert len(passes) == 2 * len(runs)
+    edges = 0
+    for inst, sites, s0, s1, num, den, ranks in passes:
+        assert num.dtype == den.dtype == object and len(num) == len(den) == len(sites)
+        values = []
+        for site, u, v, n, d in zip(sites, s0.tolist(), s1.tolist(), num, den):
+            assert type(n) is int and type(d) is int and d > 0
+            values.append(Fraction(n, d))
+            assert values[-1] == _min_envelope_on_triples(inst, (site,), tuple(u), tuple(v))[1]
+        assert ranks.tolist() == _exact_dense_ranks(values)
+        edges += len(values)
+    assert edges > 10_000 and any(s0.dtype == object for *_, s0, _s1, _n, _d, _r in passes)
+
+
+def test_dense_ranks_settle_float_ties_exactly():
+    ranks = applications._dense_ranks
+    # 1 + 2^-60 and 1 are distinct but round to the same float
+    assert (2**60 + 1) / 2**60 == 1.0
+    num = _np.array([2**60 + 1, 1, 3, 7], dtype=object)
+    den = _np.array([2**60, 1, 3, 2], dtype=object)
+    assert ranks(num, den).tolist() == [1, 0, 0, 2]
+    # one value written as two (num, den) pairs, among near misses below and above
+    num = _np.array([2, 3 * 2**60 - 1, 1, 3 * 2**60 + 1, 0], dtype=object)
+    den = _np.array([6, 9 * 2**60, 3, 9 * 2**60, 5], dtype=object)
+    assert len({float(Fraction(n, d)) for n, d in zip(num[:4], den[:4])}) == 1
+    assert ranks(num, den).tolist() == [2, 1, 2, 3, 0]
+    assert ranks(_np.array([], dtype=object), _np.array([], dtype=object)).tolist() == []
+
+
+def test_path_ranks_every_edge_once_and_walks_back_through_the_envelope():
+    cases = [
+        (_FIRST_QUERY, point(-7, -3), point(-5, 3)),
+        (_mk([(-4, -3), (5, 0), (-4, 3), (4, 3), (-3, 4)], [(5, 0), (-3, 4)]), point(-2, -9), point(4, 0)),
+    ]
+    real_envelope = applications._min_envelope_on_triples
+    real_neighbours = Arrangement.cell_neighbors
+    real_reduced = applications.reduced_arrangement
+    for inst, t0, t1 in cases:
+        envelopes, neighbours, arrs = [], [], []
+
+        def envelope(inst, edges, s0, s1):
+            envelopes.append(len(edges))
+            return real_envelope(inst, edges, s0, s1)
+
+        def cell_neighbors(arr, cid):
+            neighbours.append(cid)
+            return real_neighbours(arr, cid)
+
+        def reduced(inst, **kwargs):
+            out = real_reduced(inst, **kwargs)
+            arrs.append(out[1])
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            passes = _spy_on_cost_pass(mp)
+            mp.setattr(applications, "_min_envelope_on_triples", envelope)
+            mp.setattr(Arrangement, "cell_neighbors", cell_neighbors)
+            mp.setattr(applications, "reduced_arrangement", reduced)
+            res = bottleneck_path(inst, t0, t1)
+        [arr] = arrs
+        [(_inst, sites, *_rest, ranks)] = passes  # one cost pass for the one window
+        assert len(sites) == len(list(arr.dual_edges())) == len(ranks)
+        assert neighbours == []
+        # the reference keeps every crossing it walks back through
+        walked = len(reference_path(inst, t0, t1, arr.box).polyline) - 2
+        assert walked >= len(res.polyline) - 2 > 0
+        assert envelopes == [1] * walked
+
+
+def test_path_refuses_a_walked_edge_whose_ranked_cost_is_off(monkeypatch):
+    inst, t0, t1 = _FIRST_QUERY, point(-7, -3), point(-5, 3)
+    ends = []
+    real_envelope = applications._min_envelope_on_triples
+
+    def envelope(inst, edges, s0, s1):
+        ends.append((s0, s1))
+        return real_envelope(inst, edges, s0, s1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(applications, "_min_envelope_on_triples", envelope)
+        bottleneck_path(inst, t0, t1)
+    real_costs = applications._segment_costs
+    patched = []
+
+    def off_by_one(inst, sites, s0, s1):
+        num, den = real_costs(inst, sites, s0, s1)
+        rows = list(zip(map(tuple, s0.tolist()), map(tuple, s1.tolist())))
+        i = rows.index(ends[0])  # the last edge walked back
+        num[i] += 1
+        patched.append(i)
+        return num, den
+
+    monkeypatch.setattr(applications, "_segment_costs", off_by_one)
+    with pytest.raises(ContractViolation, match="ranked cost"):
+        bottleneck_path(inst, t0, t1)
+    assert len(patched) == 1
 
 
 def _off_site_labels(monkeypatch):

@@ -814,6 +814,37 @@ def test_arrangement_arrays_are_pinned(monkeypatch, name):
     assert _dcel_sha256(arr) == DCEL_GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(DCEL_GOLDEN))
+def test_bulk_views_are_read_only_and_share_the_arrangement_memory(monkeypatch, name):
+    arr = _pinned_arrangement(monkeypatch, name)
+    ptr, nbr, eid = arr.dual_csr()
+    eu, ev = arr.edge_ends()
+    views = {"_adj_ptr": ptr, "_adj_nbr": nbr, "_adj_eid": eid, "_eu": eu, "_ev": ev}
+    views["_uniq"] = arr.vertex_triples()
+    for field, view in views.items():
+        own = getattr(arr, field)
+        assert _np.shares_memory(view, own) and view.shape == own.shape and view.dtype == own.dtype
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0] = view[0]
+    assert [tuple(row) for row in views["_uniq"].tolist()] == [
+        arr.vertex_triple(v) for v in range(arr.n_vertices)
+    ]
+    assert list(zip(eu.tolist(), ev.tolist())) == [arr.edge_endpoints(e) for e in range(arr.n_edges)]
+    for c in range(arr.n_cells):
+        a, b = ptr[c : c + 2].tolist()
+        assert arr.cell_neighbors(c) == list(zip(nbr[a:b].tolist(), eid[a:b].tolist()))
+        for n, e in arr.cell_neighbors(c):
+            assert arr.face_cells(FaceRef(1, e)) == sorted((c, n))
+    interior = set()
+    for e in range(arr.n_edges):
+        cells = arr.face_cells(FaceRef(1, e))
+        if len(cells) == 2:
+            interior.add((*cells, e))
+    dual = list(arr.dual_edges())
+    assert len(dual) == len(interior) and set(dual) == interior
+
+
 def _canonical_cell_vertices(arr, c):
     return canonical_convex([arr.vertex_point(v) for v in arr.cell_cycle(c)]).vertices
 

@@ -34,7 +34,7 @@ from .geom import (
     Scalar,
     _as_point,
     _clip_ring,
-    _halfplane,
+    _erosion_halfplanes,
     _min_envelope_on_triples,
     closest_point_in_polygon,
     erode_polygon,
@@ -402,22 +402,6 @@ def bottleneck_path(inst: Instance, t0: Point, t1: Point) -> PathResult:
 
 # -- cover radius -----------------------------------------------------------------
 
-def _region_halfplanes(region: ConvexPolygon) -> list[tuple[int, int, int]]:
-    """The region as integer half-planes a*X + b*Y + c*W <= 0 on (X, Y, W), W > 0.
-
-    A full-dimensional region gives its outward edge normals. A segment gives
-    the normals across and along it, a point the two axes both ways. Each
-    normal sits at its support value over the region's vertices.
-    """
-    verts = region.vertices
-    if len(verts) >= 3:
-        normals = [Point(w.y - v.y, v.x - w.x) for v, w in region.edges()]
-    else:
-        d = verts[1] - verts[0] if len(verts) == 2 else Point(Fraction(1), Fraction(0))
-        normals = [Point(d.y, -d.x), Point(-d.y, d.x), d, Point(-d.x, -d.y)]
-    return [_halfplane(n, max(n.dot(v) for v in verts)) for n in normals]
-
-
 def cover_radius(inst: Instance, Q: ConvexPolygon) -> CoverResult | _Empty:
     """Worst bottleneck value over all translations keeping B inside Q.
 
@@ -426,9 +410,10 @@ def cover_radius(inst: Instance, Q: ConvexPolygon) -> CoverResult | _Empty:
     on each closed cell, s its site from one ``_lex_cell_labels`` call, and
     strictly convex along any segment, so every maximizer over the region is
     a vertex of some cell-region overlay piece. Each cell's vertex ring is
-    clipped against the region on exact integer triples, and each piece
-    vertex is valued against its cell's site in integers. The largest value
-    wins, ties to the smallest (x, y); ``eval_E`` must confirm the witness.
+    clipped by the erosion's own half-planes on exact integer triples (they
+    cut out the region whatever its dimension), and each piece vertex is
+    valued against its cell's site in integers. The largest value wins, ties
+    to the smallest (x, y); ``eval_E`` must confirm the witness.
     """
     region = erode_polygon(Q, inst.B)
     if region is None:
@@ -439,7 +424,7 @@ def cover_radius(inst: Instance, Q: ConvexPolygon) -> CoverResult | _Empty:
     # The diagram's walk labels are never read, so they are never computed.
     arr = build_diagram(inst, window=window).arrangement
 
-    halfplanes = _region_halfplanes(region)
+    halfplanes = _erosion_halfplanes(Q, inst.B)
     pieces: dict[int, list[tuple[int, int, int]]] = {}
     for cid in range(arr.n_cells):
         piece = [arr.vertex_triple(v) for v in arr.cell_cycle(cid)]

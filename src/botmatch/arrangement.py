@@ -31,7 +31,6 @@ from .geom import (
     bisector_line,
     homogeneous,
 )
-from .matching import DIFF_B, SAME_B
 
 
 class OutsideBox(Exception):
@@ -40,23 +39,22 @@ class OutsideBox(Exception):
 
 @dataclass(frozen=True)
 class Bisector:
-    """A bisector line with every edge pair that ties along it."""
+    """A bisector line with every edge pair ``(e1, e2)`` that ties along it."""
 
     line: Line
-    edge_pairs: tuple[tuple[EdgeRef, EdgeRef, str], ...]
+    edge_pairs: tuple[tuple[EdgeRef, EdgeRef], ...]
 
 
 def all_bisectors(inst: Instance) -> list[Bisector]:
     """One Bisector per distinct line over all non-equivalent edge pairs."""
-    groups: dict[Line, list[tuple[EdgeRef, EdgeRef, str]]] = {}
+    groups: dict[Line, list[tuple[EdgeRef, EdgeRef]]] = {}
     edges = list(inst.edges())
     for i, e1 in enumerate(edges):
         for e2 in edges[i + 1 :]:
             line = bisector_line(inst, e1, e2)
             if line is None:
                 continue
-            kind = SAME_B if e1.b == e2.b else DIFF_B
-            groups.setdefault(line, []).append((e1, e2, kind))
+            groups.setdefault(line, []).append((e1, e2))
     return [
         Bisector(line, tuple(sorted(groups[line])))
         for line in sorted(groups)
@@ -158,7 +156,6 @@ def _pair_supports_candidate_change(
     trip: tuple[int, int, int],
     e1: EdgeRef,
     e2: EdgeRef,
-    kind: str,
     chord: tuple[tuple[int, int], tuple[int, int]] | None = None,
 ) -> bool:
     """Necessary condition for the pair's tie to matter somewhere on the line.
@@ -187,7 +184,7 @@ def _pair_supports_candidate_change(
     px, py = rows[e1.b][e1.a]
     q = rows[e2.b][e2.a]
     sites = set(rows[e1.b])
-    if kind == SAME_B:
+    if e1.b == e2.b:
         threshold = inst.k - 1
     else:
         sites.update(rows[e2.b])
@@ -248,8 +245,8 @@ def used_bisectors(
         if window is not None and chord is None:
             continue
         if any(
-            _pair_supports_candidate_change(inst, trip, e1, e2, kind, chord)
-            for e1, e2, kind in bi.edge_pairs
+            _pair_supports_candidate_change(inst, trip, e1, e2, chord)
+            for e1, e2 in bi.edge_pairs
         ):
             kept.append(bi)
     return kept

@@ -573,24 +573,33 @@ def _ring_polygon(ring: list[tuple[int, int, int]]) -> ConvexPolygon | None:
     return ConvexPolygon(tuple(corners[start:] + corners[:start]))
 
 
+def _erosion_halfplanes(Q: ConvexPolygon, B: Sequence[Point]) -> list[tuple[int, int, int]]:
+    """The erosion of ``Q`` by ``B`` as integer half-planes, one per edge of ``Q``.
+
+    Each supporting half-plane <n, x> <= c of Q tightens to
+    <n, t> <= c - max_b <n, b>.
+    """
+    out = []
+    for v, w in Q.edges():
+        n = Point(w.y - v.y, v.x - w.x)  # outward normal of a ccw edge
+        out.append(_halfplane(n, n.dot(v) - max(n.dot(b) for b in B)))
+    return out
+
+
 def erode_polygon(Q: ConvexPolygon, B: Sequence[Point]) -> ConvexPolygon | None:
     """Translations placing every point of ``B`` inside ``Q`` (closed).
 
-    Each supporting half-plane <n, x> <= c of Q tightens to
-    <n, t> <= c - max_b <n, b>, the maximum over the B points extreme in
-    direction n. Clipping runs on integer triples, from Q - B[0], which holds
-    every fit. Returns ``None`` when no translation fits; the result may
-    degenerate to a segment or a single point.
+    Clipping by ``_erosion_halfplanes`` runs on integer triples, from
+    Q - B[0], which holds every fit. Returns ``None`` when no translation
+    fits; the result may degenerate to a segment or a single point.
     """
     if len(Q.vertices) < 3:
         raise ValueError("Q must be a full-dimensional convex polygon")
     if not B:
         raise ValueError("B must be nonempty")
     ring = [homogeneous(v - B[0]) for v in Q.vertices]
-    for v, w in Q.edges():
-        d = w - v
-        n = Point(d.y, -d.x)  # outward normal of a ccw edge
-        ring = _clip_ring(ring, _halfplane(n, n.dot(v) - max(n.dot(b) for b in B)))
+    for halfplane in _erosion_halfplanes(Q, B):
+        ring = _clip_ring(ring, halfplane)
         if not ring:
             return None
     return _ring_polygon(ring)

@@ -5,8 +5,11 @@ shortest edges incident to b (extended over ties), so a complete matching
 optimal for the bottleneck or lexicographic-bottleneck cost always survives
 inside it. Edge weights are dense ranks over the distinct squared lengths;
 edges of equal length share a rank. Crossing a bisector in translation space
-changes the graph by one of two local moves, and the matching follows with
-one augmentation or one thresholded rematch; see ``update_on_swap``.
+changes the graph by one of two local moves, read off each tying pair
+(e1, e2): when the edges share b and one is a candidate, that b's candidate
+boundary moves; when both are candidates, their two ranks transpose. The
+matching follows with one augmentation or one thresholded rematch; see
+``cross_bisector``.
 
 The bottleneck search runs on the candidate edges in rank order, whether
 they come from a graph (``bottleneck_matching``) or straight from the length
@@ -150,20 +153,20 @@ class CandidateGraph:
             raise ContractViolation("level index out of date")
 
     def touching(
-        self, pairs: Iterable[tuple[EdgeRef, EdgeRef, str]]
+        self, pairs: Iterable[tuple[EdgeRef, EdgeRef]]
     ) -> list[tuple[EdgeRef, EdgeRef, bool, bool]]:
-        """The tying pairs of a bisector crossing that change this graph.
+        """The tying pairs ``(e1, e2)`` of a crossing that change this graph.
 
-        A same-b pair touches it when either edge is a candidate (the per-b
-        boundary moves, or two ranks transpose); a different-b pair only when
-        both are. Each comes as ``(e1, e2, in1, in2)``, ``in`` telling whether
-        the edge is a candidate. ``cross_bisector`` applies exactly these, so
-        with none the crossing changes neither graph nor matching.
+        A same-b pair (equal b) touches it when either edge is a candidate, a
+        different-b pair only when both are. Each comes as ``(e1, e2, in1,
+        in2)``, ``in`` telling whether the edge is a candidate.
+        ``cross_bisector`` applies exactly these, so with none the crossing
+        changes neither graph nor matching.
         """
         out = []
-        for e1, e2, kind in pairs:
+        for e1, e2 in pairs:
             in1, in2 = e1 in self.class_of, e2 in self.class_of
-            if in1 and in2 or (kind == SAME_B and (in1 or in2)):
+            if in1 and in2 or (e1.b == e2.b and (in1 or in2)):
                 out.append((e1, e2, in1, in2))
         return out
 
@@ -588,10 +591,6 @@ def lex_bottleneck_matching(G: CandidateGraph) -> tuple[Matching, tuple[int, ...
 
 # -- crossing updates ---------------------------------------------------------
 
-SAME_B = "same_b"
-DIFF_B = "diff_b"
-
-
 def _augment_exposed(
     G: CandidateGraph, partial: dict[int, int], exposed_b: int, cap: int
 ) -> dict[int, int] | None:
@@ -688,45 +687,27 @@ def _cross_class_pair(
     return mu_map
 
 
-def update_on_swap(
-    G: CandidateGraph,
-    mu: Matching,
-    pair: tuple[EdgeRef, EdgeRef],
-    kind: str,
-) -> tuple[CandidateGraph, Matching]:
-    """Carry a bottleneck matching across one bisector crossing.
-
-    The one-pair case of ``cross_bisector``. ``pair`` are the two edges
-    whose lengths tie on the crossed bisector.
-    For ``same_b`` pairs with exactly one edge in the candidate set, the
-    contained edge leaves and the other enters (the per-b candidate boundary
-    moves); a removed matching edge is repaired by one augmentation capped
-    near the old bottleneck rank. For pairs with both edges present the two
-    adjacent ranks transpose and the matching is rethresholded exactly when
-    its longest rank sits just above the transposition (this is the only
-    case the bottleneck can improve).
-
-    Returns fresh values; inputs are not mutated.
-    """
-    if kind not in (SAME_B, DIFF_B):
-        raise ValueError(f"unknown crossing kind {kind!r}")
-    e1, e2 = pair
-    if kind == SAME_B and e1.b != e2.b:
-        raise ValueError("same_b crossing with distinct b indices")
-    return cross_bisector(G, mu, [(e1, e2, kind)])
-
-
 def cross_bisector(
     G: CandidateGraph,
     mu: Matching,
-    pairs: Sequence[tuple[EdgeRef, EdgeRef, str]],
+    pairs: Sequence[tuple[EdgeRef, EdgeRef]],
 ) -> tuple[CandidateGraph, Matching]:
-    """Apply a whole bisector crossing: every edge pair tying on one line.
+    """Carry a bottleneck matching across one bisector crossing.
+
+    ``pairs`` are every edge pair ``(e1, e2)`` whose lengths tie on the
+    crossed line. For a same-b pair with exactly one edge in the candidate
+    set, the contained edge leaves and the other enters (the per-b candidate
+    boundary moves); a removed matching edge is repaired by one augmentation
+    capped near the old bottleneck rank. For a pair with both edges present
+    the two adjacent ranks transpose, and the matching is rethresholded
+    exactly when its longest rank sits just above the transposition (the
+    only case in which the bottleneck can improve).
 
     Pairs are grouped by the (unordered) pair of equivalence classes they
     connect; each class pair crosses once, no matter how many edge pairs
     witness it. Distinct class pairs on one line never interact (their rank
-    positions are disjoint), so groups apply sequentially.
+    positions are disjoint), so groups apply sequentially. Returns fresh
+    values; inputs are not mutated.
     """
     if len(mu) != G.k:
         raise ContractViolation("matching must be complete before a crossing")

@@ -40,7 +40,7 @@ from botmatch import (
     squared_edge_length,
     used_bisectors,
 )
-from botmatch.matching import cross_bisector, update_on_swap
+from botmatch.matching import cross_bisector
 from botmatch.oracle import brute_force_E, brute_force_lex, brute_force_lex_matchings
 from path_reference import unreduced
 
@@ -321,7 +321,7 @@ def test_criterion_08_reduction_soundness(capsys):
         every = all_bisectors(inst)
         kept = used_bisectors(inst, every)
         pair_of = {
-            frozenset((e1.a, e2.a)): b for b in every for e1, e2, _ in b.edge_pairs
+            frozenset((e1.a, e2.a)): b for b in every for e1, e2 in b.edge_pairs
         }
         assert pair_of[frozenset((0, 1))] in kept
         assert pair_of[frozenset((1, 2))] in kept
@@ -396,8 +396,8 @@ def test_criterion_09_matching_engine(capsys):
                 nbr, eid = nbrs[rng.randrange(len(nbrs))]
                 pairs = bis[arr.edge_line(eid)].edge_pairs
                 if len(pairs) == 1:
-                    e1, e2, kind = pairs[0]
-                    G, mu = update_on_swap(G, mu, (e1, e2), kind)
+                    e1, e2 = pairs[0]
+                    G, mu = cross_bisector(G, mu, [(e1, e2)])
                     steps += 1
                 else:
                     G, mu = cross_bisector(G, mu, pairs)

@@ -29,7 +29,6 @@ from botmatch.arrangement import (
     build_arrangement,
     used_bisectors,
 )
-from botmatch.matching import DIFF_B, SAME_B
 from fraction_geometry import canonical_convex
 from sample_reference import face_sample_triple as reference_sample
 
@@ -64,8 +63,8 @@ def test_two_points_one_center_single_bisector():
     assert len(bis) == 1
     (b,) = bis
     assert len(b.edge_pairs) == 1
-    e1, e2, kind = b.edge_pairs[0]
-    assert kind == SAME_B
+    e1, e2 = b.edge_pairs[0]
+    assert e1.b == e2.b
     assert {e1, e2} == {E(0, 0), E(1, 0)}
 
 
@@ -87,7 +86,7 @@ def test_coincident_lines_merge_into_one_bisector():
     assert len(vertical) == 1
     pairs = vertical[0].edge_pairs
     assert len(pairs) == 2
-    assert all(kind == SAME_B for _, _, kind in pairs)
+    assert all(e1.b == e2.b for e1, e2 in pairs)
 
 
 def test_bisector_count_bound_and_pair_consistency():
@@ -98,8 +97,7 @@ def test_bisector_count_bound_and_pair_consistency():
         nk = inst.n * inst.k
         assert len(bis) <= nk * (nk - 1) // 2
         for b in bis:
-            for e1, e2, kind in b.edge_pairs:
-                assert (kind == SAME_B) == (e1.b == e2.b)
+            for e1, e2 in b.edge_pairs:
                 from botmatch.geom import bisector_line
 
                 assert bisector_line(inst, e1, e2) == b.line
@@ -115,7 +113,7 @@ def test_ep_pair_edges_equal_length_on_line():
             for _ in range(3):
                 lam = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
                 t = base + d.scale(lam)
-                for e1, e2, _kind in b.edge_pairs:
+                for e1, e2 in b.edge_pairs:
                     assert squared_edge_length(inst, e1, t) == squared_edge_length(
                         inst, e2, t
                     )
@@ -187,7 +185,7 @@ def _crosses_open_window(line, window):
     return min(sides) < 0 < max(sides)
 
 
-def _fraction_supports_change(inst, line, e1, e2, kind, window=None):
+def _fraction_supports_change(inst, line, e1, e2, window=None):
     """The reduction's per-pair test written directly in Fractions.
 
     A translation t on the line counts a site s when |t - s|^2 < |t - p|^2;
@@ -198,7 +196,7 @@ def _fraction_supports_change(inst, line, e1, e2, kind, window=None):
     p, q = inst.anchor(e1), inst.anchor(e2)
     sites = {inst.A[a] - inst.B[e1.b] for a in range(inst.n)}
     threshold = inst.k - 1
-    if kind == DIFF_B:
+    if e1.b != e2.b:
         sites |= {inst.A[a] - inst.B[e2.b] for a in range(inst.n)}
         threshold = 2 * inst.k - 2
     sites -= {p, q}
@@ -254,8 +252,8 @@ def test_used_bisectors_match_fraction_definition():
             b
             for b in bis
             if any(
-                _fraction_supports_change(inst, b.line, e1, e2, kind)
-                for e1, e2, kind in b.edge_pairs
+                _fraction_supports_change(inst, b.line, e1, e2)
+                for e1, e2 in b.edge_pairs
             )
         ]
         assert used_bisectors(inst, bis) == want
@@ -278,8 +276,8 @@ def test_windowed_used_bisectors_match_fraction_definition():
                 for b in bis
                 if _crosses_open_window(b.line, window)
                 and any(
-                    _fraction_supports_change(inst, b.line, e1, e2, kind, window)
-                    for e1, e2, kind in b.edge_pairs
+                    _fraction_supports_change(inst, b.line, e1, e2, window)
+                    for e1, e2 in b.edge_pairs
                 )
             ]
             got = used_bisectors(inst, bis, window=window)
@@ -341,7 +339,7 @@ def test_k1_used_matches_delaunay_neighbors():
         used = used_bisectors(inst, all_bisectors(inst))
         got = set()
         for b in used:
-            for e1, e2, _ in b.edge_pairs:
+            for e1, e2 in b.edge_pairs:
                 got.add(frozenset((e1.a, e2.a)))
         tri = Delaunay(np.array(pl, dtype=float))
         expect = set()
@@ -358,8 +356,8 @@ def test_same_b_triples_share_at_most_one_point():
         inst = _random_instance(rng, n_max=6, k_max=2)
         same_b: dict[int, list] = {}
         for b in all_bisectors(inst):
-            for e1, e2, kind in b.edge_pairs:
-                if kind == SAME_B:
+            for e1, e2 in b.edge_pairs:
+                if e1.b == e2.b:
                     same_b.setdefault(e1.b, []).append(b.line)
         for lines in same_b.values():
             distinct = sorted(set(lines), key=lambda l: l.primitive_triple())

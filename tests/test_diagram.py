@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import pathlib
 import random
 from fractions import Fraction
@@ -334,6 +335,38 @@ def test_walk_counts_components():
     assert sum(label is not None for label in labels) == 2
     _labels, parts = _walk_labels(inst, arr, bis, range(3))
     assert parts == 1
+
+
+def _walk_pin_families():
+    """Whole-box instances whose lines carry several tie pairs, plus random ones."""
+    yield _mk([(x, 0) for x in range(5)], [(0, 0), (1, 0), (3, 0)])  # collinear
+    yield _mk([(x, 2 * x - 1) for x in (-3, -1, 0, 2, 3)], [(0, 0), (1, 3)])
+    yield _mk([(x, y) for x in range(0, 6, 2) for y in range(0, 4, 2)], [(0, 0), (1, 0), (0, 1)])
+    ring = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3), (-5, 0), (-4, -3)]
+    yield _mk(ring[:5], [(0, 0), (1, 2)])  # co-circular
+    yield _mk(ring[:4], ring[4:])  # k = n, co-circular
+    yield _mk([(0, 0), (3, 1), (1, 4)], [(0, 0), (2, 2), (5, 0)])  # k = n
+    yield _mk([(5, 5), (6, 4), (6, 5), (20, 20)], [(0, 0), (1, 0), (0, 1)])
+    rng = random.Random(2001)
+    for _ in range(4):
+        pts: set[tuple[int, int]] = set()
+        while len(pts) < 7:
+            pts.add((rng.randint(-5, 5), rng.randint(-5, 5)))
+        flat = sorted(pts)
+        rng.shuffle(flat)
+        yield _mk(flat[:5], flat[5:])
+
+
+def test_walk_labels_are_pinned():
+    # Every label of the incremental walk, over 8,844 cells, is the walk's own
+    # choice among tied optima: a change to the crossing rules that keeps the
+    # values right can still move a matching, and this hash sees it.
+    digest = hashlib.sha256()
+    for inst in _walk_pin_families():
+        bis, arr = reduced_arrangement(inst)
+        for label in label_cells_incremental(inst, arr, bis).cells:
+            digest.update(repr(label).encode() + b"\n")
+    assert digest.hexdigest() == "df816603a07ac2acbf9bb1f69419d0d944aa81acd48e34d6c800a21722c612c8"
 
 
 def test_alignment_mismatch_rejected():
@@ -674,6 +707,36 @@ def test_library_modules_use_every_import():
             else:
                 continue
             hits += [f"{path.name}:{node.lineno} {n}" for n in names if n not in used]
+    assert not hits, hits
+
+
+def _package_imports(tree):
+    """The botmatch modules a module imports, relatively or by absolute name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            mods = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            base = "botmatch" if node.level else ""
+            module = ".".join(filter(None, (base, node.module)))
+            mods = [f"{module}.{a.name}" for a in node.names]
+        else:
+            continue
+        out |= {m.split(".")[1] for m in mods if m.startswith("botmatch.")}
+    return out
+
+
+def test_library_layers_import_downward():
+    # geom is the base; arrangement, matching and oracle are sibling layers on
+    # it; diagram builds on them, applications on diagram, and cli on top.
+    only = {"geom": set(), "arrangement": {"geom"}, "matching": {"geom"}, "oracle": {"geom"}}
+    never = {"diagram": {"applications", "cli"}, "applications": {"cli"}}
+    hits = []
+    for path in sorted(pathlib.Path(botmatch.__file__).parent.glob("*.py")):
+        name = path.stem
+        imported = _package_imports(ast.parse(path.read_text(), filename=str(path)))
+        bad = imported - only[name] if name in only else imported & never.get(name, set())
+        hits += [f"{name} imports {m}" for m in sorted(bad)]
     assert not hits, hits
 
 

@@ -8,8 +8,6 @@ from botmatch import diagram, matching
 from botmatch.diagram import build_diagram
 from botmatch.geom import ContractViolation, EdgeRef, Instance, Point, point, squared_edge_length
 from botmatch.matching import (
-    DIFF_B,
-    SAME_B,
     CandidateGraph,
     NoCompleteMatching,
     bottleneck_matching,
@@ -20,7 +18,6 @@ from botmatch.matching import (
     matching_map,
     max_matching,
     prune_candidates,
-    update_on_swap,
 )
 from botmatch.oracle import brute_force_E, brute_force_lex
 from lex_reference import reference_assignment
@@ -498,7 +495,7 @@ def test_canonical_complete_matching():
 def test_update_rank_swap_improves_matching():
     G = CandidateGraph.from_ranks(2, {E(0, 0): 1, E(1, 1): 2, E(2, 1): 3})
     mu = (E(0, 0), E(1, 1))
-    g2, mu2 = update_on_swap(G, mu, (E(1, 1), E(2, 1)), SAME_B)
+    g2, mu2 = cross_bisector(G, mu, [(E(1, 1), E(2, 1))])
     assert mu2 == (E(0, 0), E(2, 1))
     assert g2.w(E(2, 1)) == 2 and g2.w(E(1, 1)) == 3
     assert max(g2.w(e) for e in mu2) == 2
@@ -509,7 +506,7 @@ def test_update_rank_swap_improves_matching():
 def test_update_swap_far_from_bottleneck():
     G = CandidateGraph.from_ranks(2, {E(0, 0): 1, E(1, 1): 2, E(2, 0): 3, E(3, 1): 4})
     mu = (E(0, 0), E(1, 1))
-    g2, mu2 = update_on_swap(G, mu, (E(2, 0), E(3, 1)), DIFF_B)
+    g2, mu2 = cross_bisector(G, mu, [(E(2, 0), E(3, 1))])
     assert mu2 == mu
     assert g2.w(E(3, 1)) == 3 and g2.w(E(2, 0)) == 4
 
@@ -517,7 +514,7 @@ def test_update_swap_far_from_bottleneck():
 def test_update_same_b_replaces_nonmatching_edge():
     G = CandidateGraph.from_ranks(2, {E(0, 0): 1, E(1, 1): 2, E(2, 0): 3, E(3, 1): 4})
     mu = (E(0, 0), E(1, 1))
-    g2, mu2 = update_on_swap(G, mu, (E(2, 0), E(9, 0)), SAME_B)
+    g2, mu2 = cross_bisector(G, mu, [(E(2, 0), E(9, 0))])
     assert mu2 == mu
     assert E(2, 0) not in g2.class_of
     assert g2.w(E(9, 0)) == 3
@@ -527,7 +524,7 @@ def test_update_same_b_replaces_nonmatching_edge():
 def test_update_same_b_replaces_matching_edge():
     G = CandidateGraph.from_ranks(2, {E(0, 0): 1, E(2, 1): 2, E(1, 0): 3, E(3, 1): 4})
     mu = (E(0, 0), E(2, 1))
-    g2, mu2 = update_on_swap(G, mu, (E(0, 0), E(5, 0)), SAME_B)
+    g2, mu2 = cross_bisector(G, mu, [(E(0, 0), E(5, 0))])
     assert mu2 == (E(5, 0), E(2, 1))
     assert g2.w(E(5, 0)) == 1
     assert E(0, 0) not in g2.class_of
@@ -536,9 +533,9 @@ def test_update_same_b_replaces_matching_edge():
 def test_update_ignores_pairs_outside_candidates():
     G = CandidateGraph.from_ranks(2, {E(0, 0): 1, E(1, 1): 2})
     mu = (E(0, 0), E(1, 1))
-    g2, mu2 = update_on_swap(G, mu, (E(7, 0), E(8, 0)), SAME_B)
+    g2, mu2 = cross_bisector(G, mu, [(E(7, 0), E(8, 0))])
     assert mu2 == mu and set(g2.edges()) == set(G.edges())
-    g3, mu3 = update_on_swap(G, mu, (E(7, 0), E(8, 1)), DIFF_B)
+    g3, mu3 = cross_bisector(G, mu, [(E(7, 0), E(8, 1))])
     assert mu3 == mu and set(g3.edges()) == set(G.edges())
 
 
@@ -548,7 +545,7 @@ def test_cross_bisector_groups_class_pairs():
     members = {"P": {E(0, 0), E(1, 1)}, "Q": {E(2, 0), E(3, 1)}}
     G = CandidateGraph(2, [["P"], ["Q"]], members, class_key=lambda e: ("edge", e))
     mu = (E(0, 0), E(1, 1))
-    pairs = [(E(0, 0), E(2, 0), SAME_B), (E(1, 1), E(3, 1), SAME_B)]
+    pairs = [(E(0, 0), E(2, 0)), (E(1, 1), E(3, 1))]
     g2, mu2 = cross_bisector(G, mu, pairs)
     assert g2.w(E(2, 0)) == 1 and g2.w(E(0, 0)) == 2
     assert mu2 == (E(2, 0), E(3, 1))
@@ -585,14 +582,13 @@ def test_update_sequences_match_recompute():
                 i = rng.randrange(G.rank_count - 1)
                 x = min(G.members[G.levels[i][0]])
                 y = min(G.members[G.levels[i + 1][0]])
-                kind = SAME_B if x.b == y.b else DIFF_B
-                G, mu = update_on_swap(G, mu, (x, y), kind)
+                G, mu = cross_bisector(G, mu, [(x, y)])
             else:
                 b = rng.randrange(G.k)
                 x = max(G.by_b[b], key=lambda e: (G.w(e), e))
                 free = [a for a in range(n_a + 2) if E(a, b) not in G.class_of]
                 y = E(rng.choice(free), b)
-                G, mu = update_on_swap(G, mu, (x, y), SAME_B)
+                G, mu = cross_bisector(G, mu, [(x, y)])
             fresh = CandidateGraph.from_ranks(G.k, {e: G.w(e) for e in G.edges()})
             _, ref_rank = bottleneck_matching(fresh)
             assert len(mu) == G.k
@@ -663,20 +659,20 @@ def test_touching_is_empty_exactly_when_a_crossing_changes_nothing():
             others = [e for e in inside + outside if e.b != y.b]
             same = [e for e in outside if e.b == y.b and e != y]
             if others and (not same or rng.random() < 0.6):
-                pairs.append((rng.choice(others), y, DIFF_B))
+                pairs.append((rng.choice(others), y))
             elif same:
-                pairs.append((rng.choice(same), y, SAME_B))
+                pairs.append((rng.choice(same), y))
         if rng.random() < 0.5:
             if G.rank_count >= 2 and rng.random() < 0.5:
                 i = rng.randrange(G.rank_count - 1)
                 x = min(G.members[G.levels[i][0]])
                 y = min(G.members[G.levels[i + 1][0]])
-                crossing = (x, y, SAME_B if x.b == y.b else DIFF_B)
+                crossing = (x, y)
             else:
                 b = rng.randrange(G.k)
                 x = max(G.by_b[b], key=lambda e: (G.w(e), e))
                 y = rng.choice([e for e in outside if e.b == b])
-                crossing = (x, y, SAME_B)
+                crossing = (x, y)
             pairs.insert(rng.randint(0, len(pairs)), crossing)
         g2, mu2 = cross_bisector(G, mu, pairs)
         unchanged = (

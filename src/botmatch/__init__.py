@@ -44,7 +44,6 @@ from .geom import (
     Point,
     Scalar,
     bisector_line,
-    closest_point_in_polygon,
     convex_polygon,
     equivalence_classes,
     erode_polygon,
@@ -99,7 +98,6 @@ __all__ = [
     "brute_force_lex",
     "build_arrangement",
     "build_diagram",
-    "closest_point_in_polygon",
     "convex_polygon",
     "cover_radius",
     "equivalence_classes",

@@ -36,7 +36,7 @@ from .geom import (
     _clip_ring,
     _erosion_halfplanes,
     _min_envelope_on_triples,
-    closest_point_in_polygon,
+    _nearest_on_ring,
     erode_polygon,
 )
 from .matching import Matching
@@ -175,7 +175,10 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
     optimizer lies in the windows of ``_optimizer_windows`` for U; each
     window gets its own reduced arrangement. Within one closed cell the
     bottleneck value is the squared distance to the cell's site a - b, so the
-    cell's best candidate is that site or its projection onto the cell. Only
+    cell's best point is the cell's nearest point to that site:
+    ``_nearest_on_ring`` finds it on the cell's ring of integer vertex
+    triples, as the site itself when no edge has it on its outer side, and
+    else as the best point of the per-edge envelope. Only
     cells that can hold an optimum get a site: the max-min bound max_b min_a
     |t - (a - b)|^2 never exceeds the bottleneck value, so a cell whose
     bounding box keeps that bound above U holds no optimizer. The lex core
@@ -220,9 +223,9 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
         for i in map(int, _np.argsort(lower, kind="stable")):
             if lower[i] > best_hi:
                 break
-            site, cid = inst.anchor(longest[i]), cells[i]
-            t = closest_point_in_polygon(site, arr.cell_polygon(cid))
-            val = t.dist2(site)
+            cid = cells[i]
+            ring = [arr.vertex_triple(v) for v in arr.cell_cycle(cid)]
+            t, val = _nearest_on_ring(inst, longest[i], ring)
             if (
                 best_val is None
                 or val < best_val

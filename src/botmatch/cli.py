@@ -99,6 +99,8 @@ def parse_polygon(doc: Any) -> ConvexPolygon:
     if not isinstance(doc, dict) or "Q" not in doc:
         raise InputError('polygon file must be {"Q": [[x, y], ...]}')
     verts = _parse_points(doc["Q"], "Q")
+    if len(verts) < 3:
+        raise InputError('"Q" must have at least 3 vertices')
     try:
         return ConvexPolygon(verts)
     except ValueError as err:

@@ -407,37 +407,6 @@ def _on_segment(p: Point, v: Point, w: Point) -> bool:
     return 0 <= lam <= d.norm2()
 
 
-def _closest_on_segment(p: Point, v: Point, w: Point) -> Point:
-    d = w - v
-    denom = d.norm2()
-    if denom == 0:
-        return v
-    lam = d.dot(p - v) / denom
-    if lam <= 0:
-        return v
-    if lam >= 1:
-        return w
-    return v + d.scale(lam)
-
-
-def closest_point_in_polygon(p: Point, poly: ConvexPolygon) -> Point:
-    """Exact nearest point of a convex region to ``p`` (p itself if inside)."""
-    if poly.contains(p):
-        return p
-    best: Point | None = None
-    best_d2: Fraction | None = None
-    if len(poly.vertices) == 1:
-        return poly.vertices[0]
-    for v, w in poly.edges():
-        q = _closest_on_segment(p, v, w)
-        d2 = p.dist2(q)
-        if best_d2 is None or d2 < best_d2 or (d2 == best_d2 and (q.x, q.y) < (best.x, best.y)):
-            best, best_d2 = q, d2
-    if best is None:
-        raise ContractViolation("polygon has no edge")
-    return best
-
-
 def min_envelope_on_segment(
     inst: Instance,
     edges: Sequence[EdgeRef],
@@ -508,6 +477,27 @@ def _min_envelope_on_triples(
         Fraction(y0 * best_den + best_num * dy, scale),
     )
     return t, Fraction(best_val, scale * scale)
+
+
+def _nearest_on_ring(
+    inst: Instance, site: EdgeRef, ring: Sequence[tuple[int, int, int]]
+) -> tuple[Point, Fraction]:
+    """Nearest point of a closed convex region to ``site``'s anchor, and its squared distance.
+
+    ``ring`` is the region's boundary, a strictly convex ccw ring of
+    homogeneous triples with W > 0. The anchor, as the triple (sx, sy, M) of
+    ``int_anchors``, is its own answer when no edge has it strictly on the
+    right. Otherwise the nearest point lies on the boundary, and it is the
+    best ``_min_envelope_on_triples`` over the edges; it is unique, so no
+    tie rule is needed.
+    """
+    M, rows = inst.int_anchors
+    s = (*rows[site.b][site.a], M)
+    edges = list(zip(ring, [*ring[1:], ring[0]]))
+    if all(orientation(p, q, s) >= 0 for p, q in edges):
+        return inst.anchor(site), Fraction(0)
+    values = (_min_envelope_on_triples(inst, (site,), p, q) for p, q in edges)
+    return min(values, key=lambda tv: tv[1])
 
 
 def _as_point(triple: tuple[int, int, int]) -> Point:

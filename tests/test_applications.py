@@ -1,12 +1,13 @@
 import dataclasses
 import hashlib
+import pathlib
 import random
 from fractions import Fraction
 
 import numpy as _np
 import pytest
 
-from botmatch import applications, diagram, matching
+from botmatch import applications, diagram, geom, matching
 from botmatch.applications import (
     CoverResult,
     Empty,
@@ -23,7 +24,7 @@ from botmatch.geom import (
     Instance,
     Point,
     _min_envelope_on_triples,
-    closest_point_in_polygon,
+    _nearest_on_ring,
     convex_polygon,
     point,
 )
@@ -31,6 +32,7 @@ from botmatch.oracle import grid_cover_radius, oracle_optimal_translation
 from path_reference import bottleneck_path as reference_path
 from path_reference import reference_arrangement, unreduced
 from query_units import query_units
+from translation_reference import closest_point_in_polygon
 from translation_reference import optimal_translation as reference_translation
 from translation_reference import walk_labels as reference_walk_labels
 
@@ -315,6 +317,62 @@ def _answers_digest(instances):
 def test_optimal_translation_answers_are_pinned():
     frames = [f for base in [*_pruning_families(), *_align_instances()] for f in _in_three_frames(base)]
     assert _answers_digest(frames) == _PINNED_ANSWERS
+
+
+def test_optimal_translation_builds_no_cell_polygon(monkeypatch):
+    def refuse(arr, cid):
+        raise AssertionError("a Fraction cell polygon was built")
+
+    monkeypatch.setattr(Arrangement, "cell_polygon", refuse)
+    frames = [f for base in [*_pruning_families(), *_align_instances()] for f in _in_three_frames(base)]
+    assert _answers_digest(frames) == _PINNED_ANSWERS
+    library = pathlib.Path(applications.__file__).parent
+    assert [p.name for p in library.glob("*.py") if "closest_point_in_polygon" in p.read_text()] == []
+
+
+def _site_kind(site, nearest, poly):
+    if nearest != site:
+        return "outside"
+    if site in poly.vertices:
+        return "vertex"
+    return "inside" if poly.contains_interior(site) else "edge"
+
+
+def test_nearest_on_ring_equals_the_polygon_reference(monkeypatch):
+    # every cell of every optimizer window, against each anchor a - b (the
+    # cell's own site among them); scaled by 10^9, some rings hold Python ints
+    envelopes = []
+    real = geom._min_envelope_on_triples
+
+    def envelope(inst, edges, s0, s1):
+        envelopes.append(s0)
+        return real(inst, edges, s0, s1)
+
+    monkeypatch.setattr(geom, "_min_envelope_on_triples", envelope)
+    kinds, wide = set(), []
+    S = 10**9
+    for base in _pruning_families():
+        big = _mk([(p.x * S, p.y * S) for p in base.A], [(p.x * S, p.y * S) for p in base.B])
+        for inst in (base, big):
+            upper = min(eval_E(inst, inst.anchor(e))[0] for e in inst.edges())
+            for window in applications._optimizer_windows(inst, upper):
+                _bis, arr = reduced_arrangement(inst, window=window)
+                if arr.vertex_triples().dtype == object:
+                    wide.append(inst is big)
+                for cid in range(arr.n_cells):
+                    ring = [arr.vertex_triple(v) for v in arr.cell_cycle(cid)]
+                    poly = arr.cell_polygon(cid)
+                    for e in inst.edges():
+                        site = inst.anchor(e)
+                        t = closest_point_in_polygon(site, poly)
+                        envelopes.clear()
+                        assert _nearest_on_ring(inst, e, ring) == (t, t.dist2(site))
+                        kinds.add(_site_kind(site, t, poly))
+                        # a site in the closed cell is its own answer; any
+                        # other is valued on every edge of the ring once
+                        assert sorted(envelopes) == ([] if t == site else sorted(ring))
+    assert set(kinds) == {"inside", "edge", "vertex", "outside"}, kinds
+    assert wide and all(wide)
 
 
 def test_a_cell_sample_where_two_sites_tie_for_the_top_is_refused(monkeypatch):

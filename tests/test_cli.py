@@ -587,6 +587,9 @@ def test_exit_codes(tmp_path, capsys):
         )
     assert run(["eval", ok, "--t", "0;0"]) == EXIT_INVALID
     assert run(["eval", str(tmp_path / "absent.json"), "--t", "0,0"]) == EXIT_INVALID
+    segment = _write(tmp_path, "segment.json", {"Q": [[0, 0], [5, 5]]})  # not full-dimensional
+    assert run(["cover", ok, "--polygon", segment]) == EXIT_INVALID
+    assert run(["oracle", "cover", ok, "--polygon", segment]) == EXIT_INVALID
     capsys.readouterr()
 
 

@@ -12,7 +12,6 @@ from botmatch.geom import (
     Instance,
     Point,
     bisector_line,
-    closest_point_in_polygon,
     convex_polygon,
     equivalence_classes,
     erode_polygon,
@@ -26,6 +25,7 @@ from botmatch.geom import (
     to_scalar,
 )
 from fraction_geometry import _halfplane_clip, canonical_convex
+from translation_reference import closest_point_in_polygon
 
 F = Fraction
 

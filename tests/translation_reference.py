@@ -6,16 +6,20 @@ builds the reduced arrangement of the whole box, which holds every pairwise
 crossing and every anchor, so the differential tests compare against code
 that shares no window. It labels its cells with ``walk_labels``, the walk
 that interleaves the breadth-first search with the labels, so it shares no
-walk tree with the library either.
+walk tree with the library either. Its cell step is ``closest_point_in_polygon``,
+the library's former nearest-point routine on ``Fraction`` polygons, kept
+here unchanged so that the reference shares no kernel with the library's
+integer ring scan (``geom._nearest_on_ring``).
 """
 
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as _np
 
 from botmatch.diagram import _crossed, _start_state, eval_E, reduced_arrangement
-from botmatch.geom import ContractViolation, Instance, Point, Scalar, closest_point_in_polygon
+from botmatch.geom import ContractViolation, ConvexPolygon, Instance, Point, Scalar
 from botmatch.matching import Matching
 
 
@@ -38,6 +42,37 @@ def _box_dist2(boxes: tuple[_np.ndarray, ...], x, y) -> _np.ndarray:
     dy *= dy
     dx += dy
     return dx
+
+
+def _closest_on_segment(p: Point, v: Point, w: Point) -> Point:
+    d = w - v
+    denom = d.norm2()
+    if denom == 0:
+        return v
+    lam = d.dot(p - v) / denom
+    if lam <= 0:
+        return v
+    if lam >= 1:
+        return w
+    return v + d.scale(lam)
+
+
+def closest_point_in_polygon(p: Point, poly: ConvexPolygon) -> Point:
+    """Exact nearest point of a convex region to ``p`` (p itself if inside)."""
+    if poly.contains(p):
+        return p
+    best: Point | None = None
+    best_d2: Fraction | None = None
+    if len(poly.vertices) == 1:
+        return poly.vertices[0]
+    for v, w in poly.edges():
+        q = _closest_on_segment(p, v, w)
+        d2 = p.dist2(q)
+        if best_d2 is None or d2 < best_d2 or (d2 == best_d2 and (q.x, q.y) < (best.x, best.y)):
+            best, best_d2 = q, d2
+    if best is None:
+        raise ContractViolation("polygon has no edge")
+    return best
 
 
 _OUTSIDE = object()  # walk marker: a cell the walk must not enter

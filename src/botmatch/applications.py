@@ -84,7 +84,11 @@ class CoverResult:
 
 
 def _certified_upper(x: Scalar) -> float:
-    return float(x) * (1 + 1e-9) + 1e-12
+    """A float at least x; infinite, and so pruning nothing, past float range."""
+    try:
+        return float(x) * (1 + 1e-9) + 1e-12
+    except OverflowError:
+        return math.inf
 
 
 def _certified_lower(x: _np.ndarray) -> _np.ndarray:
@@ -98,9 +102,10 @@ def _box_dist2(boxes: tuple[_np.ndarray, ...], x, y) -> _np.ndarray:
     dy = _np.maximum(y0 - y, y - y1)
     _np.maximum(dx, 0.0, out=dx)
     _np.maximum(dy, 0.0, out=dy)
-    dx *= dx
-    dy *= dy
-    dx += dy
+    with _np.errstate(over="ignore"):  # an infinite distance is still a lower bound
+        dx *= dx
+        dy *= dy
+        dx += dy
     return dx
 
 
@@ -272,12 +277,15 @@ def _dense_ranks(num: _np.ndarray, den: _np.ndarray) -> _np.ndarray:
     """Dense ranks of the exact values num / den, den > 0: equal values, equal ranks.
 
     Python int / int is correctly rounded, so the float key is monotone in
-    the exact value and orders every two values it tells apart. Only runs of
-    equal keys are settled exactly: every member is checked against its
-    run's first in one vectorised step, and a run that does not tie
+    the exact value and orders every two values it tells apart. Every den is
+    scaled by one shared power of two, sized from the largest gap between
+    the bit lengths of num and den, so that no key passes float range. Only
+    runs of equal keys are settled exactly: every member is checked against
+    its run's first in one vectorised step, and a run that does not tie
     throughout is sorted by cross-multiplication.
     """
-    key = (num / den).astype(_np.float64)
+    gap = max((n.bit_length() - d.bit_length() for n, d in zip(num.tolist(), den.tolist())), default=0)
+    key = (num / (den << max(0, gap - 1000))).astype(_np.float64)
     order = _np.argsort(key, kind="stable")
     key = key[order]
     new = _np.ones(len(key), dtype=bool)

@@ -301,26 +301,13 @@ def _box_from_candidates(
 
     Sides are nudged outward until none coincides with an input line.
     """
-    lo_x: list[int] = []
-    hi_x: list[int] = []
-    lo_y: list[int] = []
-    hi_y: list[int] = []
+    xs = [v for p in extras for v in (math.floor(p.x), math.ceil(p.x))]
+    ys = [v for p in extras for v in (math.floor(p.y), math.ceil(p.y))]
     if crossing_bounds is not None:
-        bx0, bx1, by0, by1 = crossing_bounds
-        lo_x.append(bx0)
-        hi_x.append(bx1)
-        lo_y.append(by0)
-        hi_y.append(by1)
-    for p in extras:
-        lo_x.append(math.floor(p.x))
-        hi_x.append(math.ceil(p.x))
-        lo_y.append(math.floor(p.y))
-        hi_y.append(math.ceil(p.y))
-    if not lo_x:
-        lo_x = hi_x = [0]
-        lo_y = hi_y = [0]
-    x0, x1 = min(lo_x) - 1, max(hi_x) + 1
-    y0, y1 = min(lo_y) - 1, max(hi_y) + 1
+        xs += crossing_bounds[:2]
+        ys += crossing_bounds[2:]
+    x0, x1 = min(xs, default=0) - 1, max(xs, default=0) + 1
+    y0, y1 = min(ys, default=0) - 1, max(ys, default=0) + 1
     while (1, 0, x0) in trip_set:
         x0 -= 1
     while (1, 0, x1) in trip_set:
@@ -599,9 +586,6 @@ class Arrangement:
         e, odd = divmod(h, 2)
         return int(self._ev[e]) if odd else int(self._eu[e])
 
-    def _he_line(self, h: int) -> int:
-        return int(self._eline[h // 2])
-
     def cell_polygon(self, cid: int) -> ConvexPolygon:
         """The cell's corners, ccw from its lex-min vertex.
 
@@ -760,6 +744,13 @@ class Arrangement:
     # --- point location --------------------------------------------------
 
     def locate(self, t: Point) -> FaceRef:
+        """The face whose relative interior holds t, read off t's side of every line.
+
+        t is strictly right of half-edge h when sign(h) * side(line(h)) < 0,
+        with sign +1 for 2e and -1 for 2e + 1, and a cell holds t in its
+        closure when no half-edge of it has t on its right. Unless one cell
+        holds t strictly inside, t is on the first holding cell's one edge.
+        """
         x0, y0, x1, y1 = self.box
         if not (x0 <= t.x <= x1 and y0 <= t.y <= y1):
             raise OutsideBox(f"{t} outside box {self.box}")
@@ -767,46 +758,18 @@ class Arrangement:
         vid = self._find_vertex(X, Y, W)
         if vid is not None:
             return FaceRef(0, vid)
-        signs = [
-            (1 if s > 0 else (-1 if s < 0 else 0))
-            for s in (a * X + b * Y - c * W for a, b, c in self._trips_all)
-        ]
-        zeros = [l for l, s in enumerate(signs) if s == 0]
-        if len(zeros) > 1:
-            raise ContractViolation("multi-line point must be a vertex")
-        cur = 0
-        steps = 0
-        while True:
-            steps += 1
-            if steps > self.n_lines + 6:
-                raise ContractViolation("point-location walk must terminate")
-            moved = False
-            for h in self._cell_hes(cur):
-                sig = -1 if h & 1 else 1
-                if sig * signs[self._he_line(h)] < 0:
-                    nf = int(self._face[h ^ 1])
-                    nxt_cell = int(self._cell_of_face[nf])
-                    if nxt_cell < 0:
-                        raise ContractViolation("walk stays inside the box")
-                    cur = nxt_cell
-                    moved = True
-                    break
-            if not moved:
-                break
-        if zeros:
-            l0 = zeros[0]
-            d = self.dirs_all[l0]
-            lam_t = _lam((X, Y, W), d)
-            for h in self._cell_hes(cur):
-                if self._he_line(h) != l0:
-                    continue
-                e = h // 2
-                lu = _lam(self.vertex_triple(int(self._eu[e])), d)
-                lv = _lam(self.vertex_triple(int(self._ev[e])), d)
-                if _cmp_theta(lu, lam_t) < 0 < _cmp_theta(lv, lam_t):
-                    return FaceRef(1, e)
-            raise ContractViolation("on-line point must lie on an edge of its cell")
-        return FaceRef(2, cur)
+        sides = (a * X + b * Y - c * W for a, b, c in self._trips_all)
+        he_side = _np.outer([(s > 0) - (s < 0) for s in sides], (1, -1))[self._eline].ravel()
+        he_cell = self._cell_of_face[self._face]
+        fails = _np.zeros(self.n_cells + 1, dtype=bool)  # the outer face's -1 is the last slot
+        fails[he_cell[he_side < 0]] = True
+        holding = _np.flatnonzero(~fails[:-1])
+        on = _np.flatnonzero(_np.isin(he_cell, holding[:1]) & (he_side == 0))
+        if len(holding) == 1 and len(on) == 0:
+            return FaceRef(2, int(holding[0]))
+        if len(on) != 1:
+            raise ContractViolation("a point of the box lies in one cell or on one edge")
+        return FaceRef(1, int(on[0]) // 2)
 
 
 def build_arrangement(

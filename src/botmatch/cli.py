@@ -8,7 +8,8 @@ implementations to the test harness.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 over budget.
 All exact values are serialized as "p/q" strings next to float
-approximations; parsing those strings returns the identical rational.
+approximations, null past float range; parsing those strings returns the
+identical rational.
 """
 
 from __future__ import annotations
@@ -62,7 +63,10 @@ def parse_scalar(raw: Any) -> Scalar:
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, str) and _RATIONAL.match(raw):
-        return Fraction(raw)
+        try:
+            return Fraction(raw)
+        except ValueError as err:  # past Python's int-string digit limit
+            raise InputError(f"cannot read a {len(raw)}-character coordinate: {err}") from err
     raise InputError(f"not an integer or p/q string: {raw!r}")
 
 
@@ -120,7 +124,7 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an int past the digit limit
         raise InputError(f"{path} is not valid JSON: {err}") from err
 
 
@@ -131,8 +135,16 @@ def _point_json(p: Point) -> list[str]:
     return [format_scalar(p.x), format_scalar(p.y)]
 
 
-def _point_approx(p: Point) -> list[float]:
-    return [float(p.x), float(p.y)]
+def _approx(x: Scalar) -> float | None:
+    """float(x), or None (JSON null) when x is past float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
+
+
+def _point_approx(p: Point) -> list[float | None]:
+    return [_approx(p.x), _approx(p.y)]
 
 
 def _matching_json(mu: Matching) -> list[list[int]]:
@@ -251,7 +263,7 @@ def _cmd_match(args) -> int:
             "t": _point_json(t),
             "t_approx": _point_approx(t),
             "value": format_scalar(value),
-            "approx": float(value),
+            "approx": _approx(value),
             "matching": _matching_json(mu),
         },
         args.out,
@@ -267,7 +279,7 @@ def _cmd_path(args) -> int:
     _emit(
         {
             "value": format_scalar(res.value),
-            "approx": float(res.value),
+            "approx": _approx(res.value),
             "polyline": [_point_json(p) for p in res.polyline],
             "polyline_approx": [_point_approx(p) for p in res.polyline],
             "vertex_values": [format_scalar(v) for v in res.vertex_values],
@@ -290,7 +302,7 @@ def _cmd_cover(args) -> int:
         {
             "empty": False,
             "value": format_scalar(res.value),
-            "approx": float(res.value),
+            "approx": _approx(res.value),
             "witness": _point_json(res.witness),
             "witness_approx": _point_approx(res.witness),
             "region": [_point_json(v) for v in res.region.vertices],
@@ -307,7 +319,7 @@ def _cmd_eval(args) -> int:
     _emit(
         {
             "value": format_scalar(value),
-            "approx": float(value),
+            "approx": _approx(value),
             "t": _point_json(t),
             "matching": _matching_json(mu),
         },
@@ -326,28 +338,28 @@ def _cmd_oracle(args) -> int:
         value, mu = brute_force_E(inst, _parse_xy(args.t))
         result = {
             "value": format_scalar(value),
-            "approx": float(value),
+            "approx": _approx(value),
             "matching": _matching_json(mu),
         }
     elif args.subop == "lex":
         vec = brute_force_lex(inst, _parse_xy(args.t))
         result = {
             "vector": [format_scalar(v) for v in vec],
-            "approx": [float(v) for v in vec],
+            "approx": [_approx(v) for v in vec],
         }
     elif args.subop == "match":
         t, value = oracle_optimal_translation(inst)
         result = {
             "t": _point_json(t),
             "value": format_scalar(value),
-            "approx": float(value),
+            "approx": _approx(value),
         }
     else:
         if args.subop != "cover":
             raise ContractViolation(f"unknown oracle subcommand {args.subop}")
         Q = parse_polygon(_load_json(args.polygon))
         value = grid_cover_radius(inst, Q, args.resolution)
-        result = {"value": format_scalar(value), "approx": float(value)}
+        result = {"value": format_scalar(value), "approx": _approx(value)}
     _emit(result, args.out)
     return EXIT_OK
 

@@ -563,11 +563,11 @@ def test_locate_outside_box_raises():
         arr.locate(point(0, y0 - Fraction(1, 7)))
 
 
-def test_face_samples_locate_to_their_face():
-    _, arr = _tiny_arrangement()
-    for ref in arr.iter_faces():
-        s = arr.face_sample(ref)
-        assert arr.locate(s) == ref
+def test_face_samples_locate_to_their_face(monkeypatch):
+    # box corners and box-side edges included
+    for arr in [_tiny_arrangement()[1], *_varied_arrangements(monkeypatch)]:
+        for ref in arr.iter_faces():
+            assert arr.locate(arr.face_sample(ref)) == ref
 
 
 # --- integer widths ---------------------------------------------------------
@@ -944,7 +944,8 @@ def _assert_faces_match_walk(arr):
     assert arr._cell_start_he.tolist() == [h for f, h in enumerate(starts) if cof[f] >= 0]
 
 
-def test_face_cycles_match_the_walk(monkeypatch):
+def _varied_arrangements(monkeypatch):
+    """Empty, parallel, concurrent, windowed, past-int64, Python-int and lattice builds."""
     rng = random.Random(1_3201)
     built = [
         build_arrangement([]),
@@ -963,5 +964,9 @@ def test_face_cycles_match_the_walk(monkeypatch):
     lattice = _mk([(x, y) for x in range(3) for y in range(3)], [(0, 0), (1, 0), (0, 1)])
     built.append(build_arrangement([b.line for b in all_bisectors(lattice)]))
     assert {a._uniq.dtype for a in built} == {_np.dtype("int64"), _np.dtype(object)}
-    for arr in built:
+    return built
+
+
+def test_face_cycles_match_the_walk(monkeypatch):
+    for arr in _varied_arrangements(monkeypatch):
         _assert_faces_match_walk(arr)

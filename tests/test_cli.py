@@ -19,7 +19,8 @@ from botmatch.cli import (
 )
 from botmatch import diagram
 from botmatch.diagram import LabeledDiagram, build_diagram
-from botmatch.geom import Instance, point
+from botmatch.applications import bottleneck_path, cover_radius, optimal_translation
+from botmatch.geom import ConvexPolygon, Instance, point
 
 
 def _pts(coords):
@@ -586,11 +587,53 @@ def test_exit_codes(tmp_path, capsys):
             EXIT_INVALID
         )
     assert run(["eval", ok, "--t", "0;0"]) == EXIT_INVALID
+    # integers past Python's 4,300-digit int-string limit
+    digits = "9" * 5000
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"A": [[0, 0], [1, %s]], "B": [[0, 0]]}' % digits)
+    assert run(["eval", str(long_int), "--t", "0,0"]) == EXIT_INVALID
+    long_str = tmp_path / "long_str.json"
+    long_str.write_text('{"A": [[0, 0], [1, "%s/7"]], "B": [[0, 0]]}' % digits)
+    assert run(["eval", str(long_str), "--t", "0,0"]) == EXIT_INVALID
+    assert run(["eval", ok, "--t", f"{digits},0"]) == EXIT_INVALID
     assert run(["eval", str(tmp_path / "absent.json"), "--t", "0,0"]) == EXIT_INVALID
     segment = _write(tmp_path, "segment.json", {"Q": [[0, 0], [5, 5]]})  # not full-dimensional
     assert run(["cover", ok, "--polygon", segment]) == EXIT_INVALID
     assert run(["oracle", "cover", ok, "--polygon", segment]) == EXIT_INVALID
     capsys.readouterr()
+
+
+def test_values_past_float_range_stay_exact(tmp_path, capsys):
+    # Scaled by 10**160, squared values pass 2**1024: the float prefilters
+    # must not raise, and the answers are the unscaled ones, scaled.
+    A, B = [(0, 0), (3, 1), (1, 4), (5, 5)], [(0, 0), (2, 2)]
+    S = 10**160
+    small, big = _mk(A, B), _mk([(x * S, y * S) for x, y in A], [(x * S, y * S) for x, y in B])
+
+    def square(s):
+        return [[-6 * s, -6 * s], [9 * s, -6 * s], [9 * s, 9 * s], [-6 * s, 9 * s]]
+
+    (t, mu, value), (big_t, big_mu, big_value) = optimal_translation(small), optimal_translation(big)
+    assert (big_t, big_mu, big_value) == (point(t.x * S, t.y * S), mu, value * S * S)
+    path = bottleneck_path(small, point(-3, 2), point(5, -1))
+    big_path = bottleneck_path(big, point(-3 * S, 2 * S), point(5 * S, -S))
+    assert big_path.value == path.value * S * S
+    cover = cover_radius(small, ConvexPolygon(_pts(square(1))))
+    big_cover = cover_radius(big, ConvexPolygon(_pts(square(S))))
+    assert big_cover.value == cover.value * S * S
+    assert big_cover.witness == point(cover.witness.x * S, cover.witness.y * S)
+
+    inst = _write(tmp_path, "big.json", instance_to_json(big))
+    poly = _write(tmp_path, "q.json", {"Q": square(S)})
+    for argv in (
+        ["match", inst],
+        ["eval", inst, "--t", "0,0"],
+        ["path", inst, "--from", f"{-3 * S},{2 * S}", "--to", f"{5 * S},{-S}"],
+        ["cover", inst, "--polygon", poly],
+    ):
+        capsys.readouterr()
+        assert run(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["approx"] is None
 
 
 def test_oracle_budget_exit(tmp_path, capsys):

@@ -15,7 +15,7 @@ from botmatch.arrangement import (
     build_arrangement,
     used_bisectors,
 )
-from botmatch import diagram
+from botmatch import applications, diagram
 from botmatch.diagram import (
     LabeledDiagram,
     LexLabel,
@@ -28,7 +28,7 @@ from botmatch.diagram import (
     reduced_arrangement,
 )
 from botmatch.geom import EdgeRef, Instance, Point, point
-from botmatch.matching import ContractViolation, lex_assignments
+from botmatch.matching import ContractViolation, lex_assignments, prune_candidates
 from botmatch.oracle import brute_force_E, brute_force_lex, brute_force_lex_matchings
 from lex_reference import reference_lex_labels
 from translation_reference import walk_labels as reference_walk_labels
@@ -367,6 +367,35 @@ def test_walk_labels_are_pinned():
         for label in label_cells_incremental(inst, arr, bis).cells:
             digest.update(repr(label).encode() + b"\n")
     assert digest.hexdigest() == "df816603a07ac2acbf9bb1f69419d0d944aa81acd48e34d6c800a21722c612c8"
+
+
+def test_walked_graph_is_the_pruned_graph_of_every_cell():
+    # The walk carries one candidate graph across crossings and never prunes
+    # again; at every cell it must equal a fresh prune at the cell's sample.
+    from test_applications import _pruning_families
+
+    builds = [(inst, *reduced_arrangement(inst)) for inst in _walk_pin_families()]
+    for inst in [*_walk_pin_families(), *_pruning_families()]:
+        upper = min(eval_E(inst, inst.anchor(e))[0] for e in inst.edges())
+        for window in applications._optimizer_windows(inst, 4 * upper + 4):
+            builds.append((inst, *reduced_arrangement(inst, window=window)))
+    multi = 0  # state-changing crossings of a line that ties several class pairs
+    for inst, bis, arr in builds:
+        states = {}
+        for c, parent, eid in diagram._walk_tree(arr, range(arr.n_cells))[0]:
+            if parent < 0:
+                st = diagram._start_state(inst, arr, c)
+            else:
+                bisector = bis[arr.edge_line(eid)]
+                st = diagram._crossed(states[parent], bisector)
+                key = st.G.class_key
+                classes = {frozenset((key(e1), key(e2))) for e1, e2 in bisector.edge_pairs}
+                multi += st is not states[parent] and len(classes) > 1
+            states[c] = st
+            fresh = prune_candidates(inst, arr.face_sample(FaceRef(2, c)))
+            assert [set(level) for level in st.G.levels] == [set(level) for level in fresh.levels]
+            assert st.G.members == fresh.members
+    assert multi > 0
 
 
 def test_alignment_mismatch_rejected():

@@ -48,7 +48,6 @@ from .geom import (
     equivalence_classes,
     erode_polygon,
     instance,
-    min_envelope_on_segment,
     point,
     squared_edge_length,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "label_faces_lex",
     "lex_bottleneck_matching",
     "max_matching",
-    "min_envelope_on_segment",
     "optimal_translation",
     "oracle_optimal_translation",
     "point",

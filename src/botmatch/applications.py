@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Sequence
 
 import numpy as _np
 
@@ -28,15 +27,16 @@ from .diagram import (
 from .geom import (
     ContractViolation,
     ConvexPolygon,
-    EdgeRef,
     Instance,
     Point,
     Scalar,
     _as_point,
     _clip_ring,
     _erosion_halfplanes,
-    _min_envelope_on_triples,
+    _float_quotients,
     _nearest_on_ring,
+    _segment_costs,
+    _segment_point,
     erode_polygon,
 )
 from .matching import Matching
@@ -107,6 +107,16 @@ def _box_dist2(boxes: tuple[_np.ndarray, ...], x, y) -> _np.ndarray:
         dy *= dy
         dx += dy
     return dx
+
+
+def _cell_boxes(arr) -> tuple[_np.ndarray, ...] | None:
+    """Each cell's float bounding box, padded to hold the exact one; None past float range."""
+    try:
+        bounds = arr.cell_bounds_float()
+    except OverflowError:
+        return None
+    pad = 1e-7 * (float(_np.abs(bounds).max()) + 1.0)
+    return bounds[:, 0] - pad, bounds[:, 1] - pad, bounds[:, 2] + pad, bounds[:, 3] + pad
 
 
 def _window(x0: Scalar, y0: Scalar, x1: Scalar, y1: Scalar) -> tuple[int, int, int, int]:
@@ -183,23 +193,29 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
     cell's best point is the cell's nearest point to that site:
     ``_nearest_on_ring`` finds it on the cell's ring of integer vertex
     triples, as the site itself when no edge has it on its outer side, and
-    else as the best point of the per-edge envelope. Only
-    cells that can hold an optimum get a site: the max-min bound max_b min_a
-    |t - (a - b)|^2 never exceeds the bottleneck value, so a cell whose
-    bounding box keeps that bound above U holds no optimizer. The lex core
-    (``_lex_cell_labels``) gives the surviving cells their sites at once, as
-    the longest edge of a lex-bottleneck matching at each cell's sample. The
-    cells are scanned in order of a certified lower bound (site distance to
-    the cell's bounding box) and the scan stops as soon as the bound exceeds
-    the incumbent; exact ties are never pruned, and the smallest (x, y)
-    optimizer over all windows wins. The returned matching is the walk's
-    label of the winning cell (``_walk_labels`` over the window's surviving
-    cells), folded along that cell's tree path alone (``_walk_label_of``).
+    else as the best of the ring edges' nearest points, all from one
+    ``_segment_costs`` call. Only cells that can hold an optimum get a site:
+    the max-min bound max_b min_a |t - (a - b)|^2 never exceeds the
+    bottleneck value, so a cell whose bounding box keeps that bound above U
+    holds no optimizer. The lex core (``_lex_cell_labels``) gives the
+    surviving cells their sites at once, as the longest edge of a
+    lex-bottleneck matching at each cell's sample. The cells are scanned in
+    order of a certified lower bound (site distance to the cell's bounding
+    box) and the scan stops as soon as the bound exceeds the incumbent; exact
+    ties are never pruned, and the smallest (x, y) optimizer over all
+    windows wins. The returned matching is the walk's label of the winning
+    cell (``_walk_labels`` over the window's surviving cells), folded along
+    that cell's tree path alone (``_walk_label_of``). Past float range no
+    float bound is taken: every cell survives, with a lower bound of 0, and
+    the exact scan decides alone.
     """
     value_at_anchors = min(eval_E(inst, inst.anchor(e))[0] for e in inst.edges())
     upper = _certified_upper(value_at_anchors)
-    # Float sites: int / int is correctly rounded, so axm / M == float(site.x).
     M, anchors = inst.int_anchors
+    try:  # int / int is correctly rounded, so axm / M == float(site.x)
+        fsites = [[(axm / M, aym / M) for axm, aym in row] for row in anchors]
+    except OverflowError:
+        fsites = None
     best_val: Scalar | None = None
     best_t: Point | None = None
     best_cell = None  # (arrangement, bisectors, surviving cells, cell) of best_t
@@ -207,23 +223,22 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
     every = all_bisectors(inst)
     for window in _optimizer_windows(inst, value_at_anchors):
         bis, arr = reduced_arrangement(inst, window=window, bisectors=every)
-        bounds = arr.cell_bounds_float()
-        pad = 1e-7 * (float(_np.abs(bounds).max()) + 1.0)
-        boxes = (bounds[:, 0] - pad, bounds[:, 1] - pad, bounds[:, 2] + pad, bounds[:, 3] + pad)
+        boxes = None if fsites is None else _cell_boxes(arr)
         # A cell survives when every b keeps min_a of its box bound within the
         # incumbent; each b only looks at the cells the earlier ones kept.
         alive = _np.arange(arr.n_cells)
-        for b in range(inst.k):
+        for row in fsites if boxes is not None else ():
             kept = tuple(side[alive] for side in boxes)
             nearest = _np.full(len(alive), _np.inf)
-            for axm, aym in anchors[b]:
-                _np.minimum(nearest, _box_dist2(kept, axm / M, aym / M), out=nearest)
+            for x, y in row:
+                _np.minimum(nearest, _box_dist2(kept, x, y), out=nearest)
             alive = alive[_certified_lower(nearest) <= upper]
         cells = alive.tolist()
         longest = [label.longest for label in _lex_cell_labels(inst, arr, alive)]
-        ax = _np.array([anchors[e.b][e.a][0] / M for e in longest])
-        ay = _np.array([anchors[e.b][e.a][1] / M for e in longest])
-        lower = _certified_lower(_box_dist2(tuple(side[alive] for side in boxes), ax, ay))
+        lower = _np.zeros(len(cells))
+        if boxes is not None:
+            x, y = _np.array([fsites[e.b][e.a] for e in longest]).reshape(-1, 2).T
+            lower = _certified_lower(_box_dist2(tuple(side[alive] for side in boxes), x, y))
 
         for i in map(int, _np.argsort(lower, kind="stable")):
             if lower[i] > best_hi:
@@ -249,43 +264,16 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
 # -- bottleneck path --------------------------------------------------------------
 
 
-def _segment_costs(
-    inst: Instance, sites: Sequence[EdgeRef], s0: _np.ndarray, s1: _np.ndarray
-) -> tuple[_np.ndarray, _np.ndarray]:
-    """Min over t on segment i of |t - anchor(sites[i])|^2, for every i at once.
-
-    ``s0`` and ``s1`` hold the segment ends as (E, 3) homogeneous triples,
-    W > 0. Returns exact values num / den, den > 0, as ``object`` arrays of
-    Python ints. With a = s0 - site and b = s1 - site, the minimum is |a|^2
-    when a.(b - a) >= 0, |b|^2 when b.(b - a) <= 0, and else the squared
-    distance to the segment's line, (a x b)^2 / |b - a|^2. Each of a and b is
-    scaled by M and its own W, and b - a by W0 W1 M.
-    """
-    M, rows = inst.int_anchors
-    px, py = _np.array([rows[e.b][e.a] for e in sites], dtype=object).reshape(-1, 2).T
-    (X0, Y0, W0), (X1, Y1, W1) = s0.astype(object).T, s1.astype(object).T
-    ax, ay = X0 * M - px * W0, Y0 * M - py * W0
-    bx, by = X1 * M - px * W1, Y1 * M - py * W1
-    dx, dy = bx * W0 - ax * W1, by * W0 - ay * W1
-    at0, at1 = ax * dx + ay * dy >= 0, bx * dx + by * dy <= 0
-    num = _np.where(at0, ax * ax + ay * ay, _np.where(at1, bx * bx + by * by, (ax * by - ay * bx) ** 2))
-    den = _np.where(at0, W0 * W0, _np.where(at1, W1 * W1, dx * dx + dy * dy)) * (M * M)
-    return num, den
-
-
 def _dense_ranks(num: _np.ndarray, den: _np.ndarray) -> _np.ndarray:
     """Dense ranks of the exact values num / den, den > 0: equal values, equal ranks.
 
-    Python int / int is correctly rounded, so the float key is monotone in
-    the exact value and orders every two values it tells apart. Every den is
-    scaled by one shared power of two, sized from the largest gap between
-    the bit lengths of num and den, so that no key passes float range. Only
-    runs of equal keys are settled exactly: every member is checked against
-    its run's first in one vectorised step, and a run that does not tie
-    throughout is sorted by cross-multiplication.
+    The float key (``_float_quotients``) is weakly monotone in the exact
+    value and never passes float range, so it orders every two values it
+    tells apart. Only runs of equal keys are settled exactly: every member
+    is checked against its run's first in one vectorised step, and a run
+    that does not tie throughout is sorted by cross-multiplication.
     """
-    gap = max((n.bit_length() - d.bit_length() for n, d in zip(num.tolist(), den.tolist())), default=0)
-    key = (num / (den << max(0, gap - 1000))).astype(_np.float64)
+    [key] = _float_quotients(den, num)
     order = _np.argsort(key, kind="stable")
     key = key[order]
     new = _np.ones(len(key), dtype=bool)
@@ -318,7 +306,7 @@ def bottleneck_path(inst: Instance, t0: Point, t1: Point) -> PathResult:
     One lex-core call (``_lex_cell_labels``) gives every window cell its site
     s, and on the closed cell the bottleneck value is |t - s|^2. Crossing an
     edge costs the minimum of that along the edge. E is continuous, so both
-    cells beside an edge give it the same cost, and one vectorised pass
+    cells beside an edge give it the same cost, and one pass
     (``_segment_costs``) costs every interior edge once, exactly.
 
     A minimax path depends only on the order of the edge costs, so the
@@ -326,11 +314,12 @@ def bottleneck_path(inst: Instance, t0: Point, t1: Point) -> PathResult:
     their dense ranks (``_dense_ranks``): equal costs share a rank, so every
     comparison, and every tie broken by push order, is the one the exact
     costs would give. The start cells' key lies below every rank, as the
-    value 0 does below or at every cost. Only the edges walked back get
-    their minimizer and value, from ``_min_envelope_on_triples`` on the site
-    of the cell left; each must equal the ranked cost. The cost is strictly
-    convex on the edge, so its minimizer is unique. Each crossing lies in the
-    closed cell it left, so its ``eval_E`` value must equal its edge's cost.
+    value 0 does below or at every cost. Each edge walked back is crossed at
+    its unique minimizer p, at lam along it, from the same cost pass. With s
+    the site of the cell left and d the edge's direction, an exact
+    first-order certificate checks (p - s).d >= 0 at lam = 0, <= 0 at
+    lam = 1 and = 0 in between, and ``eval_E`` at p, in the closed cell,
+    must equal the ranked cost: so that cost is the edge's least value.
     """
     e0, mu0 = eval_E(inst, t0)
     v_straight = max(e0, max(t1.dist2(inst.anchor(e)) for e in mu0))
@@ -350,8 +339,9 @@ def bottleneck_path(inst: Instance, t0: Point, t1: Point) -> PathResult:
     below = src < nbr
     inner, left = eid[below], src[below].tolist()
     triples, (eu, ev) = arr.vertex_triples(), arr.edge_ends()
-    num, den = _segment_costs(inst, [sites[c] for c in left], triples[eu[inner]], triples[ev[inner]])
-    at = _np.zeros(arr.n_edges, dtype=_np.int64)  # interior edge -> its row of num, den
+    s0, s1 = triples[eu[inner]], triples[ev[inner]]
+    num, den, lnum, lden = _segment_costs(inst, [sites[c] for c in left], s0, s1)
+    at = _np.zeros(arr.n_edges, dtype=_np.int64)  # interior edge -> its row of the cost pass
     at[inner] = _np.arange(len(inner))
     rank = memoryview(_dense_ranks(num, den)[at[eid]])  # per CSR entry
     ptr, nbr, eid = map(memoryview, (ptr, nbr, eid))
@@ -393,11 +383,14 @@ def bottleneck_path(inst: Instance, t0: Point, t1: Point) -> PathResult:
     c = end_cell
     while came[c] is not None:
         c, e = came[c]
-        ends = map(arr.vertex_triple, arr.edge_endpoints(e))
-        p, w = _min_envelope_on_triples(inst, (sites[c],), *ends)
-        if w != Fraction(num[at[e]], den[at[e]]):
-            raise ContractViolation("a walked edge's value is not its ranked cost")
-        walked.append((p, w))
+        j = at[e]
+        u, v, lam = s0[j].tolist(), s1[j].tolist(), Fraction(lnum[j], lden[j])
+        p = _segment_point(u, v, lnum[j], lden[j])
+        # first order: |t - s|^2 grows from p along the edge, s the site of the cell left
+        g = (p - inst.anchor(sites[c])).dot(_as_point(v) - _as_point(u))
+        if not 0 <= lam <= 1 or (lam > 0 and g > 0) or (lam < 1 and g < 0):
+            raise ContractViolation("a walked edge's crossing is not its least point")
+        walked.append((p, Fraction(num[j], den[j])))
     # consecutive crossed edges can share their minimizer at a common vertex
     crossings: list[Point] = []
     for p, _w in reversed(walked):

@@ -27,6 +27,7 @@ from .geom import (
     Line,
     Point,
     _as_point,
+    _float_quotients,
     _ring_polygon,
     bisector_line,
     homogeneous,
@@ -406,6 +407,8 @@ def _geometry(
     exact order can at worst become a float tie, which the repair resolves.
     On int64, ``_COEF_LIMIT`` keeps the crossing coordinates below 2**53,
     where the conversion to float is exact and the same argument holds.
+    Past float range, ``_float_quotients``' shared powers of two keep every
+    vertex and direction, and so every key, finite and in order.
 
     Returns (vertices, row_line, row_vid, box): the distinct
     vertex triples sorted by (x, y, w), and the line-major rows of
@@ -444,10 +447,9 @@ def _geometry(
     inv[by_xyw] = _np.cumsum(first) - 1
     row_line = _np.concatenate([I, J])
     row_vid = _np.concatenate([inv, inv])
-    fx = _np.asarray(uniq[:, 0] / uniq[:, 2], dtype=_np.float64)
-    fy = _np.asarray(uniq[:, 1] / uniq[:, 2], dtype=_np.float64)
-    dxf = _np.array([d[0] for d in dirs_all], dtype=float)
-    dyf = _np.array([d[1] for d in dirs_all], dtype=float)
+    fx, fy = _float_quotients(uniq[:, 2], uniq[:, 0], uniq[:, 1])
+    dirs = _np.array(dirs_all, dtype=object)
+    dxf, dyf = _float_quotients(_np.ones(len(dirs), dtype=object), dirs[:, 0], dirs[:, 1])
     lam = dxf[row_line] * fx[row_vid] + dyf[row_line] * fy[row_vid]
     order = _np.lexsort((lam, row_line))
     row_line = row_line[order]
@@ -669,8 +671,13 @@ class Arrangement:
         self.__dict__["_cell_samples"] = samples[: self.n_cells]
         return samples
 
+    @functools.cached_property
+    def _he_cell(self) -> _np.ndarray:
+        """Half-edge -> cell, -1 for the outer face, as one read-only array."""
+        return _readonly(self._cell_of_face[self._face])
+
     def cell_bounds_float(self) -> _np.ndarray:
-        """(n_cells, 4) float array [min x, min y, max x, max y] per cell."""
+        """(n_cells, 4) float array [min x, min y, max x, max y] per cell; OverflowError past float range."""
         bounds = _np.empty((self.n_cells, 4), dtype=_np.float64)
         vx = _np.asarray(self._uniq[:, 0] / self._uniq[:, 2], dtype=_np.float64)
         vy = _np.asarray(self._uniq[:, 1] / self._uniq[:, 2], dtype=_np.float64)
@@ -678,7 +685,7 @@ class Arrangement:
         vids = _np.empty(2 * E, dtype=_np.int64)
         vids[0::2] = self._eu
         vids[1::2] = self._ev
-        cells = self._cell_of_face[self._face]
+        cells = self._he_cell
         keep = cells >= 0
         cells = cells[keep]
         hx = vx[vids[keep]]
@@ -738,7 +745,7 @@ class Arrangement:
         else:
             eids = _np.flatnonzero((self._eu == ref.index) | (self._ev == ref.index))
         hes = _np.concatenate([2 * eids, 2 * eids + 1])
-        cells = self._cell_of_face[self._face[hes]]
+        cells = self._he_cell[hes]
         return sorted({int(c) for c in cells if c >= 0})
 
     # --- point location --------------------------------------------------
@@ -760,7 +767,7 @@ class Arrangement:
             return FaceRef(0, vid)
         sides = (a * X + b * Y - c * W for a, b, c in self._trips_all)
         he_side = _np.outer([(s > 0) - (s < 0) for s in sides], (1, -1))[self._eline].ravel()
-        he_cell = self._cell_of_face[self._face]
+        he_cell = self._he_cell
         fails = _np.zeros(self.n_cells + 1, dtype=bool)  # the outer face's -1 is the last slot
         fails[he_cell[he_side < 0]] = True
         holding = _np.flatnonzero(~fails[:-1])

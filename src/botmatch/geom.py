@@ -25,6 +25,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
+import numpy as _np
+
 Scalar = Fraction
 
 ScalarLike = Union[int, str, Fraction]
@@ -407,76 +409,51 @@ def _on_segment(p: Point, v: Point, w: Point) -> bool:
     return 0 <= lam <= d.norm2()
 
 
-def min_envelope_on_segment(
-    inst: Instance,
-    edges: Sequence[EdgeRef],
-    seg: tuple[Point, Point],
-) -> tuple[Point, Fraction]:
-    """Minimize max squared edge length over a segment of translations.
+def _segment_costs(
+    inst: Instance, sites: Sequence[EdgeRef], s0: _np.ndarray, s1: _np.ndarray
+) -> tuple[_np.ndarray, _np.ndarray, _np.ndarray, _np.ndarray]:
+    """Least |t - anchor(sites[i])|^2 over t on segment i, and where, for every i.
 
-    Each edge contributes |t - site|^2; restricted to the segment these are
-    quadratics sharing one leading coefficient, so their maximum is convex
-    piecewise quadratic. Candidate parameters: segment ends, every pairwise
-    breakpoint of the linear parts, and each piece's unconstrained vertex,
-    all exact. Returns the minimizing point and value, preferring the
-    smallest parameter on ties.
-
-    Works on integers: the segment ends and the sites are scaled by one
-    shared denominator D, each candidate parameter is a pair num/den with
-    0 <= num <= den, and values are compared by cross-multiplication.
+    ``s0`` and ``s1`` hold the segment ends as (E, 3) homogeneous triples,
+    W > 0. Returns ``object`` arrays of Python ints (num, den, lnum, lden):
+    the value num / den, den > 0, at s0 + (lnum / lden)(s1 - s0). With
+    a = s0 - site, b = s1 - site and d = b - a, the minimizer is s0 when
+    a.d >= 0, s1 when b.d <= 0, and else the site's foot on the line, at
+    -a.d / |d|^2, with the values |a|^2, |b|^2 and (a x b)^2 / |d|^2. Here a
+    and b are scaled by M and their own W, and d by W0 W1 M, which puts the
+    foot at -(a.d) W1 / |d|^2. The minimizer is unique on a segment of
+    positive length, where |t - site|^2 is strictly convex.
     """
-    return _min_envelope_on_triples(inst, edges, homogeneous(seg[0]), homogeneous(seg[1]))
-
-
-def _min_envelope_on_triples(
-    inst: Instance,
-    edges: Sequence[EdgeRef],
-    s0: tuple[int, int, int],
-    s1: tuple[int, int, int],
-) -> tuple[Point, Fraction]:
-    """``min_envelope_on_segment`` with the segment ends as homogeneous triples, W > 0."""
-    if not edges:
-        raise ValueError("need at least one edge")
     M, rows = inst.int_anchors
-    X0, Y0, W0 = s0
-    X1, Y1, W1 = s1
-    # Scaled by D = W0*W1*M: s0 -> (x0, y0), s1 - s0 -> (dx, dy), site -> W0*W1*row.
-    W01 = W0 * W1
-    D = W01 * M
-    x0, y0 = X0 * W1 * M, Y0 * W1 * M
-    dx, dy = X1 * W0 * M - x0, Y1 * W0 * M - y0
-    # D^2 * f_i(lam) = lam^2*dd + m_i*lam + p_i with the shared quadratic term dd.
-    dd = dx * dx + dy * dy
-    lin = []
-    for e in edges:
+    MM = M * M
+    # One Python loop over columns: object arrays would run the same int
+    # operations, for all three cases, and per-row containers wake the cyclic GC.
+    num, den, lnum, lden = [], [], [], []
+    for e, X0, Y0, W0, X1, Y1, W1 in zip(sites, *s0.T.tolist(), *s1.T.tolist()):
         px, py = rows[e.b][e.a]
-        ux, uy = x0 - px * W01, y0 - py * W01
-        lin.append((2 * (ux * dx + uy * dy), ux * ux + uy * uy))
+        ax, ay = X0 * M - px * W0, Y0 * M - py * W0
+        bx, by = X1 * M - px * W1, Y1 * M - py * W1
+        dx, dy = bx * W0 - ax * W1, by * W0 - ay * W1
+        ad = ax * dx + ay * dy
+        if ad >= 0:
+            n, d, ln, ld = ax * ax + ay * ay, W0 * W0 * MM, 0, 1
+        elif bx * dx + by * dy <= 0:
+            n, d, ln, ld = bx * bx + by * by, W1 * W1 * MM, 1, 1
+        else:
+            dd = dx * dx + dy * dy
+            n, d, ln, ld = (ax * by - ay * bx) ** 2, dd * MM, -ad * W1, dd
+        num.append(n)
+        den.append(d)
+        lnum.append(ln)
+        lden.append(ld)
+    return tuple(_np.array(col, dtype=object) for col in (num, den, lnum, lden))
 
-    # parameters num/den in (0, 1], after the end lam = 0 that starts the scan
-    candidates = [(1, 1)]
-    for i, (mi, pi) in enumerate(lin):
-        for mj, pj in lin[i + 1 :]:
-            num, den = (pi - pj, mj - mi) if mj > mi else (pj - pi, mi - mj)
-            if 0 < num < den:
-                candidates.append((num, den))
-    if dd:
-        for m, _p in lin:
-            if 0 < -m < 2 * dd:
-                candidates.append((-m, 2 * dd))
-    # val = (D*den)^2 * g(num/den): values compare by cross-multiplication
-    best_num, best_den, best_val = 0, 1, max(p for _m, p in lin)
-    for num, den in candidates:
-        val = num * num * dd + den * max(m * num + p * den for m, p in lin)
-        lhs, rhs = val * best_den * best_den, best_val * den * den
-        if lhs < rhs or (lhs == rhs and num * best_den < best_num * den):
-            best_num, best_den, best_val = num, den, val
-    scale = D * best_den
-    t = Point(
-        Fraction(x0 * best_den + best_num * dx, scale),
-        Fraction(y0 * best_den + best_num * dy, scale),
-    )
-    return t, Fraction(best_val, scale * scale)
+
+def _segment_point(u: Sequence[int], v: Sequence[int], lnum: int, lden: int) -> Point:
+    """The point u + (lnum / lden)(v - u) between the homogeneous triples u and v."""
+    (X0, Y0, W0), (X1, Y1, W1) = u, v
+    stay, move, W = (lden - lnum) * W1, lnum * W0, W0 * W1 * lden
+    return Point(Fraction(X0 * stay + X1 * move, W), Fraction(Y0 * stay + Y1 * move, W))
 
 
 def _nearest_on_ring(
@@ -487,17 +464,36 @@ def _nearest_on_ring(
     ``ring`` is the region's boundary, a strictly convex ccw ring of
     homogeneous triples with W > 0. The anchor, as the triple (sx, sy, M) of
     ``int_anchors``, is its own answer when no edge has it strictly on the
-    right. Otherwise the nearest point lies on the boundary, and it is the
-    best ``_min_envelope_on_triples`` over the edges; it is unique, so no
-    tie rule is needed.
+    right. Otherwise the nearest point lies on the boundary, and one
+    ``_segment_costs`` call values every edge; the least value wins. The
+    nearest point is unique, so edges that tie share it and no tie rule is
+    needed.
     """
     M, rows = inst.int_anchors
     s = (*rows[site.b][site.a], M)
-    edges = list(zip(ring, [*ring[1:], ring[0]]))
-    if all(orientation(p, q, s) >= 0 for p, q in edges):
+    after = [*ring[1:], ring[0]]
+    if all(orientation(p, q, s) >= 0 for p, q in zip(ring, after)):
         return inst.anchor(site), Fraction(0)
-    values = (_min_envelope_on_triples(inst, (site,), p, q) for p, q in edges)
-    return min(values, key=lambda tv: tv[1])
+    ends = (_np.array(r, dtype=object) for r in (ring, after))
+    num, den, lnum, lden = (a.tolist() for a in _segment_costs(inst, [site] * len(ring), *ends))
+    i = min(range(len(ring)), key=lambda j: Fraction(num[j], den[j]))
+    return _segment_point(ring[i], after[i], lnum[i], lden[i]), Fraction(num[i], den[i])
+
+
+def _float_quotients(den: _np.ndarray, *nums: _np.ndarray) -> list[_np.ndarray]:
+    """Each num / den as float64, den > 0, every den scaled by one shared power of two.
+
+    On Python ints the scale is 2^max(0, g - 500), g the largest excess of a
+    num's bit length over its den's, so no quotient passes 2^501 and the
+    product of two stays within float range; on int64 it is 1. int / int is
+    correctly rounded, so every quotient stays weakly monotone in the exact
+    value, and exact code must settle the ties.
+    """
+    if den.dtype == object:
+        bits = [d.bit_length() for d in den.tolist()]
+        gap = max((n.bit_length() - d for num in nums for n, d in zip(num.tolist(), bits)), default=0)
+        den = den << max(0, gap - 500)
+    return [_np.asarray(num / den, dtype=_np.float64) for num in nums]
 
 
 def _as_point(triple: tuple[int, int, int]) -> Point:

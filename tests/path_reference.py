@@ -11,12 +11,15 @@ straight-line bound's sublevel set, which shares no window with the library;
 with ``window`` it runs on that box.
 
 ``unreduced`` runs a query on the unreduced pipeline, with every bisector kept.
+``min_envelope_on_segment`` is the multi-site envelope that costs the
+reference's edges; the library's one-site kernel is ``geom._segment_costs``.
 """
 
 import heapq
 import math
 from fractions import Fraction
 from itertools import count
+from typing import Sequence
 
 import pytest
 
@@ -24,7 +27,79 @@ from botmatch import diagram
 from botmatch.applications import PathResult
 from botmatch.arrangement import _chord, all_bisectors, build_arrangement, used_bisectors
 from botmatch.diagram import eval_E, label_cells_incremental
-from botmatch.geom import ContractViolation, Instance, Point, Scalar, _min_envelope_on_triples
+from botmatch.geom import ContractViolation, EdgeRef, Instance, Point, Scalar, homogeneous
+
+
+def min_envelope_on_segment(
+    inst: Instance,
+    edges: Sequence[EdgeRef],
+    seg: tuple[Point, Point],
+) -> tuple[Point, Fraction]:
+    """Minimize max squared edge length over a segment of translations.
+
+    Each edge contributes |t - site|^2; restricted to the segment these are
+    quadratics sharing one leading coefficient, so their maximum is convex
+    piecewise quadratic. Candidate parameters: segment ends, every pairwise
+    breakpoint of the linear parts, and each piece's unconstrained vertex,
+    all exact. Returns the minimizing point and value, preferring the
+    smallest parameter on ties.
+
+    Works on integers: the segment ends and the sites are scaled by one
+    shared denominator D, each candidate parameter is a pair num/den with
+    0 <= num <= den, and values are compared by cross-multiplication.
+    """
+    return _min_envelope_on_triples(inst, edges, homogeneous(seg[0]), homogeneous(seg[1]))
+
+
+def _min_envelope_on_triples(
+    inst: Instance,
+    edges: Sequence[EdgeRef],
+    s0: tuple[int, int, int],
+    s1: tuple[int, int, int],
+) -> tuple[Point, Fraction]:
+    """``min_envelope_on_segment`` with the segment ends as homogeneous triples, W > 0."""
+    if not edges:
+        raise ValueError("need at least one edge")
+    M, rows = inst.int_anchors
+    X0, Y0, W0 = s0
+    X1, Y1, W1 = s1
+    # Scaled by D = W0*W1*M: s0 -> (x0, y0), s1 - s0 -> (dx, dy), site -> W0*W1*row.
+    W01 = W0 * W1
+    D = W01 * M
+    x0, y0 = X0 * W1 * M, Y0 * W1 * M
+    dx, dy = X1 * W0 * M - x0, Y1 * W0 * M - y0
+    # D^2 * f_i(lam) = lam^2*dd + m_i*lam + p_i with the shared quadratic term dd.
+    dd = dx * dx + dy * dy
+    lin = []
+    for e in edges:
+        px, py = rows[e.b][e.a]
+        ux, uy = x0 - px * W01, y0 - py * W01
+        lin.append((2 * (ux * dx + uy * dy), ux * ux + uy * uy))
+
+    # parameters num/den in (0, 1], after the end lam = 0 that starts the scan
+    candidates = [(1, 1)]
+    for i, (mi, pi) in enumerate(lin):
+        for mj, pj in lin[i + 1 :]:
+            num, den = (pi - pj, mj - mi) if mj > mi else (pj - pi, mi - mj)
+            if 0 < num < den:
+                candidates.append((num, den))
+    if dd:
+        for m, _p in lin:
+            if 0 < -m < 2 * dd:
+                candidates.append((-m, 2 * dd))
+    # val = (D*den)^2 * g(num/den): values compare by cross-multiplication
+    best_num, best_den, best_val = 0, 1, max(p for _m, p in lin)
+    for num, den in candidates:
+        val = num * num * dd + den * max(m * num + p * den for m, p in lin)
+        lhs, rhs = val * best_den * best_den, best_val * den * den
+        if lhs < rhs or (lhs == rhs and num * best_den < best_num * den):
+            best_num, best_den, best_val = num, den, val
+    scale = D * best_den
+    t = Point(
+        Fraction(x0 * best_den + best_num * dx, scale),
+        Fraction(y0 * best_den + best_num * dy, scale),
+    )
+    return t, Fraction(best_val, scale * scale)
 
 
 def _every_bisector(inst, bisectors, window=None):

@@ -23,12 +23,13 @@ from botmatch.geom import (
     EdgeRef,
     Instance,
     Point,
-    _min_envelope_on_triples,
     _nearest_on_ring,
+    _segment_point,
     convex_polygon,
     point,
 )
 from botmatch.oracle import grid_cover_radius, oracle_optimal_translation
+from path_reference import _min_envelope_on_triples
 from path_reference import bottleneck_path as reference_path
 from path_reference import reference_arrangement, unreduced
 from query_units import query_units
@@ -341,14 +342,14 @@ def _site_kind(site, nearest, poly):
 def test_nearest_on_ring_equals_the_polygon_reference(monkeypatch):
     # every cell of every optimizer window, against each anchor a - b (the
     # cell's own site among them); scaled by 10^9, some rings hold Python ints
-    envelopes = []
-    real = geom._min_envelope_on_triples
+    calls = []
+    real = geom._segment_costs
 
-    def envelope(inst, edges, s0, s1):
-        envelopes.append(s0)
-        return real(inst, edges, s0, s1)
+    def costs(inst, sites, s0, s1):
+        calls.append((list(sites), [tuple(r) for r in s0.tolist()], [tuple(r) for r in s1.tolist()]))
+        return real(inst, sites, s0, s1)
 
-    monkeypatch.setattr(geom, "_min_envelope_on_triples", envelope)
+    monkeypatch.setattr(geom, "_segment_costs", costs)
     kinds, wide = set(), []
     S = 10**9
     for base in _pruning_families():
@@ -365,12 +366,13 @@ def test_nearest_on_ring_equals_the_polygon_reference(monkeypatch):
                     for e in inst.edges():
                         site = inst.anchor(e)
                         t = closest_point_in_polygon(site, poly)
-                        envelopes.clear()
+                        calls.clear()
                         assert _nearest_on_ring(inst, e, ring) == (t, t.dist2(site))
                         kinds.add(_site_kind(site, t, poly))
                         # a site in the closed cell is its own answer; any
-                        # other is valued on every edge of the ring once
-                        assert sorted(envelopes) == ([] if t == site else sorted(ring))
+                        # other is valued on every edge of the ring in one call
+                        edges = ([e] * len(ring), ring, [*ring[1:], ring[0]])
+                        assert calls == ([] if t == site else [edges])
     assert set(kinds) == {"inside", "edge", "vertex", "outside"}, kinds
     assert wide and all(wide)
 
@@ -419,6 +421,19 @@ def test_optimal_translation_scaled_past_int64_runs_on_python_ints(monkeypatch):
         dtypes.clear()
         assert optimal_translation(big) == (point(t.x * S, t.y * S), mu, value * S * S)
         assert dtypes and all(dt == object for dt in dtypes)
+
+
+def test_coordinates_past_float_range_without_a_common_scale_equal_the_oracle():
+    # Random coordinates of 200 and 300 digits give lines whose directions,
+    # times the vertices, pass float range: the vertex order key must stay
+    # finite and keep its order.
+    rng = random.Random(3)
+    for S in (10**200, 10**300):
+        for _ in range(2):
+            inst = _mk(*([(rng.randint(-S, S), rng.randint(-S, S)) for _ in range(m)] for m in (4, 2)))
+            t, _mu, value = optimal_translation(inst)
+            assert (t, value) == oracle_optimal_translation(inst)
+            assert diagram.build_diagram(inst).arrangement.vertex_triples().dtype == object
 
 
 def _on_window_side(t, windows):
@@ -688,14 +703,14 @@ def test_path_takes_its_sites_from_one_lex_core_call(monkeypatch):
 
 
 def _spy_on_cost_pass(monkeypatch):
-    """Record every ``_segment_costs`` call as (inst, sites, s0, s1, num, den, ranks)."""
+    """Record every ``_segment_costs`` call as (inst, sites, s0, s1, num, den, lnum, lden, ranks)."""
     passes = []
     real_costs, real_ranks = applications._segment_costs, applications._dense_ranks
 
     def costs(inst, sites, s0, s1):
-        num, den = real_costs(inst, sites, s0, s1)
-        passes.append([inst, list(sites), s0, s1, num, den])
-        return num, den
+        out = real_costs(inst, sites, s0, s1)
+        passes.append([inst, list(sites), s0, s1, *out])
+        return out
 
     def ranks(num, den):
         out = real_ranks(num, den)
@@ -729,16 +744,18 @@ def test_edge_costs_and_ranks_equal_the_scalar_envelope(monkeypatch):
         bottleneck_path(big, point(t0.x * S, t0.y * S), point(t1.x * S, t1.y * S))
     assert len(passes) == 2 * len(runs)
     edges = 0
-    for inst, sites, s0, s1, num, den, ranks in passes:
-        assert num.dtype == den.dtype == object and len(num) == len(den) == len(sites)
+    for inst, sites, s0, s1, num, den, lnum, lden, ranks in passes:
+        assert all(a.dtype == object and len(a) == len(sites) for a in (num, den, lnum, lden))
         values = []
-        for site, u, v, n, d in zip(sites, s0.tolist(), s1.tolist(), num, den):
-            assert type(n) is int and type(d) is int and d > 0
+        for site, u, v, n, d, ln, ld in zip(sites, s0.tolist(), s1.tolist(), num, den, lnum, lden):
+            assert all(type(x) is int for x in (n, d, ln, ld)) and d > 0 and 0 <= ln <= ld and ld > 0
             values.append(Fraction(n, d))
-            assert values[-1] == _min_envelope_on_triples(inst, (site,), tuple(u), tuple(v))[1]
+            # point and value of the one-site kernel equal the multi-site envelope's
+            want = _min_envelope_on_triples(inst, (site,), tuple(u), tuple(v))
+            assert (_segment_point(u, v, ln, ld), values[-1]) == want
         assert ranks.tolist() == _exact_dense_ranks(values)
         edges += len(values)
-    assert edges > 10_000 and any(s0.dtype == object for *_, s0, _s1, _n, _d, _r in passes)
+    assert edges > 10_000 and any(p[2].dtype == object for p in passes)
 
 
 def test_dense_ranks_settle_float_ties_exactly():
@@ -756,20 +773,46 @@ def test_dense_ranks_settle_float_ties_exactly():
     assert ranks(_np.array([], dtype=object), _np.array([], dtype=object)).tolist() == []
 
 
+def _walked_ends(inst, t0, t1):
+    """Ends (s0, s1) and lam (lnum, lden) of each edge ``bottleneck_path`` walks back, last first."""
+    walked = []
+    real_point = applications._segment_point
+
+    def segment_point(u, v, lnum, lden):
+        walked.append(((tuple(u), tuple(v)), (lnum, lden)))
+        return real_point(u, v, lnum, lden)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(applications, "_segment_point", segment_point)
+        res = bottleneck_path(inst, t0, t1)
+    return walked, res
+
+
+def _patch_cost_row(monkeypatch, ends, change):
+    """Let ``change(out, i)`` edit row i, the edge with ``ends``, of each cost pass; returns the rows."""
+    real_costs = applications._segment_costs
+    patched = []
+
+    def costs(inst, sites, s0, s1):
+        out = real_costs(inst, sites, s0, s1)
+        i = list(zip(map(tuple, s0.tolist()), map(tuple, s1.tolist()))).index(ends)
+        change(out, i)
+        patched.append(i)
+        return out
+
+    monkeypatch.setattr(applications, "_segment_costs", costs)
+    return patched
+
+
 def test_path_ranks_every_edge_once_and_walks_back_through_the_envelope():
     cases = [
         (_FIRST_QUERY, point(-7, -3), point(-5, 3)),
         (_mk([(-4, -3), (5, 0), (-4, 3), (4, 3), (-3, 4)], [(5, 0), (-3, 4)]), point(-2, -9), point(4, 0)),
     ]
-    real_envelope = applications._min_envelope_on_triples
     real_neighbours = Arrangement.cell_neighbors
     real_reduced = applications.reduced_arrangement
     for inst, t0, t1 in cases:
-        envelopes, neighbours, arrs = [], [], []
-
-        def envelope(inst, edges, s0, s1):
-            envelopes.append(len(edges))
-            return real_envelope(inst, edges, s0, s1)
+        neighbours, arrs = [], []
 
         def cell_neighbors(arr, cid):
             neighbours.append(cid)
@@ -782,47 +825,53 @@ def test_path_ranks_every_edge_once_and_walks_back_through_the_envelope():
 
         with pytest.MonkeyPatch.context() as mp:
             passes = _spy_on_cost_pass(mp)
-            mp.setattr(applications, "_min_envelope_on_triples", envelope)
             mp.setattr(Arrangement, "cell_neighbors", cell_neighbors)
             mp.setattr(applications, "reduced_arrangement", reduced)
-            res = bottleneck_path(inst, t0, t1)
+            walked, res = _walked_ends(inst, t0, t1)
         [arr] = arrs
-        [(_inst, sites, *_rest, ranks)] = passes  # one cost pass for the one window
+        # one cost pass for the one window, and no other kernel call
+        [(_inst, sites, s0, s1, _num, _den, lnum, lden, ranks)] = passes
         assert len(sites) == len(list(arr.dual_edges())) == len(ranks)
         assert neighbours == []
         # the reference keeps every crossing it walks back through
-        walked = len(reference_path(inst, t0, t1, arr.box).polyline) - 2
-        assert walked >= len(res.polyline) - 2 > 0
-        assert envelopes == [1] * walked
+        assert len(walked) == len(reference_path(inst, t0, t1, arr.box).polyline) - 2
+        assert len(walked) >= len(res.polyline) - 2 > 0
+        # each walked edge crosses at the minimizer its cost row gives
+        rows = dict(zip(zip(map(tuple, s0.tolist()), map(tuple, s1.tolist())), zip(lnum, lden)))
+        assert all(rows[ends] == lam for ends, lam in walked)
+        assert set(res.polyline[1:-1]) <= {_segment_point(*ends, *lam) for ends, lam in walked}
 
 
 def test_path_refuses_a_walked_edge_whose_ranked_cost_is_off(monkeypatch):
     inst, t0, t1 = _FIRST_QUERY, point(-7, -3), point(-5, 3)
-    ends = []
-    real_envelope = applications._min_envelope_on_triples
+    walked, _res = _walked_ends(inst, t0, t1)
 
-    def envelope(inst, edges, s0, s1):
-        ends.append((s0, s1))
-        return real_envelope(inst, edges, s0, s1)
+    def off_by_one(out, i):
+        out[0][i] += 1
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(applications, "_min_envelope_on_triples", envelope)
-        bottleneck_path(inst, t0, t1)
-    real_costs = applications._segment_costs
-    patched = []
-
-    def off_by_one(inst, sites, s0, s1):
-        num, den = real_costs(inst, sites, s0, s1)
-        rows = list(zip(map(tuple, s0.tolist()), map(tuple, s1.tolist())))
-        i = rows.index(ends[0])  # the last edge walked back
-        num[i] += 1
-        patched.append(i)
-        return num, den
-
-    monkeypatch.setattr(applications, "_segment_costs", off_by_one)
-    with pytest.raises(ContractViolation, match="ranked cost"):
+    patched = _patch_cost_row(monkeypatch, walked[0][0], off_by_one)  # the last edge walked back
+    with pytest.raises(ContractViolation, match="cost of its edge"):
         bottleneck_path(inst, t0, t1)
     assert len(patched) == 1
+
+
+def test_path_refuses_a_walked_edge_whose_crossing_is_off():
+    # lam moves along the edge, off its minimizer: the first-order certificate refuses it
+    inst, t0, t1 = _FIRST_QUERY, point(-7, -3), point(-5, 3)
+    walked, _res = _walked_ends(inst, t0, t1)
+
+    def off(out, i):
+        out[2][i], out[3][i] = (1, 3) if 2 * out[2][i] == out[3][i] else (1, 2)
+
+    lams = set()
+    for ends, (lnum, lden) in walked:
+        lams.add("interior" if 0 < lnum < lden else "end")
+        with pytest.MonkeyPatch.context() as mp:
+            patched = _patch_cost_row(mp, ends, off)
+            with pytest.raises(ContractViolation, match="not its least point"):
+                bottleneck_path(inst, t0, t1)
+        assert len(patched) == 1
+    assert lams == {"interior", "end"}
 
 
 def _off_site_labels(monkeypatch):

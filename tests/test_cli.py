@@ -604,36 +604,43 @@ def test_exit_codes(tmp_path, capsys):
 
 
 def test_values_past_float_range_stay_exact(tmp_path, capsys):
-    # Scaled by 10**160, squared values pass 2**1024: the float prefilters
-    # must not raise, and the answers are the unscaled ones, scaled.
+    # Scaled by 10**160, squared values pass 2**1024; scaled by 10**310, the
+    # coordinates do too. The float keys and prefilters must not raise, and
+    # the answers are the unscaled ones, scaled.
     A, B = [(0, 0), (3, 1), (1, 4), (5, 5)], [(0, 0), (2, 2)]
-    S = 10**160
-    small, big = _mk(A, B), _mk([(x * S, y * S) for x, y in A], [(x * S, y * S) for x, y in B])
+    small = _mk(A, B)
 
     def square(s):
         return [[-6 * s, -6 * s], [9 * s, -6 * s], [9 * s, 9 * s], [-6 * s, 9 * s]]
 
-    (t, mu, value), (big_t, big_mu, big_value) = optimal_translation(small), optimal_translation(big)
-    assert (big_t, big_mu, big_value) == (point(t.x * S, t.y * S), mu, value * S * S)
+    t, mu, value = optimal_translation(small)
     path = bottleneck_path(small, point(-3, 2), point(5, -1))
-    big_path = bottleneck_path(big, point(-3 * S, 2 * S), point(5 * S, -S))
-    assert big_path.value == path.value * S * S
     cover = cover_radius(small, ConvexPolygon(_pts(square(1))))
-    big_cover = cover_radius(big, ConvexPolygon(_pts(square(S))))
-    assert big_cover.value == cover.value * S * S
-    assert big_cover.witness == point(cover.witness.x * S, cover.witness.y * S)
+    capsys.readouterr()
+    assert run(["diagram", _write(tmp_path, "small.json", instance_to_json(small))]) == EXIT_OK
+    counts = json.loads(capsys.readouterr().out)
+    for S in (10**160, 10**310):
+        big = _mk([(x * S, y * S) for x, y in A], [(x * S, y * S) for x, y in B])
+        assert optimal_translation(big) == (point(t.x * S, t.y * S), mu, value * S * S)
+        big_path = bottleneck_path(big, point(-3 * S, 2 * S), point(5 * S, -S))
+        assert big_path.value == path.value * S * S
+        big_cover = cover_radius(big, ConvexPolygon(_pts(square(S))))
+        assert big_cover.value == cover.value * S * S
+        assert big_cover.witness == point(cover.witness.x * S, cover.witness.y * S)
 
-    inst = _write(tmp_path, "big.json", instance_to_json(big))
-    poly = _write(tmp_path, "q.json", {"Q": square(S)})
-    for argv in (
-        ["match", inst],
-        ["eval", inst, "--t", "0,0"],
-        ["path", inst, "--from", f"{-3 * S},{2 * S}", "--to", f"{5 * S},{-S}"],
-        ["cover", inst, "--polygon", poly],
-    ):
-        capsys.readouterr()
-        assert run(argv) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["approx"] is None
+        inst = _write(tmp_path, "big.json", instance_to_json(big))
+        poly = _write(tmp_path, "q.json", {"Q": square(S)})
+        for argv in (
+            ["match", inst],
+            ["eval", inst, "--t", "0,0"],
+            ["path", inst, "--from", f"{-3 * S},{2 * S}", "--to", f"{5 * S},{-S}"],
+            ["cover", inst, "--polygon", poly],
+        ):
+            capsys.readouterr()
+            assert run(argv) == EXIT_OK
+            assert json.loads(capsys.readouterr().out)["approx"] is None
+        assert run(["diagram", inst]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == counts
 
 
 def test_oracle_budget_exit(tmp_path, capsys):

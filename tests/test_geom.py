@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 
 from botmatch.geom import (
@@ -11,20 +12,23 @@ from botmatch.geom import (
     EdgeRef,
     Instance,
     Point,
+    _segment_costs,
+    _segment_point,
     bisector_line,
     convex_polygon,
     equivalence_classes,
     erode_polygon,
+    homogeneous,
     instance,
     line_intersection,
     make_line,
-    min_envelope_on_segment,
     perpendicular_bisector,
     point,
     squared_edge_length,
     to_scalar,
 )
 from fraction_geometry import _halfplane_clip, canonical_convex
+from path_reference import min_envelope_on_segment
 from translation_reference import closest_point_in_polygon
 
 F = Fraction
@@ -262,6 +266,11 @@ def _assert_envelope_matches(inst, edges, seg):
     want = _envelope_reference(inst, edges, seg)
     assert got == want
     assert type(got[1]) is F and type(got[0].x) is F and type(got[0].y) is F
+    # the library's one-site kernel gives each edge alone the reference's point and value
+    u, v = homogeneous(seg[0]), homogeneous(seg[1])
+    ends = [np.array([end] * len(edges), dtype=object) for end in (u, v)]
+    for e, num, den, lnum, lden in zip(edges, *_segment_costs(inst, edges, *ends)):
+        assert (_segment_point(u, v, lnum, lden), F(num, den)) == _envelope_reference(inst, [e], seg)
 
 
 def test_min_envelope_equals_fraction_reference_on_random_instances():

@@ -12,10 +12,11 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from botmatch import diagram
 from botmatch.applications import Empty, bottleneck_path, cover_radius, optimal_translation
 from botmatch.arrangement import all_bisectors, build_arrangement, used_bisectors
 from botmatch.diagram import eval_E
-from botmatch.geom import Instance, Point, convex_polygon, erode_polygon, point
+from botmatch.geom import ConvexPolygon, Instance, Point, convex_polygon, erode_polygon, point
 from botmatch.oracle import grid_cover_radius, oracle_optimal_translation
 from fraction_geometry import _halfplane_clip
 from path_reference import unreduced
@@ -103,6 +104,43 @@ def test_bottleneck_path_properties(inst, t0, t1):
     assert res.value <= max(e0, max(t1.dist2(inst.anchor(e)) for e in mu0))
     assert res.vertex_values == tuple(eval_E(inst, p)[0] for p in res.polyline)
     assert (res.polyline[0], res.polyline[-1]) == (t0, t1)
+
+
+def test_queries_scaled_by_10_9_give_the_scaled_answers(monkeypatch):
+    # Scaled by 10**9, the arrangements run on Python ints; every answer is
+    # the unscaled one, scaled, and the optimum still equals the oracle's.
+    S = 10**9
+    widths = []
+    real_build = diagram.build_arrangement
+
+    def build(*args, **kwargs):
+        arr = real_build(*args, **kwargs)
+        widths.append(arr.vertex_triples().dtype)
+        return arr
+
+    monkeypatch.setattr(diagram, "build_arrangement", build)
+
+    def scaled(p):
+        return Point(p.x * S, p.y * S)
+
+    @PROPERTY_SETTINGS
+    @given(instances(), placements(), placements(), regions())
+    def check(inst, t0, t1, Q):
+        big = Instance(tuple(map(scaled, inst.A)), tuple(map(scaled, inst.B)))
+        t, _mu, value = optimal_translation(big)
+        oracle_t, oracle_value = oracle_optimal_translation(inst)
+        assert (t, value) == (scaled(oracle_t), oracle_value * S * S)
+        path = bottleneck_path(big, scaled(t0), scaled(t1))
+        assert path.value == bottleneck_path(inst, t0, t1).value * S * S
+        cover = cover_radius(big, ConvexPolygon(tuple(map(scaled, Q.vertices))))
+        want = cover_radius(inst, Q)
+        if want is Empty:
+            assert cover is Empty
+        else:
+            assert (cover.value, cover.witness) == (want.value * S * S, scaled(want.witness))
+
+    check()
+    assert object in widths
 
 
 @PROPERTY_SETTINGS

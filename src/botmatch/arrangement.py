@@ -461,12 +461,15 @@ def _geometry(
     amb = same & (lam[1:] - lam[:-1] <= tol)
     # row i is ambiguous with row i + 1; a run of them is one float cluster
     idx = _np.flatnonzero(amb)
-    run_first = idx[_np.diff(idx, prepend=-2) != 1].tolist()
-    run_last = (idx[_np.diff(idx, append=-2) != 1] + 1).tolist()
-    for a, b in zip(run_first, run_last):  # rows a..b inclusive
+    run_first = idx[_np.diff(idx, prepend=-2) != 1]
+    run_last = idx[_np.diff(idx, append=-2) != 1] + 1
+    # a run whose rows all name one vertex (concurrent lines, listed once per
+    # line through it) needs no repair
+    changes = _np.zeros(len(row_vid), dtype=_np.int64)
+    _np.cumsum(row_vid[1:] != row_vid[:-1], out=changes[1:])
+    mixed = changes[run_last] != changes[run_first]
+    for a, b in zip(run_first[mixed].tolist(), run_last[mixed].tolist()):  # rows a..b inclusive
         vids = row_vid[a : b + 1].tolist()
-        if min(vids) == max(vids):
-            continue  # one concurrent vertex, listed once per line through it
         d = dirs_all[int(row_line[a])]
         vids.sort(key=lambda v: _THETA_KEY(_lam(uniq[v].tolist(), d)))
         row_vid[a : b + 1] = vids
@@ -811,6 +814,18 @@ def build_arrangement(
     return _assemble(lines, trips, dirs_all, _geometry(trips, dirs_all, extras, window))
 
 
+def _unique_key_order(keys: _np.ndarray, message: str) -> _np.ndarray:
+    """The order that sorts integer ``keys``; ``ContractViolation(message)`` if two are equal.
+
+    Distinct keys have one sorted order, so any sort algorithm gives it.
+    """
+    order = _np.argsort(keys)
+    srt = keys[order]
+    if (srt[1:] == srt[:-1]).any():
+        raise ContractViolation(message)
+    return order
+
+
 def _assemble(
     lines: list[Line],
     trips: list[tuple[int, int, int]],
@@ -849,7 +864,10 @@ def _assemble(
         raise ContractViolation("every vertex lies on some edge")
     ring_start = _np.zeros(V + 1, dtype=_np.int64)
     _np.cumsum(counts, out=ring_start[1:])
-    order = _np.lexsort((he_rank, he_origin))
+    # the half-edges leaving one vertex point in distinct directions
+    order = _unique_key_order(
+        he_origin * len(ranks) + he_rank, "two half-edges leave a vertex in one direction"
+    )
     pos = _np.empty(H, dtype=_np.int64)
     pos[order] = _np.arange(H, dtype=_np.int64) - ring_start[he_origin[order]]
     twin_pos = _np.empty(H, dtype=_np.int64)
@@ -863,7 +881,7 @@ def _assemble(
     # faces: the cycles of the permutation nxt, numbered by their smallest
     # half-edge. Pointer jumping leaves lab[h] the minimum over the next
     # 2^round half-edges of h's cycle; once lab is constant along every
-    # cycle, it is each cycle's minimum.
+    # cycle, it is each cycle's minimum, the one half-edge labelling itself.
     if (_np.bincount(nxt, minlength=H) != 1).any():
         raise ContractViolation("next half-edge must be a permutation")
     lab = _np.arange(H, dtype=_np.int64)
@@ -871,7 +889,9 @@ def _assemble(
     while (lab != lab[nxt]).any():
         lab = _np.minimum(lab, lab[jump])
         jump = jump[jump]
-    starts, face = _np.unique(lab, return_inverse=True)
+    is_start = lab == _np.arange(H)
+    starts = _np.flatnonzero(is_start)
+    face = (_np.cumsum(is_start) - 1)[lab]
     n_faces = len(starts)
 
     # the outer face is left of the reversed half-edge of any bottom edge
@@ -916,7 +936,8 @@ def _assemble(
     src = _np.concatenate([c_even[eids], c_odd[eids]])
     dst = _np.concatenate([c_odd[eids], c_even[eids]])
     de = _np.concatenate([eids, eids])
-    o = _np.lexsort((de, dst, src))
+    # two convex cells share at most one edge
+    o = _unique_key_order(src * n_cells + dst, "two cells share two edges")
     src, dst, de = src[o], dst[o], de[o]
     adj_ptr = _np.zeros(n_cells + 1, dtype=_np.int64)
     _np.cumsum(_np.bincount(src, minlength=n_cells), out=adj_ptr[1:])

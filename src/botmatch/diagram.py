@@ -26,11 +26,11 @@ from .arrangement import (
     build_arrangement,
     used_bisectors,
 )
-from .geom import EdgeRef, Instance, Point, Scalar, _as_point, squared_length_nums
+from .geom import EdgeRef, Instance, Point, Scalar, _as_point, squared_length_keys
 from .matching import (
     ContractViolation,
     Matching,
-    bottleneck_from_nums,
+    bottleneck_from_keys,
     bottleneck_matching,
     canonical_complete_matching,
     cross_bisector,
@@ -117,11 +117,14 @@ def eval_E(inst: Instance, t: Point) -> tuple[Scalar, Matching]:
     """Exact bottleneck value at translation t, with a witness matching.
 
     The witness is ``bottleneck_matching(prune_candidates(inst, t))``'s,
-    found by ``bottleneck_from_nums`` without building the candidate graph.
+    found by ``bottleneck_from_keys`` without building the candidate graph.
+    Edges are ranked by the Q form of ``squared_length_keys``, the form the
+    lex core ``_lex_rows`` ranks by, and the value is read back from the
+    longest matched edge's Q.
     """
-    nums, den = squared_length_nums(inst, t)
-    mu, _rank = bottleneck_from_nums(nums)
-    return Fraction(max(nums[e.b][e.a] for e in mu), den), mu
+    Q, base, W, den = squared_length_keys(inst, t)
+    mu, _rank = bottleneck_from_keys(Q)
+    return Fraction(base + W * max(Q[e.b][e.a] for e in mu), den), mu
 
 
 def _check_alignment(arr: Arrangement, bisectors: Sequence[Bisector]) -> None:
@@ -399,13 +402,14 @@ def _lex_rows(
 
     At a sample (X/W, Y/W), W > 0, edge (a, b) with anchor s
     (``Instance.int_anchors``) has squared length (M^2 (X^2 + Y^2) + W Q) /
-    (W M)^2, Q = W |s|^2 - 2 M (X s_x + Y s_y). So Q orders a row's edges
-    exactly, on fewer bits; numpy computes it over chunks of rows, on int64
-    within ``_INT64_LIMIT`` and on Python ints beyond. Per b the edges up to
-    the k-th smallest Q (ties included) are candidates. Their dense ranks
-    form the row's key; ``lex_assignments`` solves a chunk's distinct keys at
-    once. Python objects are made only per distinct matching and per distinct
-    cell label.
+    (W M)^2, Q = W |s|^2 - 2 M (X s_x + Y s_y), |s|^2 read from
+    ``Instance.anchor_norms``. So Q orders a row's edges exactly, on fewer
+    bits, and ``eval_E`` ranks by the same form; numpy computes it over
+    chunks of rows, on int64 within ``_INT64_LIMIT`` and on Python ints
+    beyond. Per b the edges up to the k-th smallest Q (ties included) are
+    candidates. Their dense ranks form the row's key; ``lex_assignments``
+    solves a chunk's distinct keys at once. Python objects are made only per
+    distinct matching and per distinct cell label.
 
     Returns the samples in the dtype used, the distinct matchings and cell
     labels, per row their ids as a (P, 2) array (matching id, cell label id),
@@ -415,11 +419,12 @@ def _lex_rows(
     M, rows = inst.int_anchors
     P = len(samples)
     span = int(abs(samples).max(initial=0))  # bounds |X|, |Y| and W
-    sq = max(x * x + y * y for row in rows for x, y in row)
+    sq = max(map(max, inst.anchor_norms))
     lin = max(abs(x) + abs(y) for row in rows for x, y in row)
     dtype = _np.int64 if span * (sq + 2 * M * lin + 1) <= _INT64_LIMIT else object
     samples = samples.astype(dtype, copy=False)
     Ax, Ay = _np.moveaxis(_np.array(rows, dtype=dtype), 2, 0)  # (k, n) each
+    S = _np.array(inst.anchor_norms, dtype=dtype)  # |s|^2, (k, n)
     key_dtype = _np.min_scalar_type(k * n + 1)
 
     known_keys = _row_bytes(_np.empty((0, k * n), dtype=key_dtype))  # sorted as bytes
@@ -431,7 +436,7 @@ def _lex_rows(
     step = max(1, _LEX_CHUNK // (k * n))
     for lo in range(0, P, step):
         X, Y, W = (samples[lo : lo + step, j, None, None] for j in range(3))
-        Q = W * (Ax * Ax + Ay * Ay) - (2 * M) * (X * Ax + Y * Ay)  # (rows, k, n)
+        Q = W * S - (2 * M) * (X * Ax + Y * Ay)  # (rows, k, n)
         thr = _np.partition(Q, k - 1, axis=2)[:, :, k - 1 : k]
         kept = (Q <= thr).reshape(len(Q), k * n)
         flat = _np.where(kept, Q.reshape(kept.shape), thr.max() + 1)

@@ -2,8 +2,8 @@
 
 Everything operates on squared Euclidean lengths and stays exact. Scalars
 and points cross the API as ``fractions.Fraction``; inside, the exact form is
-integers. Per-point kernels work on numerators over one shared positive
-denominator (``Instance.int_anchors``, ``squared_length_nums``), lines are
+integers. Per-point kernels work on integer keys over one shared positive
+denominator (``Instance.int_anchors``, ``squared_length_keys``), lines are
 primitive integer triples, and clipping and corner tests run on homogeneous
 integer points (``orientation``), so they compare plain integers.
 Translations live in the same plane as the input points: translating the
@@ -152,6 +152,15 @@ class Instance:
         )
         return M, rows
 
+    @cached_property
+    def anchor_norms(self) -> tuple[tuple[int, ...], ...]:
+        """``norms[b][a] = |s|^2`` of the integer anchor s = ``int_anchors`` ``rows[b][a]``.
+
+        The term of Q = W |s|^2 - 2 M (X s_x + Y s_y) that does not depend on
+        the translation; computed once per instance.
+        """
+        return tuple(tuple(x * x + y * y for x, y in row) for row in self.int_anchors[1])
+
 
 def instance(A: Iterable[Sequence[ScalarLike]], B: Iterable[Sequence[ScalarLike]]) -> Instance:
     """Build an Instance from coordinate pairs (ints, Fractions, 'p/q')."""
@@ -171,20 +180,24 @@ def homogeneous(t: Point) -> tuple[int, int, int]:
     return xn * (W // xd), yn * (W // yd), W
 
 
-def squared_length_nums(inst: Instance, t: Point) -> tuple[list[list[int]], int]:
-    """Squared lengths of all edges at ``t``: ``nums[b][a]`` over one denominator.
+def squared_length_keys(inst: Instance, t: Point) -> tuple[list[list[int]], int, int, int]:
+    """Integer keys of every edge's squared length at ``t``: ``(Q, base, W, den)``.
 
-    With t = (X/W, Y/W) and anchors (a - b) = (px/M, py/M), every length is
-    ((X*M - px*W)^2 + (Y*M - py*W)^2) / (W*M)^2, so lengths at one ``t``
-    compare exactly as their integer numerators.
+    With t = (X/W, Y/W), W > 0, and s the integer anchor ``rows[b][a]`` of
+    ``int_anchors``, edge (a, b) has squared length (base + W Q[b][a]) / den,
+    where Q = W |s|^2 - 2 M (X s_x + Y s_y), base = M^2 (X^2 + Y^2) and
+    den = (W M)^2. So Q orders the lengths at one ``t`` exactly, on fewer
+    bits than their numerators; the lex core ``diagram._lex_rows`` ranks
+    edges by the same form.
     """
     M, rows = inst.int_anchors
     X, Y, W = homogeneous(t)
-    XM, YM = X * M, Y * M
-    nums = [
-        [(XM - px * W) ** 2 + (YM - py * W) ** 2 for px, py in row] for row in rows
+    mx, my = 2 * M * X, 2 * M * Y
+    Q = [
+        [W * s2 - (mx * sx + my * sy) for (sx, sy), s2 in zip(row, norms)]
+        for row, norms in zip(rows, inst.anchor_norms)
     ]
-    return nums, (W * M) ** 2
+    return Q, M * M * (X * X + Y * Y), W, (W * M) ** 2
 
 
 def squared_edge_length(inst: Instance, e: EdgeRef, t: Point) -> Fraction:

@@ -12,26 +12,32 @@ matching follows with one augmentation or one thresholded rematch; see
 ``cross_bisector``.
 
 The bottleneck search runs on the candidate edges in rank order, whether
-they come from a graph (``bottleneck_matching``) or straight from the length
-numerators of one translation (``bottleneck_from_nums``, what ``eval_E``
+they come from a graph (``bottleneck_matching``) or straight from the integer
+length keys of one translation (``bottleneck_from_keys``, what ``eval_E``
 calls). No cap below the floor, the first rank at which every b has an edge,
 can match every b, and the answer nearly always sits at the floor or just
 above it. So the floor is probed first, the probes gallop up from it while
 they fail, and the last gap is bisected. Each probe is a verified maximum
 matching; the witness is the one at the least feasible rank.
+
+Hopcroft-Karp's first phase, from the empty matching, is a plain loop: each
+b in order takes its least free a. When that matches every b, the probe
+ends there; otherwise the later phases run, and an independent
+augmenting-path search checks their incomplete result. The recursive
+searches are module-level functions, not closures, so a call leaves no
+reference cycle for the garbage collector.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import deque
-from itertools import groupby
-from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as _np
 
-from .geom import ContractViolation, EdgeRef, Instance, Point, squared_length_nums
+from .geom import ContractViolation, EdgeRef, Instance, Point, squared_length_keys
 
 
 class NoCompleteMatching(Exception):
@@ -208,16 +214,16 @@ def prune_candidates(inst: Instance, t: Point) -> CandidateGraph:
 
     Ranks are dense over the distinct squared lengths occurring in the kept
     union, so inequivalent edges share a rank exactly when ``t`` lies on
-    their bisector. Lengths are compared as integer numerators over their
-    shared positive denominator, which orders them exactly as the lengths.
+    their bisector. Lengths are compared as their integer keys Q of
+    ``squared_length_keys``, which order them exactly as the lengths.
     """
-    nums, _den = squared_length_nums(inst, t)
+    keys = squared_length_keys(inst, t)[0]
     k = inst.k
     _M, anchors = inst.int_anchors
     # equal anchors a - b mean equal difference vectors: one class each
     classes: dict[tuple[int, int], tuple[int, list[EdgeRef]]] = {}
     for b in range(k):
-        for value, a in _k_shortest(nums[b], k):
+        for value, a in sorted(_k_shortest(keys[b], k)):
             classes.setdefault(anchors[b][a], (value, []))[1].append(EdgeRef(a, b))
 
     distinct = sorted({value for value, _ in classes.values()})
@@ -231,12 +237,13 @@ def prune_candidates(inst: Instance, t: Point) -> CandidateGraph:
 
 
 def _k_shortest(row: Sequence[int], k: int) -> list[tuple[int, int]]:
-    """``(value, a)`` of b's candidate edges, ascending: the k shortest, ties kept.
+    """``(value, a)`` of b's candidate edges in order of a: the k least keys, ties kept.
 
-    ``row[a]`` is the length numerator of edge (a, b).
+    ``row[a]`` is the integer key of edge (a, b), as ``squared_length_keys``
+    gives it.
     """
     threshold = sorted(row)[k - 1]
-    return sorted((value, a) for a, value in enumerate(row) if value <= threshold)
+    return [(value, a) for a, value in enumerate(row) if value <= threshold]
 
 
 # -- maximum matching ---------------------------------------------------------
@@ -273,10 +280,22 @@ def _adjacency(G: CandidateGraph, rank_cap: int) -> dict[int, list[int]]:
 
 
 def _hopcroft_karp(adj: dict[int, list[int]], k: int) -> dict[int, int]:
-    """Maximum matching; returns the b -> a assignment."""
-    INF = float("inf")
+    """Maximum matching; returns the b -> a assignment.
+
+    From the empty matching every b is at layer 0, so the first phase gives
+    each b in order its least free a. That pass runs as a plain loop, and
+    when it matches every b no later phase can add an edge.
+    """
     match_b: dict[int, int | None] = {b: None for b in range(k)}
     match_a: dict[int, int] = {}
+    for b in range(k):
+        for a in adj[b]:
+            if a not in match_a:
+                match_b[b] = a
+                match_a[a] = b
+                break
+    if len(match_a) == k:
+        return match_b  # every b is matched
     while True:
         dist: dict[int, float] = {}
         queue: deque[int] = deque()
@@ -296,58 +315,67 @@ def _hopcroft_karp(adj: dict[int, list[int]], k: int) -> dict[int, int]:
                     queue.append(nb)
         if not found:
             break
-
-        def dfs(b: int) -> bool:
-            for a in adj[b]:
-                nb = match_a.get(a)
-                if nb is None or (
-                    dist.get(nb) == dist[b] + 1 and dfs(nb)
-                ):
-                    match_b[b] = a
-                    match_a[a] = b
-                    return True
-            dist[b] = INF
-            return False
-
         for b in range(k):
             if match_b[b] is None:
-                dfs(b)
+                _hk_augment(adj, match_b, match_a, dist, b)
     return {b: a for b, a in match_b.items() if a is not None}
 
 
-def _kuhn_augment(
-    adj: dict[int, list[int]], match_a: dict[int, int], match_b: dict[int, int], b: int
+def _hk_augment(
+    adj: dict[int, list[int]],
+    match_b: dict[int, int | None],
+    match_a: dict[int, int],
+    dist: dict[int, float],
+    b: int,
 ) -> bool:
-    """One augmenting-path attempt from exposed ``b`` (simple DFS)."""
+    """One layered augmenting-path search of a Hopcroft-Karp phase, from ``b``."""
+    for a in adj[b]:
+        nb = match_a.get(a)
+        if nb is None or (
+            dist.get(nb) == dist[b] + 1 and _hk_augment(adj, match_b, match_a, dist, nb)
+        ):
+            match_b[b] = a
+            match_a[a] = b
+            return True
+    dist[b] = math.inf
+    return False
 
-    def dfs(u: int, seen: set[int]) -> bool:
-        for a in adj[u]:
-            if a in seen:
-                continue
-            seen.add(a)
-            if a not in match_a or dfs(match_a[a], seen):
-                match_a[a] = u
-                match_b[u] = a
-                return True
-        return False
 
-    return dfs(b, set())
+def _kuhn_augment(
+    adj: dict[int, list[int]],
+    match_a: dict[int, int],
+    match_b: dict[int, int],
+    u: int,
+    seen: set[int],
+) -> bool:
+    """One augmenting-path attempt from exposed ``u`` (simple DFS); ``seen`` starts empty."""
+    for a in adj[u]:
+        if a in seen:
+            continue
+        seen.add(a)
+        if a not in match_a or _kuhn_augment(adj, match_a, match_b, match_a[a], seen):
+            match_a[a] = u
+            match_b[u] = a
+            return True
+    return False
 
 
 def max_matching(G: CandidateGraph, rank_cap: int) -> Matching:
     """Maximum matching among edges of rank <= rank_cap (Hopcroft-Karp).
 
-    A second, independent augmenting-path search verifies maximality before
-    returning; a success there would be a bug in this module.
+    An incomplete result is verified by a second, independent
+    augmenting-path search before returning; a success there would be a bug
+    in this module.
     """
     return _verified_max_matching(_adjacency(G, rank_cap), G.k)
 
 
 def _verified_max_matching(adj: dict[int, list[int]], k: int) -> Matching:
+    """``_hopcroft_karp``'s matching; an incomplete one is checked for an augmenting path."""
     assign = _hopcroft_karp(adj, k)
     match_a = {a: b for b, a in assign.items()}
     for b in range(k):
-        if b not in assign and _kuhn_augment(adj, match_a, dict(assign), b):
+        if b not in assign and _kuhn_augment(adj, match_a, dict(assign), b, set()):
             raise ContractViolation("augmenting path found after maximum matching")
     return matching_from_map(assign)
 
@@ -362,22 +390,28 @@ def bottleneck_matching(G: CandidateGraph) -> tuple[Matching, int]:
     return _bottleneck_search(G.k, pairs, ends)
 
 
-def bottleneck_from_nums(nums: Sequence[Sequence[int]]) -> tuple[Matching, int]:
+def bottleneck_from_keys(keys: Sequence[Sequence[int]]) -> tuple[Matching, int]:
     """``bottleneck_matching(prune_candidates(inst, t))``, without the graph.
 
-    ``nums`` are the squared lengths at ``t`` as ``squared_length_nums``
-    returns them: ``nums[b][a]`` over a shared positive denominator. The
-    candidate edges are those of ``prune_candidates`` and their ranks are its
-    dense ranks over the distinct values, so the search sees the same edges
-    at every cap and returns the same matching and rank.
+    ``keys[b][a]`` is any integer key of edge (a, b) that one strictly
+    increasing map takes to its squared length at ``t``, such as the Q of
+    ``squared_length_keys`` that ``eval_E`` passes. The candidate edges are
+    then those of ``prune_candidates`` and their ranks are its dense ranks
+    over the distinct values, so the search sees the same edges at every cap
+    and returns the same matching and rank. The candidates of all b are
+    sorted once, and a new rank starts wherever the value changes.
     """
-    k = len(nums)
-    edges = sorted((value, b, a) for b, row in enumerate(nums) for value, a in _k_shortest(row, k))
+    k = len(keys)
+    edges = sorted((value, b, a) for b, row in enumerate(keys) for value, a in _k_shortest(row, k))
     pairs: list[tuple[int, int]] = []
-    ends = [0]
-    for _value, level in groupby(edges, key=itemgetter(0)):
-        pairs.extend((b, a) for _v, b, a in level)
-        ends.append(len(pairs))
+    ends = []
+    last = None
+    for value, b, a in edges:
+        if value != last:
+            ends.append(len(pairs))
+            last = value
+        pairs.append((b, a))
+    ends.append(len(pairs))
     return _bottleneck_search(k, pairs, ends)
 
 
@@ -492,13 +526,15 @@ def lex_assignments(k: int, n: int, ranks) -> _np.ndarray:
     ``infinity`` = (k+1)^(max rank + 1) * (k+1).
 
     The Hungarian method with potentials runs in lockstep over all rows:
-    row i of every key is added in the same phase, and each step acts on the
-    keys whose phase is still open. Per key it is the scalar method exactly:
-    ``minv`` moves on strict ``<``, ``delta`` and ``j1`` come from the first
-    minimum over unused columns, and the augmenting path is walked back the
-    same way, so tied optima resolve the same way. Columns are all n values
-    of a. A column without candidates costs ``infinity`` from every row and
-    is never the minimum while a finite augmenting path exists.
+    row i of every key is added in the same phase, and each step runs on the
+    whole contiguous arrays. A key whose phase has closed takes ``delta`` 0
+    there and keeps its potentials and ``j0``; the step may rewrite its
+    ``minv`` and ``way`` only in free columns, which its walk back never
+    reads. Per key it is the scalar method exactly: ``minv`` moves on strict
+    ``<``, ``delta`` and ``j1`` come from the first minimum over unused
+    columns, and the augmenting path is walked back the same way, so tied
+    optima resolve the same way. Columns are all n values of a. A column without candidates costs ``infinity`` from every
+    row and is never the minimum while a finite augmenting path exists.
 
     Values stay in int64 while ``(2 k^2 + 2) * huge`` fits, ``huge`` being
     the largest ``infinity * (k + 2)``: reduced costs and every ``delta`` lie
@@ -525,35 +561,39 @@ def lex_assignments(k: int, n: int, ranks) -> _np.ndarray:
     v = _np.zeros((B, n + 1), dtype=dtype)
     p = _np.zeros((B, n + 1), dtype=_np.int64)  # p[j] = row matched to column j
     way = _np.zeros((B, n + 1), dtype=_np.int64)
+    keys = _np.arange(B)
     for i in range(1, k + 1):
         p[:, 0] = i
         j0 = _np.zeros(B, dtype=_np.int64)
         minv = _np.repeat(huge, n + 1, axis=1)
         used = _np.zeros((B, n + 1), dtype=bool)
         in_tree = _np.zeros((B, k + 1), dtype=bool)  # rows p[j] of used columns
-        r = _np.arange(B)  # the keys whose phase is open
-        while r.size:
-            j = j0[r]
-            used[r, j] = True
-            i0 = p[r, j]
-            in_tree[r, i0] = True
-            cur = cost[r, i0 - 1] - u[r, i0][:, None] - v[r, 1:]
-            free = ~used[r, 1:]
-            mv = minv[r, 1:]
+        is_open = _np.ones((B, 1), dtype=bool)  # the keys whose phase is open
+        while is_open.any():
+            # a closed key sits on its free column j0, p[j0] = 0, and takes
+            # delta 0 below, so its u, v and j0 stay. Its minv and way may
+            # change in free columns only: its walk back reads way on used
+            # columns alone, and minv is reset each phase
+            used[keys, j0] = True
+            i0 = p[keys, j0]
+            in_tree[keys, i0] = True
+            cur = cost[keys, i0 - 1] - u[keys, i0][:, None] - v[:, 1:]
+            free = ~used[:, 1:]
+            mv = minv[:, 1:]
             better = free & (cur < mv)
             mv = _np.where(better, cur, mv)
-            way[r, 1:] = _np.where(better, j[:, None], way[r, 1:])
-            hr = huge[r]
-            masked = _np.where(free, mv, hr)
+            way[:, 1:] = _np.where(better, j0[:, None], way[:, 1:])
+            masked = _np.where(free, mv, huge)
             j1 = masked.argmin(axis=1)
-            delta = masked[_np.arange(len(r)), j1][:, None]
+            delta = masked[keys, j1][:, None]
             # as in the scalar scan, j1 stays 0 unless some minv is below huge
-            j1 = _np.where(delta[:, 0] < hr[:, 0], j1 + 1, 0)
-            u[r] += in_tree[r] * delta
-            v[r] -= used[r] * delta
-            minv[r, 1:] = mv - free * delta
-            j0[r] = j1
-            r = r[p[r, j1] != 0]
+            j1 = _np.where(delta[:, 0] < huge[:, 0], j1 + 1, 0)
+            delta = _np.where(is_open, delta, 0)
+            u += in_tree * delta
+            v -= used * delta
+            minv[:, 1:] = mv - free * delta
+            j0 = _np.where(is_open[:, 0], j1, j0)
+            is_open &= p[keys, j0][:, None] != 0
         back = _np.flatnonzero(j0)
         while back.size:
             j = j0[back]
@@ -597,7 +637,7 @@ def _augment_exposed(
     adj = _adjacency(G, cap)
     match_a = {a: b for b, a in partial.items()}
     match_b = dict(partial)
-    if _kuhn_augment(adj, match_a, match_b, exposed_b):
+    if _kuhn_augment(adj, match_a, match_b, exposed_b, set()):
         return match_b
     return None
 

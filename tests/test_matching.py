@@ -1,12 +1,21 @@
+import gc
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from botmatch import diagram, matching
+from botmatch import bottleneck_path, cover_radius, diagram, matching
 from botmatch.diagram import build_diagram
-from botmatch.geom import ContractViolation, EdgeRef, Instance, Point, point, squared_edge_length
+from botmatch.geom import (
+    ContractViolation,
+    EdgeRef,
+    Instance,
+    Point,
+    convex_polygon,
+    point,
+    squared_edge_length,
+)
 from botmatch.matching import (
     CandidateGraph,
     NoCompleteMatching,
@@ -15,6 +24,7 @@ from botmatch.matching import (
     cross_bisector,
     lex_assignments,
     lex_bottleneck_matching,
+    matching_from_map,
     matching_map,
     max_matching,
     prune_candidates,
@@ -154,6 +164,69 @@ def test_max_matching_small():
     assert max_matching(G, 0) == ()
     star = CandidateGraph.from_ranks(3, {E(0, 0): 1, E(0, 1): 2, E(0, 2): 3})
     assert len(max_matching(star, 3)) == 1
+
+
+def _max_matching_size(adj, k):
+    """Maximum matching size by plain augmenting paths from each b."""
+    match_a = {}
+
+    def augment(b, seen):
+        for a in adj[b]:
+            if a not in seen:
+                seen.add(a)
+                if a not in match_a or augment(match_a[a], seen):
+                    match_a[a] = b
+                    return True
+        return False
+
+    return sum(augment(b, set()) for b in range(k))
+
+
+def test_hopcroft_karp_first_phase_and_maximum_on_random_adjacencies():
+    rng = random.Random(21)
+    complete = short = rescued = 0
+    for _ in range(600):
+        k = rng.randint(1, 7)
+        n = rng.randint(k, 9)
+        density = rng.choice([0.2, 0.4, 0.7, 1.0])
+        pairs = [(b, a) for b in range(k) for a in range(n) if rng.random() < density]
+        adj = matching._adjacency_of(k, pairs)
+        found = matching._verified_max_matching(adj, k)
+        assert len(found) == _max_matching_size(adj, k)
+        assert all(e.a in adj[e.b] for e in found)
+        assert len({e.a for e in found}) == len(found)
+        # the first phase from the empty matching: each b in order takes its least free a
+        greedy: dict[int, int] = {}
+        for b in range(k):
+            free = [a for a in adj[b] if a not in greedy.values()]
+            if free:
+                greedy[b] = min(free)
+        if len(greedy) == k:
+            complete += 1
+            assert found == matching_from_map(greedy)
+        else:
+            short += 1
+            rescued += len(found) == k
+    # both branches run, and greedy often falls short where a complete matching exists
+    assert complete >= 100 and short >= 100 and rescued >= 20
+
+
+def test_bottleneck_kernels_leave_no_reference_cycles():
+    rng = random.Random(22)
+    inst = _random_instance(rng, n_max=8, k_max=3)
+    while inst.k < 2:
+        inst = _random_instance(rng, n_max=8, k_max=3)
+    Q = convex_polygon([(-9, -9), (9, -9), (9, 9), (-9, 9)])
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(300):
+            diagram.eval_E(inst, _random_t(rng))
+        bottleneck_path(inst, point(-1, 0), point(2, 3))
+        cover_radius(inst, Q)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_bottleneck_example():

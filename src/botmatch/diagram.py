@@ -305,7 +305,8 @@ def _fold_walk(
 # -- lex labeling --------------------------------------------------------------
 
 
-_LEX_CHUNK = 1 << 20  # entries of a (faces, k * n) chunk array: 8 MB as int64
+# key entries per chunk of rows; _rank_keys holds three int64 arrays this size (2 MB each) at once
+_LEX_CHUNK = 1 << 18
 _INT64_LIMIT = 1 << 62  # largest bound on |Q| that the lex labeller keeps in int64
 _ASSIGN_SLICE = 4096  # distinct keys per lex_assignments call
 
@@ -351,17 +352,27 @@ class _LexFaces(Mapping):
 def _row_bytes(rows: _np.ndarray) -> _np.ndarray:
     """One bytes record per row of a C-contiguous integer array.
 
-    ``np.unique`` and ``np.searchsorted`` group and find these like rows
-    with ``axis=0``, and faster.
+    Sorting these brings equal rows together, as ``np.unique(axis=0)`` would, and faster.
     """
     return rows.view(_np.dtype((_np.void, rows.itemsize * rows.shape[1])))[:, 0]
 
 
 def _unique_rows(rows: _np.ndarray) -> tuple[_np.ndarray, _np.ndarray]:
-    """Distinct rows of an integer array in bytes order, and each row's index among them."""
+    """Distinct rows of an integer array in bytes order, and each row's index among them.
+
+    What ``np.unique(..., return_inverse=True)`` gives on the rows' bytes,
+    without its copy of the input.
+    """
     rows = _np.ascontiguousarray(rows)
-    _, first, inv = _np.unique(_row_bytes(rows), return_index=True, return_inverse=True)
-    return rows[first], inv.reshape(-1)
+    records = _row_bytes(rows)
+    order = _np.argsort(records, kind="stable")
+    srt = records[order]
+    new = _np.ones(len(srt), dtype=bool)
+    new[1:] = srt[1:] != srt[:-1]
+    del srt
+    inv = _np.empty(len(order), dtype=_np.int64)
+    inv[order] = _np.cumsum(new) - 1
+    return rows[order[new]], inv
 
 
 def _intern(rows: _np.ndarray, table: dict, make) -> _np.ndarray:
@@ -395,6 +406,28 @@ def _solve_keys(
     return _np.column_stack([assign, mid, cid])
 
 
+def _rank_keys(Q: _np.ndarray, k: int, n: int, key_dtype) -> _np.ndarray:
+    """The rank keys of a (rows, k * n) block of Q values, which it overwrites.
+
+    Per b the edges up to the k-th smallest Q (ties included) are candidates;
+    entry b * n + a is the dense rank of a candidate's Q among the row's
+    candidates, 0 for a non-candidate.
+    """
+    thr = _np.partition(Q.reshape(-1, k, n), k - 1, axis=2)[:, :, k - 1].copy()
+    cut = Q > _np.repeat(thr, n, axis=1)
+    Q[cut] = thr.max() + 1
+    del thr
+    order = _np.argsort(Q, axis=1)
+    srt = _np.take_along_axis(Q, order, axis=1)
+    new = _np.ones(srt.shape, dtype=bool)
+    new[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    del srt
+    keys = _np.empty(cut.shape, dtype=key_dtype)
+    _np.put_along_axis(keys, order, _np.cumsum(new, axis=1, dtype=key_dtype), axis=1)
+    keys[cut] = 0
+    return keys
+
+
 def _lex_rows(
     inst: Instance, samples: _np.ndarray
 ) -> tuple[_np.ndarray, list[Matching], list[CellLabel], _np.ndarray, _np.ndarray]:
@@ -404,12 +437,17 @@ def _lex_rows(
     (``Instance.int_anchors``) has squared length (M^2 (X^2 + Y^2) + W Q) /
     (W M)^2, Q = W |s|^2 - 2 M (X s_x + Y s_y), |s|^2 read from
     ``Instance.anchor_norms``. So Q orders a row's edges exactly, on fewer
-    bits, and ``eval_E`` ranks by the same form; numpy computes it over
-    chunks of rows, on int64 within ``_INT64_LIMIT`` and on Python ints
-    beyond. Per b the edges up to the k-th smallest Q (ties included) are
-    candidates. Their dense ranks form the row's key; ``lex_assignments``
-    solves a chunk's distinct keys at once. Python objects are made only per
-    distinct matching and per distinct cell label.
+    bits, and ``eval_E`` ranks by the same form. A row's Q values are its
+    (X, Y, W) times one (3, k * n) coefficient matrix, on int64 within
+    ``_INT64_LIMIT`` and on Python ints beyond.
+
+    Two passes over chunks of ``_LEX_CHUNK`` key entries bound the working
+    set by the chunk. The first keeps only each chunk's distinct rank keys
+    (``_rank_keys``) and each row's index among them. One ``_unique_rows``
+    over those gives the call's distinct keys, and one ``_solve_keys``
+    solves each of them once. The second pass reads each row's matched Q
+    values at its assignment. Python objects are made only per distinct
+    matching and per distinct cell label.
 
     Returns the samples in the dtype used, the distinct matchings and cell
     labels, per row their ids as a (P, 2) array (matching id, cell label id),
@@ -423,48 +461,53 @@ def _lex_rows(
     lin = max(abs(x) + abs(y) for row in rows for x, y in row)
     dtype = _np.int64 if span * (sq + 2 * M * lin + 1) <= _INT64_LIMIT else object
     samples = samples.astype(dtype, copy=False)
-    Ax, Ay = _np.moveaxis(_np.array(rows, dtype=dtype), 2, 0)  # (k, n) each
-    S = _np.array(inst.anchor_norms, dtype=dtype)  # |s|^2, (k, n)
+    C = _np.array(  # column b * n + a: -2 M s_x, -2 M s_y, |s|^2
+        [
+            [-2 * M * x for row in rows for x, _ in row],
+            [-2 * M * y for row in rows for _, y in row],
+            [v for row in inst.anchor_norms for v in row],
+        ],
+        dtype=dtype,
+    )
     key_dtype = _np.min_scalar_type(k * n + 1)
+    step = max(1, _LEX_CHUNK // (k * n))
 
-    known_keys = _row_bytes(_np.empty((0, k * n), dtype=key_dtype))  # sorted as bytes
-    known = _np.empty((0, k + 2), dtype=_np.int64)  # per known key: *assign, mid, cid
+    # pass 1: per row, its key's index among the chunks' distinct keys
+    parts = [_np.empty((0, k * n), dtype=key_dtype)]  # never empty, so P = 0 concatenates
+    at = _np.empty(P, dtype=_np.min_scalar_type(P))
+    size = 0
+    for lo in range(0, P, step):
+        distinct, inv = _unique_rows(_rank_keys(samples[lo : lo + step] @ C, k, n, key_dtype))
+        at[lo : lo + step] = inv + size
+        parts.append(distinct)
+        size += len(distinct)
+    chunk_keys = _np.concatenate(parts)
+    del parts
+    ranks, key_of = _unique_rows(chunk_keys)
+    del chunk_keys
     matching_ids: dict[Matching, int] = {}
     cell_ids: dict[CellLabel, int] = {}
+    per_key = _solve_keys(ranks.reshape(-1, k, n), matching_ids, cell_ids)  # *assign, mid, cid
+    del ranks
+
+    # pass 2: the matched Q values at each row's assignment
     ids = _np.empty((P, 2), dtype=_np.int64)  # matching id, cell label id
     matched = _np.empty((P, k), dtype=dtype)
-    step = max(1, _LEX_CHUNK // (k * n))
+    first = _np.arange(k) * n  # column of edge (0, b)
     for lo in range(0, P, step):
-        X, Y, W = (samples[lo : lo + step, j, None, None] for j in range(3))
-        Q = W * S - (2 * M) * (X * Ax + Y * Ay)  # (rows, k, n)
-        thr = _np.partition(Q, k - 1, axis=2)[:, :, k - 1 : k]
-        kept = (Q <= thr).reshape(len(Q), k * n)
-        flat = _np.where(kept, Q.reshape(kept.shape), thr.max() + 1)
-        order = _np.argsort(flat, axis=1)
-        srt = _np.take_along_axis(flat, order, axis=1)
-        new = _np.ones(srt.shape, dtype=bool)
-        new[:, 1:] = srt[:, 1:] != srt[:, :-1]
-        keys = _np.empty(kept.shape, dtype=key_dtype)
-        _np.put_along_axis(keys, order, _np.cumsum(new, axis=1, dtype=key_dtype), axis=1)
-        keys[~kept] = 0
-        del flat, order, srt, new, kept
-        ranks, inv = _unique_rows(keys)
-        del keys
-        # keys solved in earlier chunks are looked up, the others solved
-        kb = _row_bytes(ranks)
-        pos = _np.searchsorted(known_keys, kb)
-        old = pos < len(known_keys)
-        old[old] = known_keys[pos[old]] == kb[old]
-        per_key = _np.empty((len(kb), k + 2), dtype=_np.int64)
-        per_key[old] = known[pos[old]]
-        per_key[~old] = _solve_keys(ranks[~old].reshape(-1, k, n), matching_ids, cell_ids)
-        known_keys = _np.insert(known_keys, pos[~old], kb[~old])
-        known = _np.insert(known, pos[~old], per_key[~old], axis=0)
-        per_row = per_key[inv]
-        got = _np.take_along_axis(Q, per_row[:, :k, None], axis=2)[:, :, 0]
-        matched[lo : lo + step] = _np.sort(got, axis=1)[:, ::-1]
+        per_row = per_key[key_of[at[lo : lo + step]]]
+        Cx, Cy, Cw = C[:, first + per_row[:, :k]]  # (rows, k) each
+        X, Y, W = (samples[lo : lo + step, j, None] for j in range(3))
+        matched[lo : lo + step] = _np.sort(X * Cx + Y * Cy + W * Cw, axis=1)[:, ::-1]
         ids[lo : lo + step] = per_row[:, k:]
     return samples, list(matching_ids), list(cell_ids), ids, matched
+
+
+def _labels_at(table: list[CellLabel], index: _np.ndarray) -> list[CellLabel]:
+    """``[table[i] for i in index]``, without a Python int per entry of ``index``."""
+    labels = _np.empty(len(table), dtype=object)
+    labels[:] = table
+    return labels[index].tolist()
 
 
 def label_faces_lex(
@@ -477,7 +520,7 @@ def label_faces_lex(
     if bisectors:
         _check_alignment(arr, bisectors)
     samples, matchings, cell_table, ids, matched = _lex_rows(inst, arr.face_samples())
-    cells = [cell_table[i] for i in ids[: arr.n_cells, 1].tolist()]
+    cells = _labels_at(cell_table, ids[: arr.n_cells, 1])
     faces = _LexFaces(arr, inst.int_anchors[0], samples, matchings, ids[:, 0], matched)
     return _labeled(inst, arr, bisectors, cells, faces)
 
@@ -491,7 +534,7 @@ def _lex_cell_labels(inst: Instance, arr: Arrangement, cells: Sequence[int]) -> 
     their bisector, a kept line, so that raises ``ContractViolation``.
     """
     samples, _matchings, table, ids, matched = _lex_rows(inst, arr.cell_samples()[cells])
-    labels = [table[i] for i in ids[:, 1].tolist()]
+    labels = _labels_at(table, ids[:, 1])
     if inst.k > 1:
         for row in _np.flatnonzero(matched[:, 0] == matched[:, 1]).tolist():
             t, label = _as_point(tuple(samples[row].tolist())), labels[row]

@@ -2,8 +2,10 @@ import ast
 import hashlib
 import pathlib
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import botmatch
@@ -614,6 +616,89 @@ def test_lex_labeller_makes_no_call_per_face_or_per_key(monkeypatch):
     assert len(diag.faces) == len(list(diag.arrangement.iter_faces()))
     assert 1 < sum(solved) < len(diag.faces)
     assert len(solved) == -(-sum(solved) // diagram._ASSIGN_SLICE)  # full slices
+
+
+def _lex_rows_by_row(inst, samples):
+    """``_lex_rows`` per row: (matching, cell label, matched Q values), and the dtype used."""
+    used, matchings, cells, ids, matched = diagram._lex_rows(inst, samples)
+    rows = [(matchings[m], cells[c], q) for (m, c), q in zip(ids.tolist(), matched.tolist())]
+    return used.dtype, rows
+
+
+_CHUNKED_A = [(0, 0), (4, 1), (1, 5), (-3, 2), (2, -4)]
+_CHUNKED_B = [(0, 0), (3, 3), (-1, 2)]
+
+
+@pytest.mark.parametrize("scale", [1, 10**9])
+def test_lex_rows_do_not_depend_on_the_chunking(monkeypatch, scale):
+    # 10^9 takes Q past the int64 bound, so the chunks run on object arrays
+    inst = _mk(
+        [(x * scale, y * scale) for x, y in _CHUNKED_A],
+        [(x * scale, y * scale) for x, y in _CHUNKED_B],
+    )
+    samples = reduced_arrangement(inst)[1].face_samples()
+    whole = _lex_rows_by_row(inst, samples)
+    step = 97  # rows per chunk
+    assert len(samples) > 50 * step and len(samples) % step  # many chunks, the last one ragged
+    monkeypatch.setattr(diagram, "_LEX_CHUNK", step * inst.k * inst.n)
+    chunked = _lex_rows_by_row(inst, samples)
+    assert chunked[0] == whole[0] == (np.int64 if scale == 1 else object)
+    assert chunked[1] == whole[1]
+
+
+def test_lex_rows_on_no_samples_are_empty():
+    inst = _mk(_CHUNKED_A, _CHUNKED_B)
+    used, matchings, cells, ids, matched = diagram._lex_rows(inst, np.empty((0, 3), dtype=np.int64))
+    assert (len(used), matchings, cells) == (0, [], [])
+    assert ids.shape == (0, 2) and matched.shape == (0, inst.k)
+
+
+def test_lex_rows_solve_each_distinct_key_once_in_full_slices(monkeypatch):
+    inst = _mk(_CHUNKED_A, _CHUNKED_B)
+    samples = reduced_arrangement(inst)[1].face_samples()
+
+    def solved_keys():
+        calls = []
+
+        def spy(k, n, ranks):
+            calls.append(np.array(ranks).reshape(len(ranks), k * n))
+            return lex_assignments(k, n, ranks)
+
+        with monkeypatch.context() as m:
+            m.setattr(diagram, "lex_assignments", spy)
+            diagram._lex_rows(inst, samples)
+        return calls
+
+    monkeypatch.setattr(diagram, "_ASSIGN_SLICE", 16)
+    distinct = {row.tobytes() for call in solved_keys() for row in call}  # one chunk
+    monkeypatch.setattr(diagram, "_LEX_CHUNK", 50 * inst.k * inst.n)  # 50 rows per chunk
+    calls = solved_keys()
+    assert len(samples) > 100 * 50 and len(calls) > 2
+    assert sum(map(len, calls)) == len(distinct)
+    assert {row.tobytes() for call in calls for row in call} == distinct
+    assert [len(call) for call in calls[:-1]] == [16] * (len(calls) - 1)
+
+
+def test_lex_rows_working_set_is_bounded_by_the_chunk():
+    # the benchmark's lex size: n = 5, k = 4 in [-10, 10]^2, 58,583 faces
+    rng = random.Random(7)
+    pts: set[tuple[int, int]] = set()
+    while len(pts) < 9:
+        pts.add((rng.randint(-10, 10), rng.randint(-10, 10)))
+    flat = sorted(pts)
+    inst = _mk(flat[:5], flat[5:])
+    samples = reduced_arrangement(inst)[1].face_samples()
+    assert len(samples) > 50_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = diagram._lex_rows(inst, samples)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(out[3]) == len(samples)
+    assert peak <= 16_000_000, f"lex core peaked at {peak / 1e6:.1f} MB"
 
 
 def test_lex_faces_view_reads_like_a_dict():

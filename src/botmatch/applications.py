@@ -32,6 +32,7 @@ from .geom import (
     Scalar,
     _as_point,
     _clip_ring,
+    _enclosing_center,
     _erosion_halfplanes,
     _float_quotients,
     _nearest_on_ring,
@@ -150,7 +151,10 @@ def _optimizer_windows(inst: Instance, upper: Scalar) -> list[tuple[int, int, in
     So for any b0 it lies in the box s +- r of an anchor s = q_b0, cut for
     every b by the bounding box, grown by r, of the anchors of b within
     2 sqrt(upper) of s; an s with no such anchor for some b is dropped. The
-    b0 whose merged windows have the least total area is kept.
+    b0 whose merged windows have the least total area is kept. The callers
+    pass exact values of E (``optimal_translation`` its incumbent U,
+    ``bottleneck_path`` its v_straight), so the windows are never empty,
+    and the smaller ``upper`` is, the smaller they are.
     """
     M, rows = inst.int_anchors
     upper = Fraction(upper)
@@ -183,14 +187,45 @@ def _optimizer_windows(inst: Instance, upper: Scalar) -> list[tuple[int, int, in
     return best[1]
 
 
+def _incumbent(inst: Instance) -> tuple[Scalar, Point]:
+    """An exact value U of E, at most the best anchor value, and a t where E(t) = U.
+
+    For a fixed matching the best translation is the centre of the smallest
+    circle holding its sites a - b (Alt, Mehlhorn, Wagener & Welzl 1988).
+    ``eval_E`` at every anchor, in edge order, seeds a descent: from (v, mu),
+    the centre c of mu's circle gives (v', mu') = ``eval_E`` at c, and the
+    descent goes on from there while v' < v. A matching that an earlier
+    descent visited is skipped. U is the least value seen, an exact value of
+    E, so never below the optimum.
+    """
+    M, rows = inst.int_anchors
+    seeds = [(eval_E(inst, t), t) for t in map(inst.anchor, inst.edges())]
+    (best, _mu), at = min(seeds, key=lambda seed: seed[0][0])
+    seen = set()
+    for (v, mu), _t in seeds:
+        while mu not in seen:
+            seen.add(mu)
+            X, Y, W = _enclosing_center([rows[e.b][e.a] for e in mu])
+            c = Point(Fraction(X, W * M), Fraction(Y, W * M))
+            w, nu = eval_E(inst, c)
+            if w < best:
+                best, at = w, c
+            if w >= v:
+                break
+            v, mu = w, nu
+    return best, at
+
+
 def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
     """Translation minimizing the bottleneck cost, with matching and value.
 
-    The best value at any anchor is an upper bound U on the optimum, so every
-    optimizer lies in the windows of ``_optimizer_windows`` for U; each
-    window gets its own reduced arrangement. Within one closed cell the
-    bottleneck value is the squared distance to the cell's site a - b, so the
-    cell's best point is the cell's nearest point to that site:
+    ``_incumbent`` gives an exact value U of E, so an upper bound on the
+    optimum; it is at most the best value at any anchor, and mostly the
+    optimum itself. Every optimizer lies in the windows of
+    ``_optimizer_windows`` for U; each window gets its own reduced
+    arrangement. Within one closed cell the bottleneck value is the squared
+    distance to the cell's site a - b, so the cell's best point is the
+    cell's nearest point to that site:
     ``_nearest_on_ring`` finds it on the cell's ring of integer vertex
     triples, as the site itself when no edge has it on its outer side, and
     else as the best of the ring edges' nearest points, all from one
@@ -207,10 +242,14 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
     cell (``_walk_labels`` over the window's surviving cells), folded along
     that cell's tree path alone (``_walk_label_of``). Past float range no
     float bound is taken: every cell survives, with a lower bound of 0, and
-    the exact scan decides alone.
+    the exact scan decides alone. Two exact self-checks run on every call:
+    U must be ``eval_E``'s value where ``_incumbent`` found it, and the
+    answer must not exceed U.
     """
-    value_at_anchors = min(eval_E(inst, inst.anchor(e))[0] for e in inst.edges())
-    upper = _certified_upper(value_at_anchors)
+    incumbent, at = _incumbent(inst)
+    if eval_E(inst, at)[0] != incumbent:
+        raise ContractViolation("the incumbent is not the bottleneck value where it was found")
+    upper = _certified_upper(incumbent)
     M, anchors = inst.int_anchors
     try:  # int / int is correctly rounded, so axm / M == float(site.x)
         fsites = [[(axm / M, aym / M) for axm, aym in row] for row in anchors]
@@ -221,7 +260,7 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
     best_cell = None  # (arrangement, bisectors, surviving cells, cell) of best_t
     best_hi = math.inf
     every = all_bisectors(inst)
-    for window in _optimizer_windows(inst, value_at_anchors):
+    for window in _optimizer_windows(inst, incumbent):
         bis, arr = reduced_arrangement(inst, window=window, bisectors=every)
         boxes = None if fsites is None else _cell_boxes(arr)
         # A cell survives when every b keeps min_a of its box bound within the
@@ -255,6 +294,8 @@ def optimal_translation(inst: Instance) -> tuple[Point, Matching, Scalar]:
                 best_hi = _certified_upper(val)
     if best_val is None or best_t is None or best_cell is None:
         raise ContractViolation("no cell can hold the optimum")
+    if best_val > incumbent:
+        raise ContractViolation("the optimum exceeds the incumbent")
     best_mu = _walk_label_of(inst, *best_cell).matching
     if max(best_t.dist2(inst.anchor(e)) for e in best_mu) != best_val:
         raise ContractViolation("the cell's matching does not attain its value")

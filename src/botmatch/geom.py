@@ -20,6 +20,7 @@ are ordinary perpendicular bisectors of their sites.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -491,6 +492,63 @@ def _nearest_on_ring(
     num, den, lnum, lden = (a.tolist() for a in _segment_costs(inst, [site] * len(ring), *ends))
     i = min(range(len(ring)), key=lambda j: Fraction(num[j], den[j]))
     return _segment_point(ring[i], after[i], lnum[i], lden[i]), Fraction(num[i], den[i])
+
+
+def _circle_through(*ps: tuple[int, int]) -> tuple[int, int, int, int]:
+    """The least circle through one, two or three integer points: ``(X, Y, W, R)``.
+
+    Its centre is (X/W, Y/W), W > 0, and R = W^2 r^2 for its radius r: a
+    point p lies in the closed disk when |p W - (X, Y)|^2 <= R. Two points
+    give their midpoint, three their circumcentre; three collinear points
+    have none.
+    """
+    if len(ps) == 1:
+        (X, Y), W = ps[0], 1
+    elif len(ps) == 2:
+        (px, py), (qx, qy) = ps
+        X, Y, W = px + qx, py + qy, 2
+    else:
+        (ax, ay), (bx, by), (cx, cy) = ps
+        bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
+        W = 2 * (bx * cy - by * cx)
+        if W == 0:
+            raise ContractViolation("three collinear points on one enclosing circle")
+        b2, c2 = bx * bx + by * by, cx * cx + cy * cy
+        X, Y = ax * W + cy * b2 - by * c2, ay * W + bx * c2 - cx * b2
+        if W < 0:
+            X, Y, W = -X, -Y, -W
+    x, y = ps[0]
+    return X, Y, W, (x * W - X) ** 2 + (y * W - Y) ** 2
+
+
+def _enclosing_center(points: Sequence[tuple[int, int]]) -> tuple[int, int, int]:
+    """Centre of the smallest circle holding every integer point: ``(X, Y, W)``.
+
+    Welzl's algorithm (1991), iterative: a point outside the circle of those
+    before it lies on the circle of the larger set, so the circle is rebuilt
+    through it, then through it and each earlier point left outside, then
+    through those two and each point before that left outside. The points
+    are visited in a fixed-seed shuffled order, which keeps the expected
+    number of rebuilds linear; the centre is unique, so the order cannot
+    change it. Exact on Python ints of any size. Returns the centre in
+    lowest terms, W > 0.
+    """
+    pts = list(points)
+    random.Random(0).shuffle(pts)
+    X, Y, W, R = _circle_through(pts[0])
+    for i, p in enumerate(pts):
+        if (p[0] * W - X) ** 2 + (p[1] * W - Y) ** 2 <= R:
+            continue
+        X, Y, W, R = _circle_through(p)
+        for j, q in enumerate(pts[:i]):
+            if (q[0] * W - X) ** 2 + (q[1] * W - Y) ** 2 <= R:
+                continue
+            X, Y, W, R = _circle_through(p, q)
+            for r in pts[:j]:
+                if (r[0] * W - X) ** 2 + (r[1] * W - Y) ** 2 > R:
+                    X, Y, W, R = _circle_through(p, q, r)
+    g = math.gcd(X, Y, W)
+    return X // g, Y // g, W // g
 
 
 def _float_quotients(den: _np.ndarray, *nums: _np.ndarray) -> list[_np.ndarray]:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import pathlib
 import random
 from fractions import Fraction
@@ -33,7 +34,9 @@ from path_reference import _min_envelope_on_triples
 from path_reference import bottleneck_path as reference_path
 from path_reference import reference_arrangement, unreduced
 from query_units import query_units
+from test_acceptance import _rand_points
 from translation_reference import closest_point_in_polygon
+from translation_reference import enclosing_center as reference_center
 from translation_reference import optimal_translation as reference_translation
 from translation_reference import walk_labels as reference_walk_labels
 
@@ -482,6 +485,92 @@ def test_windows_hold_every_optimizer_and_meet_nowhere():
             p = _random_t(rng, den=4, lim=60)
             if eval_E(inst, p)[0] <= upper:
                 assert any(x0 <= p.x <= x1 and y0 <= p.y <= y1 for x0, y0, x1, y1 in windows)
+
+
+def test_incumbent_lies_between_the_optimum_and_the_best_anchor():
+    # U is an exact value of E, at the point the descent found it, so never
+    # below the optimum; the descent starts from the anchors, so U is never
+    # above their best; and the windows for U hold the returned optimizer
+    cases = [(inst, oracle_optimal_translation(inst)[1]) for inst in _pruning_families()]
+    # the oracle takes seconds on the align instances; their optima are pinned
+    cases += zip(_align_instances(), (Fraction(1105, 98), Fraction(25, 4)))
+    tighter = 0
+    for inst, optimum in cases:
+        upper, at = applications._incumbent(inst)
+        at_anchors = min(eval_E(inst, inst.anchor(e))[0] for e in inst.edges())
+        assert eval_E(inst, at)[0] == upper
+        assert optimum <= upper <= at_anchors
+        t, _mu, value = optimal_translation(inst)
+        assert value == optimum
+        windows = applications._optimizer_windows(inst, upper)
+        assert sum(x0 <= t.x <= x1 and y0 <= t.y <= y1 for x0, y0, x1, y1 in windows) == 1
+        tighter += upper < at_anchors
+    assert tighter >= 10
+    # on the align instances the descent reaches the optimum from 16
+    assert [applications._incumbent(inst)[0] for inst in _align_instances()] == [
+        Fraction(1105, 98), Fraction(25, 4)
+    ]
+
+
+def test_enclosing_centers_of_every_matching_equal_the_reference():
+    # every injective matching of the small families: k = 1, k = n, and
+    # equivalent edges that put two matched edges on one site
+    repeated = sizes = 0
+    for inst in _pruning_families():
+        _M, rows = inst.int_anchors
+        for a_of in itertools.permutations(range(inst.n), inst.k):
+            sites = [rows[b][a] for b, a in enumerate(a_of)]
+            X, Y, W = geom._enclosing_center(sites)
+            assert Point(Fraction(X, W), Fraction(Y, W)) == reference_center(sites)
+            repeated += len(set(sites)) < len(sites)
+            sizes |= 1 << len(sites)
+    assert repeated and sizes == 0b11110
+
+
+def test_optimal_translation_refuses_an_incumbent_off_its_value(monkeypatch):
+    inst = next(_align_instances())
+    real = applications._incumbent
+
+    def lowered(inst):
+        upper, at = real(inst)
+        return upper - Fraction(1, 1000), at
+
+    monkeypatch.setattr(applications, "_incumbent", lowered)
+    with pytest.raises(ContractViolation, match="incumbent is not the bottleneck value"):
+        optimal_translation(inst)
+
+
+def test_optimal_translation_refuses_an_optimum_above_the_incumbent(monkeypatch):
+    inst = next(_align_instances())
+    real = applications._nearest_on_ring
+
+    def worse(inst, site, ring):
+        t, value = real(inst, site, ring)
+        return t, value + 1
+
+    monkeypatch.setattr(applications, "_nearest_on_ring", worse)
+    with pytest.raises(ContractViolation, match="exceeds the incumbent"):
+        optimal_translation(inst)
+
+
+def test_optimal_translation_windows_on_the_n60_rung_stay_small(monkeypatch):
+    # criterion 10's generator at n = 60, k = 3: the best anchor value, 1,
+    # gave four windows of 621 cells; the descent reaches the optimum 1/2
+    rng = random.Random(1010)
+    pts = _rand_points(rng, 63, 15)
+    inst = Instance(pts[:60], pts[60:])
+    cells = []
+    real = applications.reduced_arrangement
+
+    def counting(*args, **kwargs):
+        bis, arr = real(*args, **kwargs)
+        cells.append(arr.n_cells)
+        return bis, arr
+
+    monkeypatch.setattr(applications, "reduced_arrangement", counting)
+    t, _mu, value = optimal_translation(inst)
+    assert (t, value) == (point(Fraction(-13, 2), Fraction(3, 2)), Fraction(1, 2))
+    assert sum(cells) <= 200
 
 
 def test_merged_boxes_and_rounded_windows():

@@ -12,6 +12,7 @@ from botmatch.geom import (
     EdgeRef,
     Instance,
     Point,
+    _enclosing_center,
     _segment_costs,
     _segment_point,
     bisector_line,
@@ -29,7 +30,7 @@ from botmatch.geom import (
 )
 from fraction_geometry import _halfplane_clip, canonical_convex
 from path_reference import min_envelope_on_segment
-from translation_reference import closest_point_in_polygon
+from translation_reference import closest_point_in_polygon, enclosing_center
 
 F = Fraction
 
@@ -551,3 +552,28 @@ def test_erode_polygon_equals_fraction_reference():
         key = "empty" if got is None else got.dim
         dims[key] = dims.get(key, 0) + 1
     assert set(dims) == {"empty", 0, 1, 2} and min(dims.values()) >= 20, dims
+
+
+def test_enclosing_center_equals_the_brute_force_reference():
+    rng = random.Random(2601)
+    ring = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3),
+            (-5, 0), (-4, -3), (-3, -4), (0, -5), (3, -4), (4, -3)]
+    S = 10**300
+    cases = [[(3, -7)], [(2, 2), (2, 2)], [(0, 0), (4, 0), (0, 4)], ring]
+    for _ in range(40):
+        m = rng.randint(1, 8)
+        cases.append([(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(m)])  # repeats
+        xs = [rng.randint(-6, 6) for _ in range(m)]
+        cases.append([(x, 2 * x - 1) for x in xs])  # collinear
+        cases.append(rng.choices(ring, k=m))  # cocircular
+        cases.append([(rng.randint(-S, S), rng.randint(-S, S)) for _ in range(m)])
+        cases.append([(S + rng.randint(-9, 9), -S + rng.randint(-9, 9)) for _ in range(m)])
+    for pts in cases:
+        X, Y, W = _enclosing_center(pts)
+        assert W > 0 and gcd(X, Y, W) == 1
+        assert Point(F(X, W), F(Y, W)) == enclosing_center(pts)
+        # the visiting order is the helper's own: reordering changes nothing
+        assert _enclosing_center(pts[::-1]) == (X, Y, W)
+    assert _enclosing_center(ring) == (0, 0, 1)
+    assert _enclosing_center([(0, 0), (1, 0), (3, 0), (1, 0)]) == (3, 0, 2)
+    assert _enclosing_center([(0, 0), (4, 0), (1, 3)]) == (2, 1, 1)  # acute: the circumcentre

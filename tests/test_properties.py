@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from botmatch import diagram
+from botmatch import applications, diagram
 from botmatch.applications import Empty, bottleneck_path, cover_radius, optimal_translation
 from botmatch.arrangement import all_bisectors, build_arrangement, used_bisectors
 from botmatch.diagram import eval_E
@@ -92,6 +92,17 @@ def test_optimal_translation_equals_oracle(inst):
     assert sorted(e.b for e in mu) == list(range(inst.k))
     assert len({e.a for e in mu}) == inst.k
     assert max(t.dist2(inst.anchor(e)) for e in mu) == value
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_incumbent_is_a_value_between_the_optimum_and_the_anchors(inst):
+    upper, at = applications._incumbent(inst)
+    oracle_t, oracle_value = oracle_optimal_translation(inst)
+    assert eval_E(inst, at)[0] == upper
+    assert oracle_value <= upper <= min(eval_E(inst, inst.anchor(e))[0] for e in inst.edges())
+    windows = applications._optimizer_windows(inst, upper)
+    assert any(x0 <= oracle_t.x <= x1 and y0 <= oracle_t.y <= y1 for x0, y0, x1, y1 in windows)
 
 
 @PROPERTY_SETTINGS

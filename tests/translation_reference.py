@@ -9,12 +9,15 @@ that interleaves the breadth-first search with the labels, so it shares no
 walk tree with the library either. Its cell step is ``closest_point_in_polygon``,
 the library's former nearest-point routine on ``Fraction`` polygons, kept
 here unchanged so that the reference shares no kernel with the library's
-integer ring scan (``geom._nearest_on_ring``).
+integer ring scan (``geom._nearest_on_ring``). ``enclosing_center`` is a
+brute-force restatement of the library's smallest-enclosing-circle centre
+(``geom._enclosing_center``), the step of its incumbent.
 """
 
 import math
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as _np
 
@@ -73,6 +76,28 @@ def closest_point_in_polygon(p: Point, poly: ConvexPolygon) -> Point:
     if best is None:
         raise ContractViolation("polygon has no edge")
     return best
+
+
+def enclosing_center(points) -> Point:
+    """Centre of the smallest circle holding every integer point, by brute force.
+
+    That circle has two of the points as a diameter or passes through three,
+    so its centre is a pair midpoint or a triple circumcentre. Each candidate
+    is valued, in ``Fraction``s, by its squared distance to the farthest
+    point, and the least value wins; the centre is unique, so no tie rule
+    enters. One point is its own centre.
+    """
+    pts = [Point(Fraction(x), Fraction(y)) for x, y in set(points)]
+    candidates = [pts[0]]
+    for p, q in combinations(pts, 2):
+        candidates.append((p + q).scale(Fraction(1, 2)))
+    for a, b, c in combinations(pts, 3):
+        u, v = b - a, c - a
+        d = 2 * u.cross(v)
+        if d != 0:
+            u2, v2 = u.norm2(), v.norm2()
+            candidates.append(a + Point(v.y * u2 - u.y * v2, u.x * v2 - v.x * u2).scale(1 / d))
+    return min(candidates, key=lambda c: max(c.dist2(p) for p in pts))
 
 
 _OUTSIDE = object()  # walk marker: a cell the walk must not enter

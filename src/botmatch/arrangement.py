@@ -2,10 +2,11 @@
 
 Translation space is subdivided by the perpendicular bisectors of pairs of
 alignment translations a - b. Only bisectors that can support an order-k
-candidate-set change are kept (a cheap per-line sweep gives a sound
-superset, over the whole line or over its chord in a window); the survivors
-are clipped to an adaptive integer bounding box, or to the window, and
-assembled into a DCEL with exact homogeneous integer vertices, per-cell
+candidate-set change are kept, a sound superset over the whole line or over
+its chord in a window: one exact array pass counts each tie's sites at the
+chord's ends, and a sweep settles the few ties those counts leave open. The
+survivors are clipped to an adaptive integer bounding box, or to the window,
+and assembled into a DCEL with exact homogeneous integer vertices, per-cell
 convex polygons, and a dual cell-adjacency graph.
 """
 
@@ -112,117 +113,83 @@ def _min_coverage(
     return best
 
 
-def _line_base(trip: tuple[int, int, int], M: int) -> tuple[int, int, int]:
-    """Homogeneous base point (X0, Y0, W0), W0 > 0, of A*X + B*Y = C*M."""
-    A, B, C = trip
-    return (C * M, 0, A) if A else (0, C * M, B)
+# (row, site) entries per chunk of the bisector reduction: each chunk holds
+# two value arrays and a few masks of this size at once
+_REDUCTION_CHUNK = 1 << 16
+_REDUCTION_LIMIT = 1 << 62  # largest bound on the reduction's values kept in int64
 
 
-def _theta(num: int, den: int) -> tuple[int, int]:
-    """The fraction num/den as a threshold (num, den) with den > 0."""
-    return (num, den) if den > 0 else (-num, -den)
+def _reduction_dtype(
+    trips: _np.ndarray, M: int, S: int, window: tuple[int, int, int, int] | None
+):
+    """int64 while no value ``used_bisectors`` forms can pass ``_REDUCTION_LIMIT``, else object.
 
-
-def _chord(
-    trip: tuple[int, int, int], M: int, window: tuple[int, int, int, int]
-) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """Closed parameter interval (lo, hi) of the line's chord in ``window``.
-
-    The parameter is lam of ``_pair_supports_candidate_change``, in the frame
-    scaled by M. None unless the line crosses the open window: corners lie
-    strictly on both sides of it.
+    With a the largest |A| or |B| and c the largest |C| of a line, S the
+    largest |anchor coordinate| and V the largest |window coordinate| (0 on
+    the whole line): a chord end is a quotient with numerator at most
+    M (a V + c) and denominator at most a^2, a site's const is a sum of
+    terms of total at most 4 c M S + 4 a S^2 and its coef one of total at
+    most 8 a^2 S. So f at a chord end, every partial sum of it and every
+    product of the chord test stay within the bound below.
     """
-    A, B, C = trip
+    a, c = (max(int(v.max()), -int(v.min())) for v in (trips[:, :2], trips[:, 2]))
+    V = 0 if window is None else max(map(abs, window))
+    S = max(S, 1)
+    bound = a * a * (4 * c * M * S + 4 * a * S * S) + 8 * M * (a * V + c) * a * a * S
+    return _np.int64 if bound <= _REDUCTION_LIMIT else object
+
+
+def _chords(A, B, C, W0, X0, Y0, M: int, window: tuple[int, int, int, int]):
+    """The lines that cross the open ``window``, and their chords in it.
+
+    A line crosses when the window's corners lie strictly on both sides of
+    it. Returns the crossing lines' ids and a (4, lines) array of rows
+    (ln, ld, hn, hd): line i's chord is the closed interval of lam from
+    ln/ld to hn/hd, ld, hd > 0, on the line walked as in ``used_bisectors``.
+    """
     x0, y0, x1, y1 = (v * M for v in window)
     sides = [A * x + B * y - C * M for x in (x0, x1) for y in (y0, y1)]
-    if not min(sides) < 0 < max(sides):
-        return None
-    X0, Y0, W0 = _line_base(trip, M)
-    lo = hi = None
-    # the coordinate p0 / W0 + lam * d meets v at lam = (v * W0 - p0) / (W0 * d)
-    for p0, d, v0, v1 in ((X0, B, x0, x1), (Y0, -A, y0, y1)):
-        if d:
-            first, last = _theta(v0 * W0 - p0, W0 * d), _theta(v1 * W0 - p0, W0 * d)
-            if d < 0:
-                first, last = last, first
-            if lo is None or _cmp_theta(first, lo) > 0:
-                lo = first
-            if hi is None or _cmp_theta(last, hi) < 0:
-                hi = last
-    return lo, hi
+    low = functools.reduce(_np.minimum, sides)
+    high = functools.reduce(_np.maximum, sides)
+    lines = _np.flatnonzero((low < 0) & (high > 0))
+    A, B, W0, X0, Y0 = (v[lines] for v in (A, B, W0, X0, Y0))
+    # x = X0/W0 + lam*B lies in [x0, x1] between lam = (x0*W0 - X0)/(W0*B) and (x1*W0 - X0)/(W0*B)
+    up = B > 0
+    xl = _np.where(up, x0 * W0 - X0, X0 - x1 * W0)
+    xh = _np.where(up, x1 * W0 - X0, X0 - x0 * W0)
+    xd = W0 * abs(B)
+    # y = Y0/W0 - lam*A, and A >= 0
+    yl, yh, yd = Y0 - y1 * W0, Y0 - y0 * W0, W0 * A
+    # the chord is where both hold; a line parallel to an axis meets one pair of sides
+    x_lo = (A == 0) | ((B != 0) & (xl * yd >= yl * xd))
+    x_hi = (A == 0) | ((B != 0) & (xh * yd <= yh * xd))
+    ends = _np.stack(
+        [_np.where(x_lo, xl, yl), _np.where(x_lo, xd, yd), _np.where(x_hi, xh, yh), _np.where(x_hi, xd, yd)]
+    )
+    return lines, ends
 
 
-def _pair_supports_candidate_change(
-    inst: Instance,
-    trip: tuple[int, int, int],
-    e1: EdgeRef,
-    e2: EdgeRef,
-    chord: tuple[tuple[int, int], tuple[int, int]] | None = None,
-) -> bool:
-    """Necessary condition for the pair's tie to matter somewhere on the line.
+def _end_flags(first: _np.ndarray, second: _np.ndarray, windowed: bool):
+    """Which sites each row counts at the low and at the high end of its chord.
 
-    Somewhere on the line, the open disk centered at the translation through
-    the tying alignment points must contain few enough other alignment
-    points that both edges can sit at a candidate-set boundary: at most
-    k - 1 of A - b for a same-b pair, at most 2k - 2 of the merged
-    (A - b) u (A - b') for a differing pair.
-
-    Works in the integer frame of ``inst.int_anchors`` (coordinates scaled
-    by M), where the line with primitive triple (A, B, C) reads
-    A*X + B*Y = C*M. It is walked as T0 + lam*(B, -A) from the homogeneous
-    base T0 = (X0/W0, Y0/W0), W0 > 0. The minimum coverage over the line
-    does not depend on how the line is parametrized.
-
-    With a ``chord`` (lo, hi) from ``_chord`` the minimum runs over that
-    closed interval only: a condition that never holds there is dropped, one
-    that holds on all of it counts as parameter-free, and the rest are swept.
-    The swept thresholds lie in [lo, hi], where their coverage takes every
-    value it takes on the whole line.
+    On a chord, ``first`` and ``second`` are f at lo and at hi. On the whole
+    line they are const and coef, and the ends are lam -> -inf and +inf,
+    where a site with coef = 0 counts at both ends when const < 0.
     """
-    M, rows = inst.int_anchors
-    A, B, _C = trip
-    X0, Y0, W0 = _line_base(trip, M)
-    px, py = rows[e1.b][e1.a]
-    q = rows[e2.b][e2.a]
-    sites = set(rows[e1.b])
-    if e1.b == e2.b:
-        threshold = inst.k - 1
-    else:
-        sites.update(rows[e2.b])
-        threshold = 2 * inst.k - 2
-    sites.discard((px, py))
-    sites.discard(q)
-    p2 = px * px + py * py
-    always = 0
-    less: list[tuple[int, int]] = []
-    greater: list[tuple[int, int]] = []
-    for sx, sy in sites:
-        ux, uy = px - sx, py - sy
-        # W0 * (|T - S|^2 - |T - P|^2) = const + lam * coef along the line
-        coef = 2 * W0 * (B * ux - A * uy)
-        const = 2 * (X0 * ux + Y0 * uy) + W0 * (sx * sx + sy * sy - p2)
-        if coef == 0:
-            if const < 0:
-                always += 1
-            continue
-        g = math.gcd(const, coef) if coef > 0 else -math.gcd(const, coef)
-        theta = (-const // g, coef // g)  # -const/coef in lowest terms
-        if chord is not None:
-            lo, hi = chord
-            if coef > 0:  # lam < theta
-                if _cmp_theta(theta, lo) <= 0:
-                    continue
-                if _cmp_theta(hi, theta) < 0:
-                    always += 1
-                    continue
-            else:  # lam > theta
-                if _cmp_theta(theta, hi) >= 0:
-                    continue
-                if _cmp_theta(lo, theta) > 0:
-                    always += 1
-                    continue
-        (less if coef > 0 else greater).append(theta)
-    return _min_coverage(always, less, greater, threshold) <= threshold
+    if windowed:
+        return first < 0, second < 0
+    flat = (second == 0) & (first < 0)
+    return (second > 0) | flat, (second < 0) | flat
+
+
+def _block_chunks(h_block: _np.ndarray, k: int, n: int) -> Iterator[tuple[int, _np.ndarray]]:
+    """(block, half-row ids): each block's half rows, ``_REDUCTION_CHUNK`` entries at a time."""
+    order = _np.argsort(h_block, kind="stable")
+    bounds = _np.searchsorted(h_block[order], _np.arange(k + 1)).tolist()
+    step = max(1, _REDUCTION_CHUNK // n)
+    for b in range(k):
+        for lo in range(bounds[b], bounds[b + 1], step):
+            yield b, order[lo : min(lo + step, bounds[b + 1])]
 
 
 def used_bisectors(
@@ -237,20 +204,136 @@ def used_bisectors(
     ``window`` (x0, y0, x1, y1) only lines crossing the open window are kept,
     and each is tested on its chord there: sound for the labels inside the
     window, and a subset of the lines kept without it.
+
+    A line is kept when one of its edge pairs (e1, e2), anchors p and q, can
+    sit at a candidate-set boundary somewhere on the line (or its chord):
+    the open disk centred there through p and q holds at most k - 1 of
+    A - b for a same-b pair, at most 2k - 2 of the merged (A - b) u (A - b')
+    for a differing pair. In the integer frame of ``inst.int_anchors``
+    (coordinates scaled by M) the line with primitive triple (A, B, C) reads
+    A*X + B*Y = C*M. It is walked as T0 + lam*(B, -A) from the homogeneous
+    base T0 = (X0/W0, Y0/W0), W0 > 0, and the disk holds site s where
+    f_s(lam) = W0 (|T - s|^2 - |T - p|^2) = const + lam * coef is negative.
+
+    Every (line, pair) is one row, its sites the columns, in one exact
+    array pass over chunks of ``_REDUCTION_CHUNK`` entries: each block of a
+    row (its A - b, then A - b' with the sites repeated from A - b masked)
+    is a half row, and f at a chord end is one product of a per-row form
+    with per-site features (1, s_x, s_y, |s|^2). p and q need no mask: the
+    line is their bisector, so f_p and f_q are 0 and never negative. Per
+    row three counts follow: the sites held at lo, at hi and at both ends.
+    f is affine, so a site held at both ends is held on the whole closed
+    chord, and the minimum over the chord lies between the both-ends count
+    and the smaller end count. A row whose both-ends count passes its
+    threshold is dropped, one whose lo or hi count is within it is kept,
+    and only the rest run the ``_min_coverage`` sweep, on their one-end
+    sites, whose thresholds -const/coef lie on the chord. Values are int64
+    within ``_reduction_dtype``'s bound and Python ints beyond it, with the
+    same statements.
     """
-    M = inst.int_anchors[0]
-    kept = []
-    for bi in bisectors:
-        trip = bi.line.primitive_triple()
-        chord = None if window is None else _chord(trip, M, window)
-        if window is not None and chord is None:
-            continue
-        if any(
-            _pair_supports_candidate_change(inst, trip, e1, e2, chord)
-            for e1, e2 in bi.edge_pairs
-        ):
-            kept.append(bi)
-    return kept
+    M, anchors = inst.int_anchors
+    k, n = inst.k, inst.n
+    trips = [bi.line.primitive_triple() for bi in bisectors]
+    if not trips:
+        return []
+    try:
+        coefs = _np.array(trips, dtype=_np.int64)
+    except OverflowError:
+        coefs = _np.array(trips, dtype=object)
+    dtype = _reduction_dtype(coefs, M, max(abs(v) for row in anchors for s in row for v in s), window)
+    A, B, C = coefs.astype(dtype, copy=False).T
+    on_x = A != 0  # base point on the x-axis, else on the y-axis
+    W0 = _np.where(on_x, A, B)
+    X0 = _np.where(on_x, C * M, 0)
+    Y0 = _np.where(on_x, 0, C * M)
+    if window is None:
+        lines = _np.arange(len(trips))
+    else:
+        lines, ends = _chords(A, B, C, W0, X0, Y0, M, window)
+    rows = _np.array(
+        [(l, e1.a, e1.b, e2.b) for l in lines.tolist() for e1, e2 in bisectors[l].edge_pairs],
+        dtype=_np.int64,
+    ).reshape(-1, 4)
+    if not len(rows):
+        return []
+    line, a1, b1, b2 = rows.T
+
+    # per row, coef and const as forms over the site features (1, s_x, s_y, |s|^2)
+    sx = _np.array([[x for x, _ in row] for row in anchors], dtype=dtype)
+    sy = _np.array([[y for _, y in row] for row in anchors], dtype=dtype)
+    s2 = _np.array(inst.anchor_norms, dtype=dtype)
+    features = _np.stack([_np.ones_like(sx), sx, sy, s2], axis=1)  # (k, 4, n)
+    px, py, p2 = sx[b1, a1], sy[b1, a1], s2[b1, a1]
+    Al, Bl, Wl, Xl, Yl = A[line], B[line], W0[line], X0[line], Y0[line]
+    zero = _np.zeros_like(Wl)
+    coef = _np.stack([2 * Wl * (Bl * px - Al * py), -2 * Wl * Bl, 2 * Wl * Al, zero], axis=1)
+    const = _np.stack([2 * (Xl * px + Yl * py) - Wl * p2, -2 * Xl, -2 * Yl, Wl], axis=1)
+    if window is None:
+        first, second = const, coef
+    else:
+        # f at a chord end num/den, times den
+        ln, ld, hn, hd = (v[:, None] for v in ends[:, _np.searchsorted(lines, line)])
+        first, second = ld * const + ln * coef, hd * const + hn * coef
+
+    # half rows: every row's A - b1, then each differing row's A - b2, where
+    # repeated[b1, b2] masks the sites that A - b1 holds already
+    homes: dict[tuple[int, int], list[tuple[int, int]]] = {}  # site -> its (b, a)
+    for b, row in enumerate(anchors):
+        for a, s in enumerate(row):
+            homes.setdefault(s, []).append((b, a))
+    repeated = _np.zeros((k, k, n), dtype=bool)
+    for occ in homes.values():
+        for b, _ in occ:
+            for b_, a in occ:
+                repeated[b, b_, a] = b != b_
+    second_half = _np.flatnonzero(b1 != b2)
+    h_row = _np.concatenate([_np.arange(len(rows)), second_half])
+    h_block = _np.concatenate([b1, b2[second_half]])
+
+    def held(b: int, h: _np.ndarray):
+        """The sites held at lo and at hi by half rows ``h`` of block b, repeats masked."""
+        r = h_row[h]
+        at_lo, at_hi = _end_flags(first[r] @ features[b], second[r] @ features[b], window is not None)
+        fresh = ~repeated[b1[r], b]
+        return r, at_lo & fresh, at_hi & fresh
+
+    counts = _np.zeros((3, len(rows)), dtype=_np.int64)  # held at lo, at hi, at both ends
+    for b, h in _block_chunks(h_block, k, n):
+        r, at_lo, at_hi = held(b, h)
+        # a row has at most one half per block, so r holds no repeat
+        counts[:, r] += _np.stack([at_lo.sum(1), at_hi.sum(1), (at_lo & at_hi).sum(1)])
+    at_lo, at_hi, both = counts
+    threshold = _np.where(b1 == b2, k - 1, 2 * k - 2)
+    live = both <= threshold
+    settled = live & (_np.minimum(at_lo, at_hi) <= threshold)
+    kept = _np.zeros(len(trips), dtype=bool)
+    kept[line[settled]] = True
+
+    # the rows left open, on lines no settled row keeps, are swept
+    open_rows = live & ~settled & ~kept[line]
+    if open_rows.any():
+        cuts: dict[int, tuple[list, list]] = {r: ([], []) for r in _np.flatnonzero(open_rows).tolist()}
+        # the other rows' half rows go to block k, which no chunk reads
+        for b, h in _block_chunks(_np.where(open_rows[h_row], h_block, k), k, n):
+            r, lo_held, hi_held = held(b, h)
+            h_, s = _np.nonzero(lo_held ^ hi_held)  # held at one end only: coef != 0
+            cf = (coef[r[h_]] * features[b][:, s].T).sum(1)
+            cs = (const[r[h_]] * features[b][:, s].T).sum(1)
+            g = _np.gcd(cs, cf)
+            g = _np.where(cf > 0, g, -g)
+            # -const/coef in lowest terms: held for lam below it if coef > 0, else above it
+            theta = zip((-cs // g).tolist(), (cf // g).tolist())
+            for row, th, up in zip(r[h_].tolist(), theta, (cf < 0).tolist()):
+                cuts[row][up].append(th)
+        for r, (less, greater) in cuts.items():
+            if kept[line[r]]:
+                continue
+            low = _min_coverage(int(both[r]), less, greater, int(threshold[r]))
+            if not both[r] <= low <= min(at_lo[r], at_hi[r]):
+                raise ContractViolation("a swept minimum lies outside its end counts")
+            if low <= threshold[r]:
+                kept[line[r]] = True
+    return [bi for bi, keep in zip(bisectors, kept.tolist()) if keep]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import pytest
 
 from botmatch import diagram
 from botmatch.applications import PathResult
-from botmatch.arrangement import _chord, all_bisectors, build_arrangement, used_bisectors
+from botmatch.arrangement import all_bisectors, build_arrangement, used_bisectors
 from botmatch.diagram import eval_E, label_cells_incremental
 from botmatch.geom import ContractViolation, EdgeRef, Instance, Point, Scalar, homogeneous
 
@@ -102,12 +102,19 @@ def _min_envelope_on_triples(
     return t, Fraction(best_val, scale * scale)
 
 
+def _crosses_open_window(trip: tuple[int, int, int], window: tuple[int, int, int, int]) -> bool:
+    """Whether the line a*x + b*y = c has the window's corners strictly on both sides."""
+    a, b, c = trip
+    x0, y0, x1, y1 = window
+    sides = [a * x + b * y - c for x in (x0, x1) for y in (y0, y1)]
+    return min(sides) < 0 < max(sides)
+
+
 def _every_bisector(inst, bisectors, window=None):
-    """Every bisector, or with ``window`` every one whose chord crosses the open window."""
+    """Every bisector, or with ``window`` every one that crosses the open window."""
     if window is None:
         return bisectors
-    M = inst.int_anchors[0]
-    return [b for b in bisectors if _chord(b.line.primitive_triple(), M, window) is not None]
+    return [b for b in bisectors if _crosses_open_window(b.line.primitive_triple(), window)]
 
 
 def unreduced(query, *args):

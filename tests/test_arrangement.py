@@ -10,6 +10,7 @@ import pytest
 
 import botmatch
 from botmatch.geom import (
+    ContractViolation,
     EdgeRef,
     Instance,
     Point,
@@ -19,7 +20,7 @@ from botmatch.geom import (
     point,
     squared_edge_length,
 )
-from botmatch import arrangement
+from botmatch import applications, arrangement
 from botmatch.arrangement import (
     Arrangement,
     Bisector,
@@ -31,6 +32,7 @@ from botmatch.arrangement import (
 )
 from fraction_geometry import canonical_convex
 from sample_reference import face_sample_triple as reference_sample
+from test_acceptance import _rand_points
 
 E = EdgeRef
 
@@ -186,11 +188,14 @@ def _crosses_open_window(line, window):
 
 
 def _fraction_supports_change(inst, line, e1, e2, window=None):
-    """The reduction's per-pair test written directly in Fractions.
+    """The reduction's per-pair test written directly in Fractions, and how its end counts settle it.
 
     A translation t on the line counts a site s when |t - s|^2 < |t - p|^2;
     the pair survives when that count drops to the threshold somewhere, or
-    somewhere on the line's chord in the closed ``window``.
+    somewhere on the line's chord in the closed ``window``. The outcome is
+    "dropped" when the sites counted at both ends of the chord (of the whole
+    line: lam -> -inf and +inf) pass the threshold, "lo" or "hi" when the
+    count at that end is within it, and "swept" otherwise.
     """
     base, d = line.some_point(), line.direction()
     p, q = inst.anchor(e1), inst.anchor(e2)
@@ -209,19 +214,33 @@ def _fraction_supports_change(inst, line, e1, e2, window=None):
             always += const < 0
         else:
             cuts.append((-const / coef, coef > 0))
+
+    def held(lam, th, lt):
+        return lam < th if lt else lam > th
+
     thetas = sorted({th for th, _ in cuts})
     if window is not None:
         lo, hi = _fraction_chord(line, window)
         thetas = sorted({lo, hi} | {th for th in thetas if lo <= th <= hi})
         probes = thetas + [(x + y) / 2 for x, y in zip(thetas, thetas[1:])]
+        at_lo, at_hi = (always + sum(held(lam, *c) for c in cuts) for lam in (lo, hi))
+        both = always + sum(held(lo, *c) and held(hi, *c) for c in cuts)
     else:
         probes = [thetas[0] - 1, thetas[-1] + 1] if thetas else [Fraction(0)]
         probes += thetas + [(x + y) / 2 for x, y in zip(thetas, thetas[1:])]
-    count = min(
-        always + sum(1 for th, lt in cuts if (lam < th if lt else lam > th))
-        for lam in probes
-    )
-    return count <= threshold
+        at_lo = always + sum(lt for _, lt in cuts)
+        at_hi = always + sum(not lt for _, lt in cuts)
+        both = always
+    count = min(always + sum(held(lam, *c) for c in cuts) for lam in probes)
+    if both > threshold:
+        outcome = "dropped"
+    elif at_lo <= threshold:
+        outcome = "lo"
+    elif at_hi <= threshold:
+        outcome = "hi"
+    else:
+        outcome = "swept"
+    return count <= threshold, outcome
 
 
 def _rational_instance(rng):
@@ -242,51 +261,170 @@ def _rational_instance(rng):
     return Instance(tuple(flat[:n]), tuple(flat[n:]))
 
 
-def test_used_bisectors_match_fraction_definition():
+_BIG = 10**9  # takes the reduction's values past the int64 bound
+
+
+def _scaled(inst, scale):
+    return Instance(
+        tuple(Point(p.x * scale, p.y * scale) for p in inst.A),
+        tuple(Point(p.x * scale, p.y * scale) for p in inst.B),
+    )
+
+
+def _degenerate_instances():
+    """Collinear, co-circular and lattice sets and k = n, each also scaled by ``_BIG``."""
+    base = [
+        _mk([(0, 0), (2, 1), (4, 2), (6, 3), (8, 4)], [(1, 0), (3, 1)]),  # collinear A
+        _mk([(0, 0), (1, 0), (3, 0), (4, 0)], [(0, 0), (2, 0)]),  # collinear sites
+        _mk([(5, 0), (3, 4), (0, 5), (-4, 3), (-5, 0), (0, -5)], [(0, 0)]),  # co-circular sites
+        _mk([(5, 0), (3, 4), (-3, 4), (-4, -3), (4, -3)], [(0, 0), (1, 0)]),
+        _mk([(x, y) for x in range(3) for y in range(2)], [(0, 0), (1, 1), (2, 0)]),  # lattice
+        _mk([(-1, -1), (-1, 1), (1, -1), (1, 1), (0, 0)], [(0, 0), (2, 0)]),
+        _mk([(0, 0), (3, 1), (1, 4)], [(2, 2), (0, 1), (4, 0)]),  # k = n
+        _mk([(0, 0), (2, 0), (4, 0)], [(0, 0), (0, 2), (2, 2)]),  # k = n on a lattice
+    ]
+    return [(inst, 1) for inst in base] + [(_scaled(inst, _BIG), _BIG) for inst in base]
+
+
+def _watch_reduction(monkeypatch):
+    """The kernel's value dtypes and the number of swept rows, filled in as the reduction runs."""
+    seen = {"dtypes": set(), "swept": 0}
+    flags, sweep = arrangement._end_flags, arrangement._min_coverage
+
+    def watched_flags(first, second, windowed):
+        seen["dtypes"].add(first.dtype)
+        return flags(first, second, windowed)
+
+    def watched_sweep(*args):
+        seen["swept"] += 1
+        return sweep(*args)
+
+    monkeypatch.setattr(arrangement, "_end_flags", watched_flags)
+    monkeypatch.setattr(arrangement, "_min_coverage", watched_sweep)
+    return seen
+
+
+_OUTCOMES = {"dropped", "lo", "hi", "swept"}
+
+
+def _fraction_used(inst, bis, window=None):
+    """The lines the Fraction definition keeps, and the outcomes of all their pairs."""
+    want, outcomes = [], set()
+    for b in bis:
+        if window is not None and not _crosses_open_window(b.line, window):
+            continue
+        results = [_fraction_supports_change(inst, b.line, e1, e2, window) for e1, e2 in b.edge_pairs]
+        outcomes |= {outcome for _, outcome in results}
+        if any(keep for keep, _ in results):
+            want.append(b)
+    return want, outcomes
+
+
+def test_used_bisectors_match_fraction_definition(monkeypatch):
     rng = random.Random(89)
-    dropped = 0
-    for _ in range(25):
-        inst = _rational_instance(rng)
+    seen = _watch_reduction(monkeypatch)
+    pool = [_rational_instance(rng) for _ in range(25)] + [inst for inst, _ in _degenerate_instances()]
+    dropped, outcomes = 0, set()
+    for inst in pool:
         bis = all_bisectors(inst)
-        want = [
-            b
-            for b in bis
-            if any(
-                _fraction_supports_change(inst, b.line, e1, e2)
-                for e1, e2 in b.edge_pairs
-            )
-        ]
+        want, got_outcomes = _fraction_used(inst, bis)
         assert used_bisectors(inst, bis) == want
         dropped += len(bis) - len(want)
+        outcomes |= got_outcomes
     assert dropped > 0, "no line was ever dropped"
+    assert outcomes == _OUTCOMES
+    assert seen["dtypes"] == {_np.dtype(_np.int64), _np.dtype(object)} and seen["swept"] > 0
 
 
-def test_windowed_used_bisectors_match_fraction_definition():
+def test_windowed_used_bisectors_match_fraction_definition(monkeypatch):
     rng = random.Random(1_3101)
-    dropped = 0
-    for _ in range(20):
-        inst = _rational_instance(rng)
+    seen = _watch_reduction(monkeypatch)
+    pool = [(_rational_instance(rng), 1) for _ in range(20)] + _degenerate_instances()
+    dropped, outcomes = 0, set()
+    for inst, scale in pool:
         bis = all_bisectors(inst)
         everywhere = set(used_bisectors(inst, bis))
         for _ in range(4):
             x0, y0 = rng.randint(-9, 7), rng.randint(-9, 7)
             window = (x0, y0, x0 + rng.randint(1, 6), y0 + rng.randint(1, 6))
-            want = [
-                b
-                for b in bis
-                if _crosses_open_window(b.line, window)
-                and any(
-                    _fraction_supports_change(inst, b.line, e1, e2, window)
-                    for e1, e2 in b.edge_pairs
-                )
-            ]
+            window = tuple(v * scale for v in window)
+            want, got_outcomes = _fraction_used(inst, bis, window)
             got = used_bisectors(inst, bis, window=window)
             assert got == want
             assert set(got) <= everywhere
+            outcomes |= got_outcomes
             dropped += sum(
                 b not in got and _crosses_open_window(b.line, window) for b in everywhere
             )
     assert dropped > 0, "the window never dropped a line kept on the whole line"
+    assert outcomes == _OUTCOMES
+    assert seen["dtypes"] == {_np.dtype(_np.int64), _np.dtype(object)} and seen["swept"] > 0
+
+
+def _reductions(monkeypatch=None, **patch):
+    """Kept lists of every pool instance, on the whole box and on four windows, under ``patch``."""
+    rng = random.Random(1_3102)
+    pool = [(_rational_instance(rng), 1) for _ in range(8)] + _degenerate_instances()
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in patch.items():
+            mp.setattr(arrangement, name, value)
+        seen = _watch_reduction(mp)
+        out = []
+        for inst, scale in pool:
+            bis = all_bisectors(inst)
+            windows = [None] + [
+                tuple(scale * v for v in (x, y, x + w, y + h))
+                for x, y, w, h in [(-3, -2, 4, 5), (0, 0, 1, 1), (-6, 1, 3, 2), (1, -5, 6, 6)]
+            ]
+            out.append([used_bisectors(inst, bis, window=window) for window in windows])
+    return out, seen["dtypes"]
+
+
+def test_int64_and_python_int_reductions_agree():
+    # with the int64 limit at 0 every value, small or scaled by 10^9, is a Python int
+    narrow, narrow_dtypes = _reductions()
+    wide, wide_dtypes = _reductions(_REDUCTION_LIMIT=0)
+    assert narrow_dtypes == {_np.dtype(_np.int64), _np.dtype(object)}
+    assert wide_dtypes == {_np.dtype(object)}
+    assert wide == narrow
+
+
+def test_reductions_do_not_depend_on_the_chunking():
+    # a budget of one entry gives every chunk one half row: one block of one (line, pair)
+    assert _reductions(_REDUCTION_CHUNK=1) == _reductions()
+
+
+def test_reduction_sweeps_few_rows_on_the_n60_rung_windows(monkeypatch):
+    # criterion 10's generator at n = 60, k = 3: the end counts settle every
+    # (line, pair) row of the incumbent's windows, so the sweep runs on at
+    # most 1% of them (it ran on none when this was written)
+    pts = _rand_points(random.Random(1010), 63, 15)
+    inst = Instance(pts[:60], pts[60:])
+    windows = applications._optimizer_windows(inst, applications._incumbent(inst)[0])
+    every = all_bisectors(inst)
+    swept = _watch_reduction(monkeypatch)
+    rows = 0
+    for x0, y0, x1, y1 in windows:
+        for b in every:
+            a, bb, c = b.line.primitive_triple()
+            sides = [a * x + bb * y - c for x in (x0, x1) for y in (y0, y1)]
+            rows += len(b.edge_pairs) * (min(sides) < 0 < max(sides))
+        used_bisectors(inst, every, window=(x0, y0, x1, y1))
+    assert rows > 1000
+    assert swept["swept"] <= rows // 100
+
+
+def test_reduction_refuses_a_sweep_outside_its_end_counts(monkeypatch):
+    # a 3 x 1 rectangle: each diagonal's bisector has one other corner nearer
+    # than the pair far out at either end and none at the centre, so only the
+    # sweep keeps it
+    inst = _mk([(0, 0), (3, 0), (0, 1), (3, 1)], [(0, 0)])
+    bis = all_bisectors(inst)
+    seen = _watch_reduction(monkeypatch)
+    assert used_bisectors(inst, bis) == bis and seen["swept"] == 2
+    monkeypatch.setattr(arrangement, "_min_coverage", lambda always, less, greater, stop_at: -1)
+    with pytest.raises(ContractViolation, match="outside its end counts"):
+        used_bisectors(inst, bis)
 
 
 def test_windowed_reduction_keeps_only_lines_crossing_the_open_window():
